@@ -13,8 +13,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dls_repro::hagerup_exp::{
-    max_relative_discrepancy_excluding_outlier, run_figure, HagerupConfig, OracleMode,
+    max_relative_discrepancy_excluding_outlier, run_figure_resilient, HagerupConfig, OracleMode,
+    WastedRow,
 };
+use dls_repro::runner::ExecContext;
+use dls_telemetry::Telemetry;
 use std::time::Duration;
 
 fn cfg(runs: u32, oracle: OracleMode) -> HagerupConfig {
@@ -25,16 +28,21 @@ fn cfg(runs: u32, oracle: OracleMode) -> HagerupConfig {
     c
 }
 
+fn figure(runs: u32, oracle: OracleMode) -> Vec<WastedRow> {
+    run_figure_resilient(&cfg(runs, oracle), &Telemetry::disabled(), &ExecContext::transient())
+        .unwrap()
+}
+
 fn oracle_mode(c: &mut Criterion) {
     eprintln!("\n=== oracle-mode ablation (n=1024, pes 2/8/64) ===");
     eprintln!("{:>6} {:>22} {:>22}", "runs", "independent max|rel|%", "shared max|rel|%");
     for runs in [25u32, 100, 400] {
-        let ind = max_relative_discrepancy_excluding_outlier(
-            &run_figure(&cfg(runs, OracleMode::IndependentSeeds)).unwrap(),
-        );
-        let shr = max_relative_discrepancy_excluding_outlier(
-            &run_figure(&cfg(runs, OracleMode::SharedRealizations)).unwrap(),
-        );
+        let ind =
+            max_relative_discrepancy_excluding_outlier(&figure(runs, OracleMode::IndependentSeeds));
+        let shr = max_relative_discrepancy_excluding_outlier(&figure(
+            runs,
+            OracleMode::SharedRealizations,
+        ));
         eprintln!("{runs:>6} {ind:>22.2} {shr:>22.4}");
     }
 
@@ -44,7 +52,7 @@ fn oracle_mode(c: &mut Criterion) {
         [("independent", OracleMode::IndependentSeeds), ("shared", OracleMode::SharedRealizations)]
     {
         g.bench_with_input(BenchmarkId::from_parameter(name), &mode, |b, &mode| {
-            b.iter(|| run_figure(&cfg(10, mode)).unwrap())
+            b.iter(|| figure(10, mode))
         });
     }
     g.finish();

@@ -10,8 +10,8 @@
 //!    seeds against B scalar `DirectSimulator::run` calls on the same
 //!    realizations, at the fig5 (n=1k, p=8) and fig6 (n=8k, p=64) cell
 //!    shapes. This is the microbench half of the ≥3× campaign-cell
-//!    acceptance A/B (`repro bench --scalar-direct` is the end-to-end
-//!    half).
+//!    acceptance A/B (the `repro bench` cells `fig5_batch` and
+//!    `fig6_batch` are the end-to-end half).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dls_core::{LoopSetup, Technique};

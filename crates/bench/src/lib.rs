@@ -1,29 +1,6 @@
-//! Shared helpers for the criterion benches.
-//!
-//! Each paper figure has a bench target that (a) prints the regenerated
-//! rows once — the same series the paper reports — and (b) measures the
-//! cost of the underlying campaign at a reduced run count, so regressions
-//! in the simulators or techniques surface in `cargo bench`.
+//! Criterion benches beyond `repro bench`: the ablations EXPERIMENTS.md
+//! cites (`ablation_*`) and the hot-path microbenches (`hotpath_*`). The
+//! paper's figures are regenerated by `repro fig3` … `repro fig9` and timed
+//! by the `repro bench` cells; the bench targets live in `benches/`.
 
 #![forbid(unsafe_code)]
-
-use dls_repro::hagerup_exp::{run_figure, HagerupConfig, OracleMode};
-use dls_repro::report;
-
-/// A reduced-size Hagerup campaign for bench iterations: a PE subset and a
-/// handful of runs, shared-realization oracle (cheapest and deterministic).
-pub fn bench_config(n: u64, pes: Vec<usize>, runs: u32) -> HagerupConfig {
-    let mut cfg = HagerupConfig::paper(n, runs);
-    cfg.pes = pes;
-    cfg.threads = 1;
-    cfg.oracle = OracleMode::SharedRealizations;
-    cfg
-}
-
-/// Prints the regenerated figure rows once, before measurement starts.
-pub fn print_figure_rows(fig: &str, cfg: &HagerupConfig) {
-    let rows = run_figure(cfg).expect("valid paper configuration");
-    let (headers, body) = report::wasted_rows(&rows);
-    eprintln!("\n=== {fig}: regenerated rows (runs={}) ===", cfg.runs);
-    eprintln!("{}", report::format_table(&headers, &body));
-}

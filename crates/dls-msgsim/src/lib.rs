@@ -53,38 +53,7 @@ use std::rc::Rc;
 
 /// Runs one simulation, generating the workload realization from `seed`.
 pub fn simulate(spec: &SimSpec, seed: u64) -> Result<SimOutcome, SetupError> {
-    simulate_traced(spec, seed, &Tracer::disabled())
-}
-
-/// Like [`simulate`], but streams chunk-lifecycle and message events into
-/// the given [`Tracer`]. A disabled tracer makes this identical to
-/// [`simulate`] — the no-op hooks cost one branch each and the outcome is
-/// bit-identical (enforced by the workspace `trace_determinism` tests).
-pub fn simulate_traced(
-    spec: &SimSpec,
-    seed: u64,
-    tracer: &Tracer,
-) -> Result<SimOutcome, SetupError> {
-    simulate_metered(spec, seed, tracer, &Telemetry::disabled())
-}
-
-/// Like [`simulate_traced`], but additionally records host-side `msgsim.*`
-/// metrics (wall time, engine event counts, delivery-fault counters) into
-/// the given [`Telemetry`] registry.
-///
-/// Telemetry observes only *host-side* cost, and only after the engine has
-/// finished, so it cannot perturb the virtual-time outcome: a run with an
-/// enabled registry is bit-identical to [`simulate`] (enforced by the
-/// workspace `telemetry_determinism` tests). A disabled handle makes every
-/// hook a single branch.
-pub fn simulate_metered(
-    spec: &SimSpec,
-    seed: u64,
-    tracer: &Tracer,
-    telemetry: &Telemetry,
-) -> Result<SimOutcome, SetupError> {
-    let tasks = spec.workload.generate(seed);
-    simulate_with_tasks_metered(spec, &tasks, tracer, telemetry)
+    simulate_with_tasks(spec, &spec.workload.generate(seed))
 }
 
 /// Runs one simulation over a caller-provided task-time realization.
@@ -93,21 +62,20 @@ pub fn simulate_metered(
 /// isolates *simulator* differences from sampling noise — the comparison
 /// at the heart of the paper's Figures 5–8.
 pub fn simulate_with_tasks(spec: &SimSpec, tasks: &TaskTimes) -> Result<SimOutcome, SetupError> {
-    simulate_with_tasks_traced(spec, tasks, &Tracer::disabled())
+    simulate_with_tasks_metered(spec, tasks, &Tracer::disabled(), &Telemetry::disabled())
 }
 
-/// [`simulate_with_tasks`] with a trace sink attached (see
-/// [`simulate_traced`]).
-pub fn simulate_with_tasks_traced(
-    spec: &SimSpec,
-    tasks: &TaskTimes,
-    tracer: &Tracer,
-) -> Result<SimOutcome, SetupError> {
-    simulate_with_tasks_metered(spec, tasks, tracer, &Telemetry::disabled())
-}
-
-/// [`simulate_with_tasks`] with both a trace sink and a telemetry registry
-/// attached (see [`simulate_metered`]).
+/// [`simulate_with_tasks`] with a trace sink and a telemetry registry
+/// attached.
+///
+/// The [`Tracer`] receives chunk-lifecycle and message events; the
+/// [`Telemetry`] registry receives host-side `msgsim.*` metrics (wall time,
+/// engine event counts, delivery-fault counters). Both are observational:
+/// telemetry records only *after* the engine has finished and trace hooks
+/// never feed back into the simulation, so an instrumented run is
+/// bit-identical to [`simulate_with_tasks`] (enforced by the workspace
+/// `trace_determinism` and `telemetry_determinism` tests). Disabled
+/// handles make every hook a single branch.
 pub fn simulate_with_tasks_metered(
     spec: &SimSpec,
     tasks: &TaskTimes,
@@ -137,33 +105,13 @@ pub fn simulate_with_setup_metered(
     simulate_core(spec, tasks, scheduler, setup, tracer, telemetry)
 }
 
-/// Runs one simulation with a caller-owned scheduler handle.
+/// Runs one simulation with a caller-owned scheduler handle, trace sink and
+/// telemetry registry.
 ///
 /// This is the building block for time-stepping applications: the caller
 /// keeps the `Rc` across steps so adaptive techniques (AWF, AF) carry
 /// their learned state from one loop execution to the next. See
 /// [`simulate_time_steps`].
-pub fn simulate_with_scheduler(
-    spec: &SimSpec,
-    tasks: &TaskTimes,
-    scheduler: Rc<RefCell<Box<dyn dls_core::ChunkScheduler>>>,
-) -> Result<SimOutcome, SetupError> {
-    simulate_with_scheduler_traced(spec, tasks, scheduler, &Tracer::disabled())
-}
-
-/// [`simulate_with_scheduler`] with a trace sink attached (see
-/// [`simulate_traced`]).
-pub fn simulate_with_scheduler_traced(
-    spec: &SimSpec,
-    tasks: &TaskTimes,
-    scheduler: Rc<RefCell<Box<dyn dls_core::ChunkScheduler>>>,
-    tracer: &Tracer,
-) -> Result<SimOutcome, SetupError> {
-    simulate_with_scheduler_metered(spec, tasks, scheduler, tracer, &Telemetry::disabled())
-}
-
-/// The fully-instrumented core every `simulate*` entry point funnels into:
-/// caller-owned scheduler, trace sink and telemetry registry.
 pub fn simulate_with_scheduler_metered(
     spec: &SimSpec,
     tasks: &TaskTimes,
@@ -175,7 +123,7 @@ pub fn simulate_with_scheduler_metered(
     simulate_core(spec, tasks, scheduler, &setup, tracer, telemetry)
 }
 
-/// The shared implementation behind the two metered entry points, taking
+/// The shared implementation behind the metered entry points, taking
 /// the already-built [`dls_core::LoopSetup`] so callers that construct the
 /// scheduler themselves do not pay for a second setup derivation per run.
 fn simulate_core(
@@ -276,7 +224,13 @@ pub fn simulate_time_steps(
     for &seed in step_seeds {
         scheduler.borrow_mut().start_time_step();
         let tasks = spec.workload.generate(seed);
-        outcomes.push(simulate_with_scheduler(spec, &tasks, Rc::clone(&scheduler))?);
+        outcomes.push(simulate_with_scheduler_metered(
+            spec,
+            &tasks,
+            Rc::clone(&scheduler),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        )?);
     }
     Ok(outcomes)
 }
@@ -593,7 +547,8 @@ mod tests {
         let sp = spec(Technique::Fac2, 500, 4);
         let plain = simulate(&sp, 3).unwrap();
         let tel = Telemetry::enabled();
-        let metered = simulate_metered(&sp, 3, &Tracer::disabled(), &tel).unwrap();
+        let tasks = sp.workload.generate(3);
+        let metered = simulate_with_tasks_metered(&sp, &tasks, &Tracer::disabled(), &tel).unwrap();
         assert_eq!(plain, metered);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("msgsim.simulate_calls"), Some(1));

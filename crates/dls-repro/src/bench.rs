@@ -24,9 +24,9 @@
 //! (default 25 %) to stay out of scheduler-noise territory.
 
 use crate::error::ReproError;
-use crate::faults::{default_scenarios, run_fault_sweep_metered, FaultSweepConfig};
+use crate::faults::{default_scenarios, run_fault_sweep_resilient, FaultSweepConfig};
 use crate::hagerup_exp::{
-    run_direct_campaign_resilient, run_figure_metered, DirectCampaignConfig, HagerupConfig,
+    run_direct_campaign_resilient, run_figure_resilient, DirectCampaignConfig, HagerupConfig,
     OracleMode,
 };
 use crate::journal::git_rev;
@@ -116,12 +116,6 @@ pub struct BenchConfig {
     pub tag: String,
     /// Campaign seed (fixed by default so reps repeat identical work).
     pub seed: u64,
-    /// Force the scalar (pre-batching) direct-simulator path everywhere a
-    /// cell would use the lockstep batch simulator. This is the A/B
-    /// baseline switch: `repro bench --scalar-direct --out BASE.json`
-    /// followed by a normal `repro bench` + `--compare` measures the batch
-    /// speedup on the same host with the same binary.
-    pub scalar_direct: bool,
 }
 
 impl BenchConfig {
@@ -133,7 +127,6 @@ impl BenchConfig {
             threads: crate::runner::default_threads(),
             tag: "local".into(),
             seed: 0xBE7C,
-            scalar_direct: false,
         }
     }
 }
@@ -151,12 +144,10 @@ pub struct BenchCase {
     pub run: Box<dyn Fn(u32, usize, u64, &Telemetry) -> Result<(), String>>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fig_cell(
     n: u64,
     p: usize,
     technique: Technique,
-    scalar_direct: bool,
     runs: u32,
     threads: usize,
     seed: u64,
@@ -168,21 +159,17 @@ fn fig_cell(
     cfg.threads = threads;
     cfg.seed = seed;
     cfg.oracle = OracleMode::SharedRealizations;
-    if scalar_direct {
-        cfg.batch_width = 1;
-    }
-    run_figure_metered(&cfg, telemetry).map(|_| ()).map_err(|e| e.to_string())
+    run_figure_resilient(&cfg, telemetry, &ExecContext::transient())
+        .map(|_| ())
+        .map_err(|e| e.to_string())
 }
 
 /// Driver for the `fig5_batch`/`fig6_batch` cells: a direct-only campaign
 /// (no msgsim), the workload shape the lockstep batch simulator speeds up
-/// end to end. With `scalar_direct` the same campaign runs at batch width
-/// 1 — bit-identical outputs, scalar throughput — which is the baseline
-/// the ≥3× acceptance A/B measures against.
+/// end to end.
 fn direct_cell(
     n: u64,
     p: usize,
-    scalar_direct: bool,
     runs: u32,
     threads: usize,
     seed: u64,
@@ -191,9 +178,6 @@ fn direct_cell(
     let mut cfg = DirectCampaignConfig::new(n, p, runs);
     cfg.threads = threads;
     cfg.seed = seed;
-    if scalar_direct {
-        cfg.batch_width = 1;
-    }
     run_direct_campaign_resilient(&cfg, telemetry, &ExecContext::transient())
         .map(|_| ())
         .map_err(|e| e.to_string())
@@ -321,61 +305,48 @@ fn engine_fanout_run(workers: usize, rounds: u32) -> u64 {
 /// strictly, because they are far less noisy than the campaign cells.
 /// Reduced run counts keep a full `--quick` pass in CI territory while
 /// still exercising the DES engine, both simulators, the campaign runner
-/// and the fault path. [`suite`] is the normal (batched) variant;
-/// [`suite_with`]`(true)` is the `--scalar-direct` A/B baseline.
+/// and the fault path.
 pub fn suite() -> Vec<BenchCase> {
-    suite_with(false)
-}
-
-/// [`suite`] with the direct-simulator path pinned: `scalar_direct` forces
-/// batch width 1 in every cell that would otherwise run the lockstep batch
-/// simulator, producing the baseline half of the batch-speedup A/B.
-pub fn suite_with(scalar_direct: bool) -> Vec<BenchCase> {
-    let sd = scalar_direct;
     vec![
         BenchCase {
             id: "fig5_cell",
             quick_runs: 64,
             full_runs: 256,
-            run: Box::new(move |r, t, s, tel| {
-                fig_cell(1_024, 8, Technique::Fac2, sd, r, t, s, tel)
-            }),
+            run: Box::new(|r, t, s, tel| fig_cell(1_024, 8, Technique::Fac2, r, t, s, tel)),
         },
         BenchCase {
             id: "fig6_cell",
             quick_runs: 16,
             full_runs: 64,
-            run: Box::new(move |r, t, s, tel| {
-                fig_cell(8_192, 64, Technique::Gss { min_chunk: 1 }, sd, r, t, s, tel)
+            run: Box::new(|r, t, s, tel| {
+                fig_cell(8_192, 64, Technique::Gss { min_chunk: 1 }, r, t, s, tel)
             }),
         },
         BenchCase {
             id: "fig7_cell",
             quick_runs: 2,
             full_runs: 8,
-            run: Box::new(move |r, t, s, tel| {
-                fig_cell(65_536, 256, Technique::Tss { first: None, last: None }, sd, r, t, s, tel)
+            run: Box::new(|r, t, s, tel| {
+                fig_cell(65_536, 256, Technique::Tss { first: None, last: None }, r, t, s, tel)
             }),
         },
         BenchCase {
             id: "fig8_cell",
             quick_runs: 1,
             full_runs: 2,
-            run: Box::new(move |r, t, s, tel| {
-                fig_cell(524_288, 256, Technique::Fac2, sd, r, t, s, tel)
-            }),
+            run: Box::new(|r, t, s, tel| fig_cell(524_288, 256, Technique::Fac2, r, t, s, tel)),
         },
         BenchCase {
             id: "fig5_batch",
             quick_runs: 256,
             full_runs: 1_024,
-            run: Box::new(move |r, t, s, tel| direct_cell(1_024, 8, sd, r, t, s, tel)),
+            run: Box::new(|r, t, s, tel| direct_cell(1_024, 8, r, t, s, tel)),
         },
         BenchCase {
             id: "fig6_batch",
             quick_runs: 64,
             full_runs: 256,
-            run: Box::new(move |r, t, s, tel| direct_cell(8_192, 64, sd, r, t, s, tel)),
+            run: Box::new(|r, t, s, tel| direct_cell(8_192, 64, r, t, s, tel)),
         },
         BenchCase {
             id: "faults_cell",
@@ -397,7 +368,9 @@ pub fn suite_with(scalar_direct: bool) -> Vec<BenchCase> {
                     seed,
                     threads,
                 };
-                run_fault_sweep_metered(&cfg, tel).map(|_| ()).map_err(|e| e.to_string())
+                run_fault_sweep_resilient(&cfg, tel, &ExecContext::transient())
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
             }),
         },
         BenchCase {
@@ -447,22 +420,12 @@ fn now_unix_s() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs the standard [`suite`] (honouring `cfg.scalar_direct`) and
-/// aggregates the timings.
-pub fn run_bench(cfg: &BenchConfig) -> Result<BenchFile, ReproError> {
-    run_bench_with(cfg, suite_with(cfg.scalar_direct))
-}
-
-/// [`run_bench`] over a caller-provided case list (unit tests inject a
-/// trivial suite so the aggregation logic is testable in milliseconds).
-pub fn run_bench_with(cfg: &BenchConfig, cases: Vec<BenchCase>) -> Result<BenchFile, ReproError> {
-    run_bench_resilient(cfg, cases, &ExecContext::transient())
-}
-
-/// [`run_bench_with`] under a resilient [`ExecContext`]. Each suite case is
-/// one journal cell (key `case:<id>`): a resumed invocation replays its
-/// completed [`BenchEntry`] verbatim instead of re-timing it, and
-/// cancellation is honoured between cases.
+/// Times `cases` (normally [`suite`]; unit tests inject a trivial suite so
+/// the aggregation logic is testable in milliseconds) under `ctx` and
+/// aggregates the timings. Each case is one journal cell (key
+/// `case:<id>`): a resumed invocation replays its completed [`BenchEntry`]
+/// verbatim instead of re-timing it, and cancellation is honoured between
+/// cases.
 pub fn run_bench_resilient(
     cfg: &BenchConfig,
     cases: Vec<BenchCase>,
@@ -633,9 +596,8 @@ pub struct EntryDelta {
     /// `100·(current − baseline)/baseline` (positive = slower).
     pub delta_pct: f64,
     /// `baseline/current` median ratio (>1 = current is faster); 0 when
-    /// the current median is zero. This is the column the batch-simulator
-    /// A/B reads: a scalar-direct baseline vs a batched current run shows
-    /// the lockstep speedup directly as e.g. `3.4x`.
+    /// the current median is zero. An A/B reads its speedup straight off
+    /// this column, e.g. `3.4x`.
     pub speedup: f64,
     /// True when `delta_pct` exceeds the tolerance band.
     pub regressed: bool,
@@ -855,7 +817,7 @@ mod tests {
     }
 
     #[test]
-    fn run_bench_with_aggregates_reps_into_exact_percentiles() {
+    fn bench_aggregates_reps_into_exact_percentiles() {
         let cfg = BenchConfig { quick: true, reps: 4, threads: 1, ..BenchConfig::new(true) };
         let cases = vec![BenchCase {
             id: "trivial",
@@ -868,7 +830,7 @@ mod tests {
                 Ok(())
             }),
         }];
-        let f = run_bench_with(&cfg, cases).unwrap();
+        let f = run_bench_resilient(&cfg, cases, &ExecContext::transient()).unwrap();
         assert_eq!(f.schema, SCHEMA);
         assert_eq!(f.reps, 4);
         assert_eq!(f.entries.len(), 1);
@@ -885,7 +847,7 @@ mod tests {
     #[test]
     fn zero_reps_is_rejected() {
         let cfg = BenchConfig { reps: 0, ..BenchConfig::new(true) };
-        assert!(run_bench_with(&cfg, vec![]).is_err());
+        assert!(run_bench_resilient(&cfg, vec![], &ExecContext::transient()).is_err());
     }
 
     #[test]
@@ -967,10 +929,6 @@ mod tests {
             assert!(c.quick_runs <= c.full_runs, "{}", c.id);
             assert!(c.quick_runs >= 1, "{}", c.id);
         }
-        // The scalar-direct baseline variant covers the same cells: the
-        // A/B comparison would otherwise flag missing/added entries.
-        let scalar_ids: Vec<&str> = suite_with(true).iter().map(|c| c.id).collect();
-        assert_eq!(scalar_ids, ids);
     }
 
     #[test]
@@ -994,30 +952,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_cells_run_scalar_and_batched_variants() {
-        // Smoke both dispatch arms of the `fig5_batch` driver at a tiny
-        // size: the cell must complete and count simulator work through
-        // the telemetry registry in either mode.
-        for scalar_direct in [false, true] {
-            let tel = Telemetry::enabled();
-            direct_cell(64, 4, scalar_direct, 6, 1, 0xBE7C, &tel).unwrap();
-            let snap = tel.snapshot();
-            assert_eq!(
-                snap.counter("hagerup.run_calls"),
-                // 6 runs × 7 time-oblivious techniques.
-                Some(42),
-                "scalar_direct={scalar_direct}"
-            );
-            let batch_calls = snap.counter("hagerup.batch_calls").unwrap_or(0);
-            if scalar_direct {
-                // Width 1: one single-seed call per run per technique.
-                assert_eq!(batch_calls, 42, "width 1 runs seed-at-a-time");
-            } else {
-                // Width 16 covers all 6 runs in one block: one lockstep
-                // call per technique.
-                assert_eq!(batch_calls, 7, "batched mode must coalesce the block");
-            }
-        }
+    fn batch_cells_coalesce_each_block() {
+        // Smoke the `fig5_batch` driver at a tiny size: the cell must
+        // complete and count simulator work through the telemetry registry.
+        let tel = Telemetry::enabled();
+        direct_cell(64, 4, 6, 1, 0xBE7C, &tel).unwrap();
+        let snap = tel.snapshot();
+        // 6 runs × 7 time-oblivious techniques.
+        assert_eq!(snap.counter("hagerup.run_calls"), Some(42));
+        // The default width covers all 6 runs in one block: one lockstep
+        // call per technique.
+        assert_eq!(snap.counter("hagerup.batch_calls"), Some(7));
     }
 
     #[test]
@@ -1039,7 +984,7 @@ mod tests {
                 c
             })
             .collect();
-        let f = run_bench_with(&cfg, cases).unwrap();
+        let f = run_bench_resilient(&cfg, cases, &ExecContext::transient()).unwrap();
         assert_eq!(f.entries.len(), 2);
         for e in &f.entries {
             assert!(e.sim_events > 0, "{}: engine cells must report event throughput", e.id);

@@ -926,8 +926,7 @@ fn cmd_bench(o: &Options) -> Result<(), ReproError> {
     if let Some(s) = o.seed {
         cfg.seed = s;
     }
-    cfg.scalar_direct = o.scalar_direct;
-    let mut cases = bench::suite_with(cfg.scalar_direct);
+    let mut cases = bench::suite();
     if let Some(ids) = &o.entries {
         let known: Vec<&str> = cases.iter().map(|c| c.id).collect();
         for id in ids {
@@ -945,10 +944,7 @@ fn cmd_bench(o: &Options) -> Result<(), ReproError> {
     let entries_fp = o.entries.as_ref().map(|ids| ids.join(",")).unwrap_or_else(|| "all".into());
     let ctx = exec_context(
         "bench",
-        format!(
-            "quick={} reps={} seed={:#x} entries={entries_fp} scalar_direct={}",
-            cfg.quick, cfg.reps, cfg.seed, cfg.scalar_direct
-        ),
+        format!("quick={} reps={} seed={:#x} entries={entries_fp}", cfg.quick, cfg.reps, cfg.seed),
         cfg.seed,
         o,
     )?;
@@ -1105,7 +1101,6 @@ fn usage() -> String {
      bench:       timed standardized campaigns -> BENCH_<tag>.json\n\
                   [--quick] [--reps N] [--tag T] [--out FILE]\n\
                   [--entries a,b] (subset of suite cells, run and compare)\n\
-                  [--scalar-direct] (width-1 baseline for the batch A/B)\n\
                   [--compare BASELINE CURRENT [--tolerance PCT] [--warn-only]]\n\
                   [--validate FILE]\n\
      --telemetry / --telemetry-json FILE on fig5-fig8/faults/trace print or\n\

@@ -50,10 +50,6 @@ pub struct Options {
     pub tolerance_pct: f64,
     /// Report regressions but exit successfully (`bench --compare`).
     pub warn_only: bool,
-    /// Force the scalar (width-1) direct-simulator path in `bench` cells
-    /// that would otherwise use the lockstep batch simulator — the A/B
-    /// baseline half of the batch-speedup comparison.
-    pub scalar_direct: bool,
     /// Validate a bench file's schema instead of running (`bench`).
     pub validate: Option<String>,
     /// Restrict `bench` to these suite entry ids, both when running and
@@ -118,7 +114,6 @@ impl Default for Options {
             compare: None,
             tolerance_pct: crate::bench::DEFAULT_TOLERANCE_PCT,
             warn_only: false,
-            scalar_direct: false,
             validate: None,
             entries: None,
             resume: None,
@@ -189,7 +184,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--warn-only" => o.warn_only = true,
-            "--scalar-direct" => o.scalar_direct = true,
             "--validate" => o.validate = Some(value("--validate")?),
             "--entries" => {
                 let list = value("--entries")?;
@@ -329,13 +323,6 @@ mod tests {
         assert_eq!(o.tag.as_deref(), Some("pr3"));
         assert_eq!(o.tolerance_pct, 10.0);
         assert_eq!(o.validate.as_deref(), Some("B.json"));
-        assert!(!o.scalar_direct, "scalar-direct is opt-in");
-    }
-
-    #[test]
-    fn scalar_direct_is_a_bare_flag() {
-        let o = parse_options(&args("--scalar-direct --quick")).unwrap();
-        assert!(o.scalar_direct && o.quick);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! exit code, so `repro bench --compare` failing its gate (exit 5) is
 //! scriptably different from a typo'd flag (exit 2) or a full disk (exit 3).
 
+use crate::runner::QuarantinedRun;
 use dls_core::SetupError;
 
 /// Exit code for invocation errors (unknown flag, malformed value,
@@ -18,7 +19,9 @@ pub const EXIT_IO: u8 = 3;
 /// Exit code for invalid experiment specifications (bad technique
 /// parameters, malformed spec/fault-plan JSON, impossible platform).
 pub const EXIT_INVALID_SPEC: u8 = 4;
-/// Exit code for a failed `bench --compare` regression gate.
+/// Exit code for a failed `bench --compare` regression gate, and for a
+/// campaign that cannot complete (a fault run that lost tasks, a
+/// simulation run that panicked where no run may be dropped).
 pub const EXIT_REGRESSION: u8 = 5;
 /// Exit code for a campaign that completed with degraded secondary
 /// artifacts (a trace or telemetry dump could not be written; the primary
@@ -42,6 +45,11 @@ pub enum ReproError {
     InvalidSpec(String),
     /// The `bench --compare` regression gate fired.
     Regression(String),
+    /// A simulation run panicked in a campaign whose output is indexed by
+    /// run (Figure 9's per-run series), so it cannot be quarantined and
+    /// dropped like a run of an averaging campaign. Carries the run and
+    /// its seed, enough to replay the failure.
+    RunPanicked(QuarantinedRun),
     /// The campaign completed — primary result CSVs and the journal are on
     /// disk — but one or more *secondary* artifacts (trace exports,
     /// telemetry dumps) could not be written after retries. Each entry
@@ -78,7 +86,7 @@ impl ReproError {
             ReproError::Usage(_) => EXIT_USAGE,
             ReproError::Io(_) => EXIT_IO,
             ReproError::InvalidSpec(_) => EXIT_INVALID_SPEC,
-            ReproError::Regression(_) => EXIT_REGRESSION,
+            ReproError::Regression(_) | ReproError::RunPanicked(_) => EXIT_REGRESSION,
             ReproError::Degraded(_) => EXIT_DEGRADED,
             ReproError::Interrupted { .. } => EXIT_INTERRUPTED,
         }
@@ -97,6 +105,7 @@ impl std::fmt::Display for ReproError {
             | ReproError::Io(m)
             | ReproError::InvalidSpec(m)
             | ReproError::Regression(m) => f.write_str(m),
+            ReproError::RunPanicked(run) => write!(f, "a simulation run panicked: {run}"),
             ReproError::Degraded(artifacts) => write!(
                 f,
                 "campaign completed, but {} secondary artifact{} could not be written: {}",

@@ -9,7 +9,7 @@
 //! response from workload noise.
 
 use crate::error::ReproError;
-use crate::runner::{cell_seed, run_campaign_resilient, ExecContext};
+use crate::runner::{cell_seed, run_campaign_resilient_batched, ExecContext};
 use dls_core::{SetupError, Technique};
 use dls_faults::FaultPlan;
 use dls_metrics::{flexibility, makespan_degradation, wasted_work_fraction, SummaryStats};
@@ -168,26 +168,13 @@ pub struct FaultRunObs {
     pub completed: bool,
 }
 
-/// Runs the sweep. Row order is (technique, scenario); every technique's
-/// baseline uses the same per-run task realizations as its fault rows.
-pub fn run_fault_sweep(cfg: &FaultSweepConfig) -> Result<Vec<FaultRow>, ReproError> {
-    run_fault_sweep_metered(cfg, &Telemetry::disabled())
-}
-
-/// [`run_fault_sweep`] with a telemetry registry attached (campaign
-/// counters, per-run wall times, and the simulator's `msgsim.*` engine
-/// metrics — dead letters, dropped/delayed sends — for the summary).
-pub fn run_fault_sweep_metered(
-    cfg: &FaultSweepConfig,
-    telemetry: &Telemetry,
-) -> Result<Vec<FaultRow>, ReproError> {
-    run_fault_sweep_resilient(cfg, telemetry, &ExecContext::transient())
-}
-
-/// [`run_fault_sweep_metered`] under a resilient [`ExecContext`]. Baseline
-/// and scenario campaigns deliberately share a campaign seed (identical
-/// realizations isolate the fault response), so their journal cells are
-/// disambiguated by label — `"FAC2 baseline"` vs `"FAC2 loss(2%)"`.
+/// Runs the sweep under `ctx`. Row order is (technique, scenario); every
+/// technique's baseline uses the same per-run task realizations as its
+/// fault rows. Baseline and scenario campaigns therefore share a campaign
+/// seed, so their journal cells are disambiguated by label —
+/// `"FAC2 baseline"` vs `"FAC2 loss(2%)"`. `telemetry` receives the
+/// campaign counters, per-run wall times, and the simulator's `msgsim.*`
+/// engine metrics (dead letters, dropped/delayed sends) for the summary.
 pub fn run_fault_sweep_resilient(
     cfg: &FaultSweepConfig,
     telemetry: &Telemetry,
@@ -214,45 +201,45 @@ pub fn run_fault_sweep_resilient(
         // old `seed ^ n ^ (p << 24)` mixing was precedence-fragile and
         // could collide across configurations.
         let campaign_seed = cell_seed(cfg.seed, ti as u64);
-        let baseline: Vec<Option<f64>> = run_campaign_resilient(
+        let baseline: Vec<Option<f64>> = run_campaign_resilient_batched(
             cfg.runs,
             campaign_seed,
             cfg.threads,
+            1,
             telemetry,
             ctx,
             &format!("{} baseline", technique.name()),
-            |_, run_seed| {
-                let tasks = spec.workload.generate(run_seed);
-                simulate_with_tasks_metered(&spec, &tasks, &Tracer::disabled(), telemetry)
-                    .expect("validated spec cannot fail")
-                    .makespan
+            || (),
+            |items, _: &mut ()| {
+                items
+                    .iter()
+                    .map(|&(_, run_seed)| {
+                        let tasks = spec.workload.generate(run_seed);
+                        simulate_with_tasks_metered(&spec, &tasks, &Tracer::disabled(), telemetry)
+                            .expect("validated spec cannot fail")
+                            .makespan
+                    })
+                    .collect()
             },
         )?;
         let baseline: Vec<f64> = baseline.into_iter().flatten().collect();
         let baseline_mean = baseline.iter().sum::<f64>() / baseline.len().max(1) as f64;
         for scenario in &cfg.scenarios {
             let spec = spec.clone().with_faults(scenario.plan.clone());
-            let per_run: Vec<Option<FaultRunObs>> = run_campaign_resilient(
+            let per_run: Vec<Option<FaultRunObs>> = run_campaign_resilient_batched(
                 cfg.runs,
                 campaign_seed,
                 cfg.threads,
+                1,
                 telemetry,
                 ctx,
                 &format!("{} {}", technique.name(), scenario.name),
-                |_, run_seed| {
-                    let tasks = spec.workload.generate(run_seed);
-                    let out =
-                        simulate_with_tasks_metered(&spec, &tasks, &Tracer::disabled(), telemetry)
-                            .expect("validated spec cannot fail");
-                    FaultRunObs {
-                        makespan: out.makespan,
-                        wasted_work: out.wasted_work(),
-                        serial_time: out.serial_time,
-                        lost: out.faults.lost_messages,
-                        retries: out.faults.master_retries,
-                        reassigned: out.faults.reassigned_chunks,
-                        completed: out.faults.completed_tasks == cfg.n,
-                    }
+                || (),
+                |items, _: &mut ()| {
+                    items
+                        .iter()
+                        .map(|&(_, run_seed)| fault_run(&spec, run_seed, cfg.n, telemetry))
+                        .collect()
                 },
             )?;
             let mut mk = SummaryStats::new();
@@ -285,6 +272,22 @@ pub fn run_fault_sweep_resilient(
         }
     }
     Ok(rows)
+}
+
+/// One scenario run: simulate `spec` on the realization of `run_seed`.
+fn fault_run(spec: &SimSpec, run_seed: u64, n: u64, telemetry: &Telemetry) -> FaultRunObs {
+    let tasks = spec.workload.generate(run_seed);
+    let out = simulate_with_tasks_metered(spec, &tasks, &Tracer::disabled(), telemetry)
+        .expect("validated spec cannot fail");
+    FaultRunObs {
+        makespan: out.makespan,
+        wasted_work: out.wasted_work(),
+        serial_time: out.serial_time,
+        lost: out.faults.lost_messages,
+        retries: out.faults.master_retries,
+        reassigned: out.faults.reassigned_chunks,
+        completed: out.faults.completed_tasks == n,
+    }
 }
 
 /// Renders fault rows as the CLI's table/CSV cells. Shared by the `faults`
@@ -329,6 +332,10 @@ pub fn table_rows(rows: &[FaultRow]) -> (Vec<&'static str>, Vec<Vec<String>>) {
 mod tests {
     use super::*;
 
+    fn sweep(cfg: &FaultSweepConfig) -> Result<Vec<FaultRow>, ReproError> {
+        run_fault_sweep_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+    }
+
     fn tiny() -> FaultSweepConfig {
         let n = 240;
         let p = 4;
@@ -346,7 +353,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_techniques_times_scenarios() {
-        let rows = run_fault_sweep(&tiny()).unwrap();
+        let rows = sweep(&tiny()).unwrap();
         assert_eq!(rows.len(), 2 * 4);
         assert!(rows.iter().all(|r| r.all_completed), "a survivor must finish every task");
         assert!(rows.iter().all(|r| r.faulty_makespan.count() == 3));
@@ -354,7 +361,7 @@ mod tests {
 
     #[test]
     fn fail_stop_costs_makespan_and_reassigns() {
-        let rows = run_fault_sweep(&tiny()).unwrap();
+        let rows = sweep(&tiny()).unwrap();
         let fs =
             rows.iter().find(|r| r.technique == "FAC2" && r.scenario == "fail-stop@25%").unwrap();
         assert!(fs.degradation > 1.0, "losing a quarter-way worker must cost time");
@@ -364,8 +371,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run_fault_sweep(&tiny()).unwrap();
-        let b = run_fault_sweep(&tiny()).unwrap();
+        let a = sweep(&tiny()).unwrap();
+        let b = sweep(&tiny()).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.faulty_makespan.mean(), y.faulty_makespan.mean());
             assert_eq!(x.lost_mean, y.lost_mean);
@@ -379,7 +386,7 @@ mod tests {
             name: "bad".into(),
             plan: FaultPlan::none().with_fail_stop(99, 1.0),
         }];
-        assert!(run_fault_sweep(&cfg).is_err());
+        assert!(sweep(&cfg).is_err());
     }
 
     #[test]

@@ -64,10 +64,8 @@ pub struct HagerupConfig {
     pub techniques: Vec<Technique>,
     /// Replica-side batch width: how many seeds the `BatchDirectSimulator`
     /// simulates in lockstep per claimed block (the scratch-arena tier,
-    /// [`batch_width_for`]`(n)` by default). `1` forces the scalar path —
-    /// the pre-batching behavior, used as the A/B baseline by
-    /// `repro bench --scalar-direct`. Outputs are bit-identical either way;
-    /// only throughput changes.
+    /// [`batch_width_for`]`(n)` by default). `1` forces the scalar path.
+    /// Outputs are bit-identical either way; only throughput changes.
     pub batch_width: usize,
 }
 
@@ -136,27 +134,15 @@ pub struct FigPair {
     pub replica: f64,
 }
 
-/// Runs the full campaign for one figure (all techniques × all PE counts).
-pub fn run_figure(cfg: &HagerupConfig) -> Result<Vec<WastedRow>, ReproError> {
-    run_figure_metered(cfg, &Telemetry::disabled())
-}
-
-/// [`run_figure`] with a telemetry registry attached: campaign-level
-/// counters and wall-time histograms plus the `msgsim.*` / `hagerup.*`
-/// engine metrics recorded by the instrumented simulator entry points.
-/// Telemetry never changes the rows (pinned by the workspace
-/// `telemetry_determinism` tests).
-pub fn run_figure_metered(
-    cfg: &HagerupConfig,
-    telemetry: &Telemetry,
-) -> Result<Vec<WastedRow>, ReproError> {
-    run_figure_resilient(cfg, telemetry, &ExecContext::transient())
-}
-
-/// [`run_figure_metered`] under a resilient [`ExecContext`]: checkpointed
-/// into the context's journal (one cell per `p`), cancellable between runs,
-/// and with panicking runs quarantined instead of aborting the figure.
-/// Quarantined runs are simply excluded from the per-cell statistics.
+/// Runs the full campaign for one figure (all techniques × all PE counts)
+/// under `ctx`: checkpointed into the context's journal (one cell per `p`),
+/// cancellable between runs, and with panicking runs quarantined instead
+/// of aborting the figure. Quarantined runs are simply excluded from the
+/// per-cell statistics. `telemetry` receives campaign-level counters and
+/// wall-time histograms plus the `msgsim.*` / `hagerup.*` engine metrics;
+/// it never changes the rows (pinned by the workspace
+/// `telemetry_determinism` tests). Plain callers pass
+/// `&Telemetry::disabled(), &ExecContext::transient()`.
 pub fn run_figure_resilient(
     cfg: &HagerupConfig,
     telemetry: &Telemetry,
@@ -298,7 +284,7 @@ pub struct DirectCampaignConfig {
     /// Techniques to measure (default: the time-oblivious members of the
     /// paper's eight — the set the lockstep kernel covers).
     pub techniques: Vec<Technique>,
-    /// Lockstep batch width; `1` forces the scalar path (A/B baseline).
+    /// Lockstep batch width; `1` forces the scalar path.
     pub batch_width: usize,
 }
 
@@ -421,6 +407,10 @@ pub fn max_relative_discrepancy_excluding_outlier(rows: &[WastedRow]) -> f64 {
 mod tests {
     use super::*;
 
+    fn figure(cfg: &HagerupConfig) -> Result<Vec<WastedRow>, ReproError> {
+        run_figure_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+    }
+
     fn tiny_cfg(oracle: OracleMode) -> HagerupConfig {
         HagerupConfig {
             n: 1024,
@@ -438,7 +428,7 @@ mod tests {
 
     #[test]
     fn produces_all_cells() {
-        let rows = run_figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
         assert_eq!(rows.len(), 8 * 2);
         assert!(rows.iter().any(|r| r.technique == "BOLD" && r.p == 8));
     }
@@ -447,7 +437,7 @@ mod tests {
     fn shared_realizations_verify_the_simulators_agree() {
         // The stronger-than-paper verification: identical realizations and
         // a zeroed network make the two simulators agree almost exactly.
-        let rows = run_figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
         for r in &rows {
             assert!(
                 r.relative_pct.abs() < 0.1,
@@ -468,7 +458,7 @@ mod tests {
         // (STAT at p=2, whose per-run waste is itself heavy-tailed) can be
         // tens of percent off. The 1,000-run campaigns in EXPERIMENTS.md
         // show the paper's <=15 % behavior.
-        let rows = run_figure(&tiny_cfg(OracleMode::IndependentSeeds)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::IndependentSeeds)).unwrap();
         for r in &rows {
             assert!(
                 r.relative_pct.abs() < 100.0,
@@ -486,7 +476,7 @@ mod tests {
     fn ss_pays_the_overhead_bill() {
         // SS makes n scheduling operations: h·n = 512 s dominates its
         // wasted time at every p.
-        let rows = run_figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
         for r in rows.iter().filter(|r| r.technique == "SS") {
             assert!(r.msgsim > 500.0, "SS p={} wasted {}", r.p, r.msgsim);
         }
@@ -494,7 +484,7 @@ mod tests {
 
     #[test]
     fn stat_has_minimal_overhead_at_small_p() {
-        let rows = run_figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
         let stat2 = rows.iter().find(|r| r.technique == "STAT" && r.p == 2).unwrap();
         let ss2 = rows.iter().find(|r| r.technique == "SS" && r.p == 2).unwrap();
         assert!(stat2.msgsim < ss2.msgsim / 10.0);
@@ -502,7 +492,7 @@ mod tests {
 
     #[test]
     fn outlier_exclusion_helper() {
-        let rows = run_figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
+        let rows = figure(&tiny_cfg(OracleMode::SharedRealizations)).unwrap();
         let all_max = rows.iter().map(|r| r.relative_pct.abs()).fold(0.0, f64::max);
         let excl = max_relative_discrepancy_excluding_outlier(&rows);
         assert!(excl <= all_max);
@@ -529,8 +519,8 @@ mod tests {
             scalar_cfg.batch_width = 1;
             let mut batched_cfg = tiny_cfg(oracle);
             batched_cfg.batch_width = 7; // deliberately not a divisor of runs
-            let scalar = run_figure(&scalar_cfg).unwrap();
-            let batched = run_figure(&batched_cfg).unwrap();
+            let scalar = figure(&scalar_cfg).unwrap();
+            let batched = figure(&batched_cfg).unwrap();
             assert_eq!(scalar.len(), batched.len());
             for (a, b) in scalar.iter().zip(&batched) {
                 assert_eq!(a.technique, b.technique);

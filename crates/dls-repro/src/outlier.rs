@@ -8,11 +8,13 @@
 //! two halves' sums diverge by more than the leftover work can absorb, the
 //! run's wasted time explodes.
 
-use crate::runner::run_campaign;
+use crate::error::ReproError;
+use crate::runner::{run_campaign_resilient_batched, ExecContext};
 use dls_core::{SetupError, Technique};
 use dls_metrics::{mean_below_threshold, OverheadModel, SummaryStats};
 use dls_msgsim::{simulate, SimSpec};
 use dls_platform::{LinkSpec, Platform};
+use dls_telemetry::Telemetry;
 use dls_workload::Workload;
 
 /// Configuration for the Figure 9 campaign.
@@ -70,7 +72,12 @@ pub struct OutlierAnalysis {
 }
 
 /// Runs the Figure 9 campaign: FAC through the SimGrid-MSG analog.
-pub fn run_outlier(cfg: &OutlierConfig, threshold: f64) -> Result<OutlierAnalysis, SetupError> {
+///
+/// The series is indexed by run (`repro fig9`'s CSV numbers its rows by
+/// position), so a quarantined run cannot simply be dropped: a panicking
+/// run fails the whole campaign with [`ReproError::RunPanicked`], naming
+/// the run and its seed.
+pub fn run_outlier(cfg: &OutlierConfig, threshold: f64) -> Result<OutlierAnalysis, ReproError> {
     let workload = Workload::exponential(cfg.n, 1.0)
         .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))?;
     let platform = Platform::homogeneous_star("pe", cfg.p, 1.0, LinkSpec::negligible());
@@ -83,10 +90,9 @@ pub fn run_outlier(cfg: &OutlierConfig, threshold: f64) -> Result<OutlierAnalysi
     setup.validate()?;
     spec.technique.build(&setup)?;
 
-    let per_run: Vec<f64> = run_campaign(cfg.runs, cfg.seed, cfg.threads, |_, run_seed| {
+    let per_run = per_run_series(cfg, |run_seed| {
         simulate(&spec, run_seed).expect("spec validated before the campaign").average_wasted()
-    });
-
+    })?;
     let stats = SummaryStats::from_slice(&per_run);
     let outliers = per_run.iter().filter(|&&w| w > threshold).count();
     Ok(OutlierAnalysis {
@@ -97,6 +103,30 @@ pub fn run_outlier(cfg: &OutlierConfig, threshold: f64) -> Result<OutlierAnalysi
         stats,
         per_run,
     })
+}
+
+/// Runs `wasted(run_seed)` for every run of `cfg`'s campaign, in run
+/// order; the first quarantined run becomes the error.
+fn per_run_series(
+    cfg: &OutlierConfig,
+    wasted: impl Fn(u64) -> f64 + Sync,
+) -> Result<Vec<f64>, ReproError> {
+    let ctx = ExecContext::transient();
+    let per_run = run_campaign_resilient_batched(
+        cfg.runs,
+        cfg.seed,
+        cfg.threads,
+        1,
+        &Telemetry::disabled(),
+        &ctx,
+        &format!("FAC n={} p={}", cfg.n, cfg.p),
+        || (),
+        |items, _: &mut ()| items.iter().map(|&(_, run_seed)| wasted(run_seed)).collect(),
+    )?;
+    match ctx.quarantined().into_iter().min_by_key(|q| q.run) {
+        Some(q) => Err(ReproError::RunPanicked(q)),
+        None => Ok(per_run.into_iter().map(|w| w.expect("no run was quarantined")).collect()),
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +165,24 @@ mod tests {
         let a = run_outlier(&cfg, 50.0).unwrap();
         let b = run_outlier(&cfg, 50.0).unwrap();
         assert_eq!(a.per_run, b.per_run);
+    }
+
+    #[test]
+    fn a_panicking_run_is_a_typed_error_naming_run_and_seed() {
+        let cfg = OutlierConfig { threads: 2, ..OutlierConfig::scaled(64, 8) };
+        let err = per_run_series(&cfg, |seed| {
+            assert_ne!(seed, dls_rng::seed_stream(cfg.seed).nth(5).unwrap(), "poisoned run");
+            1.0
+        })
+        .unwrap_err();
+        let ReproError::RunPanicked(q) = &err else { panic!("untyped error: {err:?}") };
+        assert_eq!(q.run, 5);
+        assert_eq!(q.seed, dls_rng::seed_stream(cfg.seed).nth(5).unwrap());
+        assert_eq!(q.cell, "FAC n=64 p=2");
+        assert!(q.panic_message.contains("poisoned run"), "{q}");
+        let msg = err.to_string();
+        assert!(msg.contains("run 5") && msg.contains(&format!("{:#018x}", q.seed)), "{msg}");
+        assert_eq!(err.exit_code(), crate::error::EXIT_REGRESSION);
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! The paper's Figures 5–8 average 1,000 independent runs per configuration
 //! (executed "in parallel on the HPC cluster taurus"). Runs are
-//! statistically independent, so this runner farms them over the host's
-//! cores with `std::thread::scope`; each run derives its own seed from the
+//! statistically independent, so the one campaign runner,
+//! [`run_campaign_resilient_batched`], farms them over the host's cores
+//! on scoped threads; each run derives its own seed from the
 //! campaign seed via [`dls_rng::seed_stream`], making every individual run
-//! reproducible regardless of the thread interleaving.
+//! reproducible regardless of the thread interleaving, the batch width, or
+//! an interrupt-and-resume in between. Every experiment (figures, sweeps,
+//! fault sweeps, Figure 9, the bench cells, the server) is a closure over
+//! it; the unjournaled case is an [`ExecContext::transient`] context.
 
 use crate::error::ReproError;
 use crate::journal::{self, Journal};
@@ -15,118 +19,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Runs `runs` independent evaluations of `f(run_index, run_seed)` and
-/// collects the results in run order.
-///
-/// `f` must be `Sync` (it is shared across worker threads) and is expected
-/// to be CPU-bound and allocation-light.
-pub fn run_campaign<T, F>(runs: u32, campaign_seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u32, u64) -> T + Sync,
-{
-    run_campaign_metered(runs, campaign_seed, threads, &Telemetry::disabled(), f)
-}
-
-/// [`run_campaign`] with a telemetry registry attached: records
-/// `campaign.runs_started` / `campaign.runs_completed` counters and the
-/// per-run wall time into the `campaign.run_wall_s` histogram.
-///
-/// Workers claim runs by **work-stealing** — an atomic next-run-index that
-/// each thread `fetch_add`s — instead of static block chunking. With the
-/// heavy-tailed run times the paper's campaigns produce (FAC outlier runs,
-/// Figure 9), static blocks leave threads idle behind one unlucky block;
-/// stealing keeps every core busy to the last run. Results are still
-/// returned in run-index order and each run's seed depends only on its
-/// index, so the output is element-identical to `threads = 1` (pinned by
-/// tests below).
-pub fn run_campaign_metered<T, F>(
-    runs: u32,
-    campaign_seed: u64,
-    threads: usize,
-    telemetry: &Telemetry,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u32, u64) -> T + Sync,
-{
-    run_campaign_scratch(runs, campaign_seed, threads, telemetry, || (), |i, s, _: &mut ()| f(i, s))
-}
-
-/// [`run_campaign_metered`] with a **per-thread scratch arena**: every
-/// worker thread builds one `S` via `make_scratch` and hands `&mut S` to
-/// each run it executes, so workload buffers and outcome accumulators are
-/// reused across replications instead of reallocated per run.
-///
-/// The scratch is an allocation cache, never an input: `f` must produce a
-/// result that depends only on `(run_index, run_seed)`. Under that contract
-/// the output is element-identical to the scratch-free runner for any
-/// thread count (pinned by tests below).
-pub fn run_campaign_scratch<T, S, G, F>(
-    runs: u32,
-    campaign_seed: u64,
-    threads: usize,
-    telemetry: &Telemetry,
-    make_scratch: G,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(u32, u64, &mut S) -> T + Sync,
-{
-    let seeds: Vec<u64> = seed_stream(campaign_seed).take(runs as usize).collect();
-    let threads = threads.max(1).min(runs.max(1) as usize);
-
-    let timed = |i: u32, scratch: &mut S| {
-        telemetry.counter_inc("campaign.runs_started");
-        let span = telemetry.span("campaign.run_wall_s");
-        let out = f(i, seeds[i as usize], scratch);
-        span.finish();
-        telemetry.counter_inc("campaign.runs_completed");
-        out
-    };
-
-    if threads == 1 {
-        let mut scratch = make_scratch();
-        return (0..runs).map(|i| timed(i, &mut scratch)).collect();
-    }
-
-    let next = AtomicU64::new(0);
-    let mut partials: Vec<Vec<(u32, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let timed = &timed;
-                let make_scratch = &make_scratch;
-                scope.spawn(move || {
-                    let mut scratch = make_scratch();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= runs as u64 {
-                            break;
-                        }
-                        let i = i as u32;
-                        local.push((i, timed(i, &mut scratch)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("campaign worker panicked")).collect()
-    });
-
-    let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    for part in &mut partials {
-        for (i, v) in part.drain(..) {
-            results[i as usize] = Some(v);
-        }
-    }
-    results.into_iter().map(|r| r.expect("every run completed")).collect()
-}
 
 /// Derives the campaign seed for grid cell `index` from an experiment's
 /// top-level seed: element `index` of the [`seed_stream`].
@@ -468,191 +360,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`run_campaign_metered`] made restartable: journaled runs are replayed
-/// from the checkpoint instead of re-executed, a panicking run is
-/// quarantined (its slot stays `None`) instead of aborting the sweep, and
-/// cancellation is honoured between runs with a final journal flush.
-///
-/// `cell` uniquely labels this campaign within its command — it is part of
-/// every journal key, because two campaigns of one command may legitimately
-/// share `campaign_seed` (the fault sweep's baseline/scenario pairs) yet
-/// must checkpoint independently.
-///
-/// Returns `Err(Interrupted)` when cancelled; otherwise `Ok` with one
-/// `Some` per completed (or replayed) run and `None` per quarantined run.
-/// Replayed results are bit-identical to freshly computed ones because the
-/// journal serializes `f64`s losslessly.
-pub fn run_campaign_resilient<T, F>(
-    runs: u32,
-    campaign_seed: u64,
-    threads: usize,
-    telemetry: &Telemetry,
-    ctx: &ExecContext,
-    cell: &str,
-    f: F,
-) -> Result<Vec<Option<T>>, ReproError>
-where
-    T: Send + Serialize + for<'de> Deserialize<'de>,
-    F: Fn(u32, u64) -> T + Sync,
-{
-    run_campaign_resilient_scratch(
-        runs,
-        campaign_seed,
-        threads,
-        telemetry,
-        ctx,
-        cell,
-        || (),
-        |i, s, _: &mut ()| f(i, s),
-    )
-}
-
-/// [`run_campaign_resilient`] with the per-thread scratch arena of
-/// [`run_campaign_scratch`]. A run that panics gets its thread's scratch
-/// rebuilt from `make_scratch` before the next run, so a half-written
-/// buffer can never leak into a later replication.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_resilient_scratch<T, S, G, F>(
-    runs: u32,
-    campaign_seed: u64,
-    threads: usize,
-    telemetry: &Telemetry,
-    ctx: &ExecContext,
-    cell: &str,
-    make_scratch: G,
-    f: F,
-) -> Result<Vec<Option<T>>, ReproError>
-where
-    T: Send + Serialize + for<'de> Deserialize<'de>,
-    G: Fn() -> S + Sync,
-    F: Fn(u32, u64, &mut S) -> T + Sync,
-{
-    let seeds: Vec<u64> = seed_stream(campaign_seed).take(runs as usize).collect();
-    let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-
-    // Replay journaled runs; anything missing or undecodable re-executes.
-    let mut pending: Vec<u32> = Vec::new();
-    for i in 0..runs {
-        let replayed = ctx.journal().and_then(|j| {
-            let v = j.lookup(&journal::run_key(cell, campaign_seed, i))?;
-            T::from_value(&v).ok()
-        });
-        match replayed {
-            Some(v) => {
-                results[i as usize] = Some(v);
-                telemetry.counter_inc("journal.runs_skipped");
-            }
-            None => pending.push(i),
-        }
-    }
-
-    if let Some(progress) = ctx.progress() {
-        progress.begin_cell(cell, pending.len() as u64);
-    }
-    if ctx.logger().is_enabled() {
-        ctx.logger().info(
-            "campaign",
-            "cell start",
-            &[
-                ("cell", Value::String(cell.to_string())),
-                ("runs", Value::U64(runs as u64)),
-                ("replayed", Value::U64((runs as usize - pending.len()) as u64)),
-                ("pending", Value::U64(pending.len() as u64)),
-            ],
-        );
-    }
-
-    if ctx.is_cancelled() {
-        ctx.flush()?;
-        return Err(ctx.interrupted_error());
-    }
-
-    // One run, with panic isolation and checkpointing. Returns the result
-    // so workers can keep it locally; quarantined runs land in `ctx`. A
-    // panic abandons the thread's scratch (the caller rebuilds it) so a
-    // half-filled buffer cannot survive into the next run.
-    let execute = |i: u32, scratch: &mut S| -> Option<T> {
-        telemetry.counter_inc("campaign.runs_started");
-        let span = telemetry.span("campaign.run_wall_s");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f(i, seeds[i as usize], scratch)
-        }));
-        span.finish();
-        let out = match outcome {
-            Ok(v) => {
-                telemetry.counter_inc("campaign.runs_completed");
-                if let Some(j) = ctx.journal() {
-                    j.record(journal::run_key(cell, campaign_seed, i), v.to_value());
-                    telemetry.counter_inc("journal.runs_recorded");
-                }
-                Some(v)
-            }
-            Err(payload) => {
-                telemetry.counter_inc("campaign.runs_quarantined");
-                ctx.quarantine(QuarantinedRun {
-                    cell: cell.to_string(),
-                    run: i,
-                    seed: seeds[i as usize],
-                    panic_message: panic_message(payload.as_ref()),
-                });
-                *scratch = make_scratch();
-                None
-            }
-        };
-        ctx.note_run_finished();
-        out
-    };
-
-    let threads = threads.max(1).min(pending.len().max(1));
-    if threads == 1 {
-        let mut scratch = make_scratch();
-        for &i in &pending {
-            if ctx.is_cancelled() {
-                break;
-            }
-            results[i as usize] = execute(i, &mut scratch);
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut partials: Vec<Vec<(u32, Option<T>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let pending = &pending;
-                    let execute = &execute;
-                    let make_scratch = &make_scratch;
-                    scope.spawn(move || {
-                        let mut scratch = make_scratch();
-                        let mut local = Vec::new();
-                        loop {
-                            if ctx.is_cancelled() {
-                                break;
-                            }
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = pending.get(slot) else { break };
-                            local.push((i, execute(i, &mut scratch)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("campaign worker panicked")).collect()
-        });
-        for part in &mut partials {
-            for (i, v) in part.drain(..) {
-                results[i as usize] = v;
-            }
-        }
-    }
-
-    if ctx.is_cancelled() {
-        ctx.flush()?;
-        return Err(ctx.interrupted_error());
-    }
-    ctx.flush()?;
-    Ok(results)
-}
-
 /// Batch width for a batched campaign over a cell with `n` tasks — the
 /// scratch-arena tier. Wider batches amortize the shared chunk-stream
 /// generation over more seeds but keep B realizations (`B × (n + 1)` f64
@@ -662,27 +369,49 @@ pub fn batch_width_for(n: u64) -> usize {
     ((1u64 << 18) / n.max(1)).clamp(4, 32) as usize
 }
 
-/// [`run_campaign_resilient_scratch`] for batch-capable cells: pending runs
-/// are claimed in contiguous blocks of up to `batch_width` and handed to
-/// `f` as a `&[(run_index, run_seed)]` slice, so the closure can simulate
-/// the whole block in lockstep (see `dls-hagerup`'s `BatchDirectSimulator`).
-/// `f` returns one `T` per item, in item order.
+/// Runs `runs` independent replications of one campaign cell and returns
+/// them in run order: `Some` per completed (or journal-replayed) run,
+/// `None` per quarantined run, or `Err(Interrupted)` when cancelled.
 ///
-/// Journal keys and values are recorded **per run**, byte-identical to what
-/// the scalar runner writes, so `--resume` replay, `--cancel-after`
-/// checkpoints and quarantine bookkeeping are unchanged; a resumed campaign
-/// simply re-batches whatever is still pending (batch boundaries are an
-/// execution detail, never an observable).
+/// **Claiming.** Pending runs are claimed in contiguous blocks of up to
+/// `batch_width` by **work-stealing** — an atomic cursor every worker
+/// `fetch_add`s — and handed to `f` as a `&[(run_index, run_seed)]` slice;
+/// `f` returns one `T` per item, in item order. Width 1 is the scalar case
+/// (one run per claim, the finest load balance); wider blocks let `f`
+/// simulate the seeds in lockstep (see `dls-hagerup`'s
+/// `BatchDirectSimulator`). Stealing instead of static slabs keeps every
+/// core busy behind the heavy-tailed run times the paper's campaigns
+/// produce (FAC outlier runs, Figure 9). Each run's seed depends only on
+/// its index, so the output is element-identical for any thread count and
+/// any width (pinned by tests below).
 ///
-/// Failure containment: a panicking block of width > 1 gets its scratch
-/// rebuilt and is retried one run at a time, so a single poisoned seed
-/// quarantines only itself. A closure that returns the wrong number of
-/// results quarantines the whole block with an explanatory message rather
-/// than guessing at the alignment. Cancellation is honoured between block
-/// claims; an in-flight block completes (and journals) before the flush.
+/// **Threads and scratch.** At `threads == 1` the worker loop runs on the
+/// calling thread; otherwise in `threads` scoped workers (never more than
+/// there are blocks). Each worker builds one `S` via `make_scratch` and
+/// hands `&mut S` to every block it executes, so workload buffers are
+/// reused across replications. The scratch is an allocation cache, never
+/// an input: `f`'s results must depend only on the items' seeds.
 ///
-/// `batch_width <= 1` delegates to the scalar resilient runner, preserving
-/// its exact telemetry stream (`campaign.run_wall_s` per run).
+/// **Resilience.** `cell` uniquely labels this campaign within its command
+/// and is part of every journal key, because two campaigns of one command
+/// may legitimately share `campaign_seed` (the fault sweep's
+/// baseline/scenario pairs) yet must checkpoint independently. Journaled
+/// runs are replayed instead of re-executed — bit-identical, because the
+/// journal serializes `f64`s losslessly — and fresh results are journaled
+/// **per run**, so batch boundaries are an execution detail: a resumed
+/// campaign re-batches whatever is still pending. A panicking block of
+/// width > 1 gets its scratch rebuilt and is retried one run at a time, so
+/// a poisoned seed quarantines only itself; a closure that returns the
+/// wrong number of results quarantines its whole block with an explanatory
+/// message rather than guessing at the alignment. Cancellation is honoured
+/// between block claims; an in-flight block completes (and journals)
+/// before the final flush.
+///
+/// **Telemetry.** `campaign.runs_started`, `campaign.runs_completed` and
+/// `campaign.runs_quarantined` count runs; `campaign.run_wall_s` times
+/// every run executed on its own and `campaign.batch_wall_s` every
+/// lockstep block; `journal.runs_skipped` / `journal.runs_recorded` count
+/// replays and checkpoints.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_resilient_batched<T, S, G, F>(
     runs: u32,
@@ -700,23 +429,7 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&[(u32, u64)], &mut S) -> Vec<T> + Sync,
 {
-    if batch_width <= 1 {
-        return run_campaign_resilient_scratch(
-            runs,
-            campaign_seed,
-            threads,
-            telemetry,
-            ctx,
-            cell,
-            make_scratch,
-            |i, s, scratch: &mut S| {
-                let mut v = f(&[(i, s)], scratch);
-                assert_eq!(v.len(), 1, "batch closure must return exactly one result per run");
-                v.pop().expect("length checked above")
-            },
-        );
-    }
-
+    let batch_width = batch_width.max(1);
     let seeds: Vec<u64> = seed_stream(campaign_seed).take(runs as usize).collect();
     let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
 
@@ -775,9 +488,11 @@ where
         });
     };
 
-    // One run through the batch closure (width-1 slice), with the scalar
-    // runner's panic isolation. `campaign.runs_started` is counted by the
-    // caller (once per run per block claim, never again on retry).
+    // One run through the batch closure (width-1 slice) with panic
+    // isolation. A panic abandons the thread's scratch so a half-filled
+    // buffer cannot survive into the next run. `campaign.runs_started` is
+    // counted by the caller (once per run per block claim, never again on
+    // retry).
     let execute_single = |i: u32, scratch: &mut S| -> Option<T> {
         let items = [(i, seeds[i as usize])];
         let span = telemetry.span("campaign.run_wall_s");
@@ -860,128 +575,172 @@ where
             .collect()
     };
 
-    let threads = threads.max(1).min(pending.len().max(1));
-    if threads == 1 {
+    // The worker loop: claim blocks until the pending list runs dry or
+    // cancellation is requested, keeping results locally.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
         let mut scratch = make_scratch();
-        for block in pending.chunks(batch_width) {
-            if ctx.is_cancelled() {
+        let mut local = Vec::new();
+        while !ctx.is_cancelled() {
+            let start = cursor.fetch_add(batch_width, Ordering::Relaxed);
+            if start >= pending.len() {
                 break;
             }
-            for (i, v) in execute_block(block, &mut scratch) {
-                results[i as usize] = v;
-            }
+            let end = (start + batch_width).min(pending.len());
+            local.extend(execute_block(&pending[start..end], &mut scratch));
         }
+        local
+    };
+    // A single worker stays on the calling thread: the server runs its
+    // campaigns at one thread on the connection thread, and every thread
+    // that records telemetry leaves a shard in the server's long-lived
+    // registry.
+    let threads = threads.max(1).min(pending.len().div_ceil(batch_width).max(1));
+    let partials: Vec<Vec<(u32, Option<T>)>> = if threads == 1 {
+        vec![worker()]
     } else {
-        let cursor = AtomicUsize::new(0);
-        let mut partials: Vec<Vec<(u32, Option<T>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let pending = &pending;
-                    let execute_block = &execute_block;
-                    let make_scratch = &make_scratch;
-                    scope.spawn(move || {
-                        let mut scratch = make_scratch();
-                        let mut local = Vec::new();
-                        loop {
-                            if ctx.is_cancelled() {
-                                break;
-                            }
-                            let start = cursor.fetch_add(batch_width, Ordering::Relaxed);
-                            if start >= pending.len() {
-                                break;
-                            }
-                            let end = (start + batch_width).min(pending.len());
-                            local.extend(execute_block(&pending[start..end], &mut scratch));
-                        }
-                        local
-                    })
-                })
-                .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             handles.into_iter().map(|h| h.join().expect("campaign worker panicked")).collect()
-        });
-        for part in &mut partials {
-            for (i, v) in part.drain(..) {
-                results[i as usize] = v;
-            }
-        }
+        })
+    };
+    for (i, v) in partials.into_iter().flatten() {
+        results[i as usize] = v;
     }
 
-    if ctx.is_cancelled() {
-        ctx.flush()?;
+    let cancelled = ctx.is_cancelled();
+    ctx.flush()?;
+    if cancelled {
         return Err(ctx.interrupted_error());
     }
-    ctx.flush()?;
     Ok(results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{Journal, JournalMeta};
     use dls_telemetry::Level;
 
+    /// The runner at width 1 over a per-run closure — the shape of every
+    /// scalar caller (sweeps, fault sweeps, Figure 9).
+    fn scalar<T, F>(
+        runs: u32,
+        seed: u64,
+        threads: usize,
+        telemetry: &Telemetry,
+        ctx: &ExecContext,
+        cell: &str,
+        f: F,
+    ) -> Result<Vec<Option<T>>, ReproError>
+    where
+        T: Send + Serialize + for<'de> Deserialize<'de>,
+        F: Fn(u32, u64) -> T + Sync,
+    {
+        run_campaign_resilient_batched(
+            runs,
+            seed,
+            threads,
+            1,
+            telemetry,
+            ctx,
+            cell,
+            || (),
+            |items, _: &mut ()| items.iter().map(|&(i, s)| f(i, s)).collect(),
+        )
+    }
+
+    /// [`scalar`] on a fresh transient context, every run present.
+    fn plain<T, F>(runs: u32, seed: u64, threads: usize, f: F) -> Vec<T>
+    where
+        T: Send + Serialize + for<'de> Deserialize<'de>,
+        F: Fn(u32, u64) -> T + Sync,
+    {
+        let ctx = ExecContext::transient();
+        let out = scalar(runs, seed, threads, &Telemetry::disabled(), &ctx, "c", f).unwrap();
+        out.into_iter().map(|r| r.expect("no run quarantined")).collect()
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dls-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn meta() -> JournalMeta {
+        JournalMeta::new("test", "runs=40", 5)
+    }
+
     #[test]
-    fn sequential_and_parallel_agree() {
-        let seq = run_campaign(37, 9, 1, |i, s| (i, s));
-        let par = run_campaign(37, 9, 4, |i, s| (i, s));
-        assert_eq!(seq, par);
-        // Run indices are in order and seeds come from the stream.
-        assert_eq!(seq[0].0, 0);
-        assert_eq!(seq[36].0, 36);
+    fn runs_come_back_in_order_with_stream_seeds() {
+        let seq = plain(37, 9, 1, |i, s| vec![u64::from(i), s]);
+        assert_eq!(seq[0][0], 0);
+        assert_eq!(seq[36][0], 36);
         let expect: Vec<u64> = dls_rng::seed_stream(9).take(37).collect();
-        assert_eq!(seq.iter().map(|x| x.1).collect::<Vec<_>>(), expect);
+        assert_eq!(seq.iter().map(|x| x[1]).collect::<Vec<_>>(), expect);
+        assert_ne!(plain(10, 1, 2, |_, s| s), plain(10, 2, 2, |_, s| s), "seed-dependent");
     }
 
     #[test]
-    fn campaign_is_seed_deterministic() {
-        let a = run_campaign(10, 1, 3, |_, s| s.wrapping_mul(3));
-        let b = run_campaign(10, 1, 2, |_, s| s.wrapping_mul(3));
-        assert_eq!(a, b);
-        let c = run_campaign(10, 2, 2, |_, s| s.wrapping_mul(3));
-        assert_ne!(a, c);
+    fn zero_runs_and_surplus_threads_are_fine() {
+        assert!(plain(0, 1, 4, |_, s| s).is_empty());
+        assert_eq!(plain(3, 1, 64, |i, _| i), vec![0, 1, 2]);
     }
 
+    /// Work-stealing must stay element-identical to the sequential path for
+    /// every thread count and batch width, even when run times are wildly
+    /// uneven (the Figure 9 outlier shape that motivated stealing over
+    /// static blocks).
     #[test]
-    fn zero_runs_is_empty() {
-        let v: Vec<u64> = run_campaign(0, 1, 4, |_, s| s);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn more_threads_than_runs_is_fine() {
-        let v = run_campaign(3, 1, 64, |i, _| i);
-        assert_eq!(v, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn metered_campaign_matches_plain_and_counts_runs() {
-        let tel = Telemetry::enabled();
-        let plain = run_campaign(25, 7, 1, |i, s| (i, s));
-        let metered = run_campaign_metered(25, 7, 4, &tel, |i, s| (i, s));
-        assert_eq!(plain, metered);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("campaign.runs_started"), Some(25));
-        assert_eq!(snap.counter("campaign.runs_completed"), Some(25));
-        assert_eq!(snap.histogram("campaign.run_wall_s").unwrap().count, 25);
-    }
-
-    /// Work-stealing must stay element-identical to the sequential path
-    /// even when run times are wildly uneven (the Figure 9 outlier shape
-    /// that motivated stealing over static blocks).
-    #[test]
-    fn work_stealing_is_element_identical_under_skew() {
+    fn element_identical_under_skew_for_any_threads_and_width() {
         let skewed = |i: u32, s: u64| {
-            // Make run 0 of each block far heavier than the rest.
+            // Make run 0 of each group of 8 far heavier than the rest.
             let spins = if i.is_multiple_of(8) { 20_000 } else { 50 };
             let mut acc = s;
             for _ in 0..spins {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             }
-            (i, acc)
+            acc ^ u64::from(i)
         };
-        let seq = run_campaign(64, 11, 1, skewed);
-        for threads in [2, 3, 8, 16] {
-            assert_eq!(run_campaign(64, 11, threads, skewed), seq, "threads = {threads}");
+        let want = plain(64, 11, 1, skewed);
+        for width in [1usize, 3, 4, 16, 64] {
+            for threads in [1usize, 2, 3, 8, 16] {
+                let ctx = ExecContext::transient();
+                let out = run_campaign_resilient_batched(
+                    64,
+                    11,
+                    threads,
+                    width,
+                    &Telemetry::disabled(),
+                    &ctx,
+                    "c",
+                    || (),
+                    |items, _: &mut ()| items.iter().map(|&(i, s)| skewed(i, s)).collect(),
+                )
+                .unwrap();
+                let out: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
+                assert_eq!(out, want, "width={width} threads={threads}");
+                assert!(ctx.quarantined().is_empty());
+            }
+        }
+    }
+
+    /// Width 1 is the scalar runner: every run is started, completed and
+    /// timed on its own, and no lockstep block is ever recorded.
+    #[test]
+    fn width_one_times_every_run_and_records_no_batch() {
+        for threads in [1, 4] {
+            let tel = Telemetry::enabled();
+            let out = scalar(25, 7, threads, &tel, &ExecContext::transient(), "c", |_, s| s);
+            assert_eq!(
+                out.unwrap().into_iter().flatten().collect::<Vec<_>>(),
+                plain(25, 7, 1, |_, s| s)
+            );
+            let snap = tel.snapshot();
+            assert_eq!(snap.counter("campaign.runs_started"), Some(25));
+            assert_eq!(snap.counter("campaign.runs_completed"), Some(25));
+            assert_eq!(snap.histogram("campaign.run_wall_s").unwrap().count, 25);
+            assert!(snap.histogram("campaign.batch_wall_s").is_none(), "threads = {threads}");
         }
     }
 
@@ -1009,92 +768,75 @@ mod tests {
         assert_eq!(dedup.len(), seeds.len());
     }
 
-    use crate::journal::{Journal, JournalMeta};
-
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dls-runner-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn meta() -> JournalMeta {
-        JournalMeta::new("test", "runs=40", 5)
-    }
-
     /// A scratch arena is a cache, not an input: reusing buffers across
     /// replications must leave every element identical to the scratch-free
     /// runner, for any thread count.
     #[test]
     fn scratch_campaign_is_element_identical() {
-        let plain = run_campaign(48, 13, 1, |i, s| s.rotate_left(i % 7));
+        let want = plain(48, 13, 1, |i, s| s.rotate_left(i % 7));
         for threads in [1, 3, 8] {
-            let with_scratch = run_campaign_scratch(
+            let out = run_campaign_resilient_batched(
                 48,
                 13,
                 threads,
+                1,
                 &Telemetry::disabled(),
+                &ExecContext::transient(),
+                "c",
                 Vec::<u64>::new,
-                |i, s, scratch| {
+                |items, scratch| {
                     // Dirty the scratch with run-dependent junk; the result
                     // must not depend on what a previous run left behind.
-                    scratch.push(s);
-                    s.rotate_left(i % 7)
+                    scratch.extend(items.iter().map(|&(_, s)| s));
+                    items.iter().map(|&(i, s)| s.rotate_left(i % 7)).collect()
                 },
-            );
-            assert_eq!(with_scratch, plain, "threads = {threads}");
+            )
+            .unwrap();
+            let out: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
+            assert_eq!(out, want, "threads = {threads}");
         }
     }
 
     #[test]
-    fn resilient_scratch_resets_after_panic() {
-        let ctx = ExecContext::transient();
-        let out = run_campaign_resilient_scratch(
-            12,
-            5,
-            1,
-            &Telemetry::disabled(),
-            &ctx,
-            "c",
-            || 0u64,
-            |i, s, scratch| {
-                assert_eq!(*scratch % 2, 0, "scratch from a panicked run leaked");
-                *scratch += 2;
-                if i == 4 {
-                    *scratch = 1; // poison, then die: the runner must rebuild
-                    panic!("boom");
-                }
-                s
-            },
-        )
-        .unwrap();
-        assert!(out[4].is_none());
-        assert_eq!(out.iter().filter(|r| r.is_some()).count(), 11);
-        assert_eq!(ctx.quarantined().len(), 1);
-    }
-
-    #[test]
-    fn resilient_matches_plain_campaign() {
-        let plain = run_campaign(40, 5, 4, |i, s| s.wrapping_add(u64::from(i)));
-        let ctx = ExecContext::transient();
-        let out = run_campaign_resilient(40, 5, 4, &Telemetry::disabled(), &ctx, "c", |i, s| {
-            s.wrapping_add(u64::from(i))
-        })
-        .unwrap();
-        assert_eq!(out.into_iter().map(Option::unwrap).collect::<Vec<_>>(), plain);
-        assert!(ctx.quarantined().is_empty());
+    fn scratch_is_rebuilt_after_a_panic() {
+        for width in [1, 3] {
+            let ctx = ExecContext::transient();
+            let out = run_campaign_resilient_batched(
+                12,
+                5,
+                1,
+                width,
+                &Telemetry::disabled(),
+                &ctx,
+                "c",
+                || 0u64,
+                |items, scratch: &mut u64| {
+                    assert_eq!(*scratch % 2, 0, "scratch from a panicked run leaked");
+                    *scratch += 2;
+                    if items.iter().any(|&(i, _)| i == 7) {
+                        *scratch = 1; // poison, then die: the runner must rebuild
+                        panic!("boom");
+                    }
+                    items.iter().map(|&(_, s)| s).collect()
+                },
+            )
+            .unwrap();
+            assert!(out[7].is_none(), "width = {width}");
+            assert_eq!(out.iter().filter(|r| r.is_some()).count(), 11, "width = {width}");
+            assert_eq!(ctx.quarantined().len(), 1);
+        }
     }
 
     #[test]
     fn panicking_run_is_quarantined_and_the_rest_complete() {
         let ctx = ExecContext::transient();
-        let out =
-            run_campaign_resilient(16, 5, 4, &Telemetry::disabled(), &ctx, "cell-x", |i, s| {
-                if i == 3 {
-                    panic!("injected failure in run {i}");
-                }
-                s
-            })
-            .unwrap();
+        let out = scalar(16, 5, 4, &Telemetry::disabled(), &ctx, "cell-x", |i, s| {
+            if i == 3 {
+                panic!("injected failure in run {i}");
+            }
+            s
+        })
+        .unwrap();
         assert!(out[3].is_none(), "panicking run must be quarantined");
         assert_eq!(out.iter().filter(|r| r.is_some()).count(), 15);
         let q = ctx.quarantined();
@@ -1111,7 +853,7 @@ mod tests {
         let logger = Logger::enabled();
         let ctx =
             ExecContext::transient().with_progress(progress.clone()).with_logger(logger.clone());
-        let out = run_campaign_resilient(
+        let out = scalar(
             HEARTBEAT_EVERY as u32 + 3,
             7,
             2,
@@ -1188,7 +930,7 @@ mod tests {
 
         // Campaign 1: one panicking run. Recording its quarantine entry
         // goes through the poisoned lock and must recover.
-        let out = run_campaign_resilient(8, 5, 2, &Telemetry::disabled(), &ctx, "c1", |i, s| {
+        let out = scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c1", |i, s| {
             if i == 2 {
                 panic!("boom");
             }
@@ -1200,44 +942,57 @@ mod tests {
 
         // Campaign 2 on the same context: clean, all runs present — the
         // earlier panic must not cascade.
-        let out =
-            run_campaign_resilient(8, 5, 2, &Telemetry::disabled(), &ctx, "c2", |_, s| s).unwrap();
+        let out = scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c2", |_, s| s).unwrap();
         assert!(out.iter().all(Option::is_some), "clean campaign after a quarantined panic");
         assert_eq!(ctx.quarantined().len(), 1);
     }
 
+    fn run_value(i: u32, s: u64) -> f64 {
+        (s ^ u64::from(i)) as f64 * 0.1
+    }
+
+    /// Interrupt at one batch width, resume at another: batch boundaries
+    /// are an execution detail, so the journal replays per-run values and
+    /// the final vector is bit-identical to the uninterrupted campaign.
     #[test]
-    fn interrupted_campaign_resumes_bit_identically() {
-        let dir = tmp_dir("resume");
-        let full = run_campaign(40, 5, 1, |i, s| (s ^ u64::from(i)) as f64 * 0.1);
+    fn interrupted_campaign_resumes_bit_identically_across_widths() {
+        let full = plain(40, 5, 1, run_value);
+        for (phase1_width, phase2_width) in [(1, 1), (8, 5), (1, 16)] {
+            let dir = tmp_dir(&format!("resume-{phase1_width}-{phase2_width}"));
+            let run = |width: usize, tel: &Telemetry, ctx: &ExecContext| {
+                run_campaign_resilient_batched(
+                    40,
+                    5,
+                    3,
+                    width,
+                    tel,
+                    ctx,
+                    "c",
+                    || (),
+                    |items, _: &mut ()| items.iter().map(|&(i, s)| run_value(i, s)).collect(),
+                )
+            };
 
-        // Phase 1: cancel after ~half the runs.
-        let ctx =
-            ExecContext::with_journal(Journal::open(&dir, &meta()).unwrap()).with_cancel_after(20);
-        let err = run_campaign_resilient(40, 5, 3, &Telemetry::disabled(), &ctx, "c", |i, s| {
-            (s ^ u64::from(i)) as f64 * 0.1
-        })
-        .unwrap_err();
-        assert_eq!(err.exit_code(), crate::error::EXIT_INTERRUPTED);
-        assert!(err.to_string().contains("--resume"), "hint present: {err}");
+            // Phase 1: cancel after ~half the runs.
+            let ctx = ExecContext::with_journal(Journal::open(&dir, &meta()).unwrap())
+                .with_cancel_after(16);
+            let err = run(phase1_width, &Telemetry::disabled(), &ctx).unwrap_err();
+            assert_eq!(err.exit_code(), crate::error::EXIT_INTERRUPTED);
+            assert!(err.to_string().contains("--resume"), "hint present: {err}");
 
-        // Phase 2: resume from the journal; replayed + fresh runs must be
-        // bit-identical to the uninterrupted campaign.
-        let tel = Telemetry::enabled();
-        let journal = Journal::open(&dir, &meta()).unwrap();
-        assert!(journal.resumed() >= 20, "phase 1 journaled its completed runs");
-        let resumed_count = journal.resumed();
-        let ctx = ExecContext::with_journal(journal);
-        let out = run_campaign_resilient(40, 5, 3, &tel, &ctx, "c", |i, s| {
-            (s ^ u64::from(i)) as f64 * 0.1
-        })
-        .unwrap();
-        let out: Vec<f64> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, full);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("journal.runs_skipped"), Some(resumed_count));
-        assert_eq!(snap.counter("campaign.runs_started"), Some(40 - resumed_count));
-        std::fs::remove_dir_all(&dir).unwrap();
+            // Phase 2: resume from the journal.
+            let tel = Telemetry::enabled();
+            let journal = Journal::open(&dir, &meta()).unwrap();
+            assert!(journal.resumed() >= 16, "phase 1 journaled its completed runs");
+            let resumed = journal.resumed();
+            let out = run(phase2_width, &tel, &ExecContext::with_journal(journal)).unwrap();
+            let out: Vec<f64> = out.into_iter().map(Option::unwrap).collect();
+            assert_eq!(out, full, "widths {phase1_width} -> {phase2_width}");
+            let snap = tel.snapshot();
+            assert_eq!(snap.counter("journal.runs_skipped"), Some(resumed));
+            assert_eq!(snap.counter("campaign.runs_started"), Some(40 - resumed));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1245,7 +1000,7 @@ mod tests {
         let ctx = ExecContext::transient();
         ctx.cancel_flag().cancel();
         let executed = AtomicU64::new(0);
-        let err = run_campaign_resilient(8, 5, 2, &Telemetry::disabled(), &ctx, "c", |_, s| {
+        let err = scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c", |_, s| {
             executed.fetch_add(1, Ordering::Relaxed);
             s
         })
@@ -1259,43 +1014,16 @@ mod tests {
         let dir = tmp_dir("shared-seed");
         let ctx = ExecContext::with_journal(Journal::open(&dir, &meta()).unwrap());
         let tel = Telemetry::disabled();
-        let a = run_campaign_resilient(6, 9, 1, &tel, &ctx, "baseline", |_, s| s).unwrap();
-        let b = run_campaign_resilient(6, 9, 1, &tel, &ctx, "loss(2%)", |_, s| s ^ 1).unwrap();
+        let a = scalar(6, 9, 1, &tel, &ctx, "baseline", |_, s| s).unwrap();
+        let b = scalar(6, 9, 1, &tel, &ctx, "loss(2%)", |_, s| s ^ 1).unwrap();
         assert_ne!(a, b, "distinct cells with one seed must not replay each other");
         assert_eq!(ctx.journal().unwrap().stats().recorded, 12);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The batch closure used across the batched-runner tests: a pure
-    /// per-item function of `(run_index, run_seed)` so outputs must be
-    /// invariant under batch width and thread count.
+    /// A pure per-item function of `(run_index, run_seed)`.
     fn per_item(items: &[(u32, u64)]) -> Vec<u64> {
         items.iter().map(|&(i, s)| s.wrapping_mul(31).wrapping_add(u64::from(i))).collect()
-    }
-
-    #[test]
-    fn batched_runner_output_invariant_under_width_and_threads() {
-        let want = run_campaign(37, 11, 1, |i, s| s.wrapping_mul(31).wrapping_add(u64::from(i)));
-        for width in [1usize, 3, 4, 16, 64] {
-            for threads in [1usize, 4] {
-                let ctx = ExecContext::transient();
-                let out = run_campaign_resilient_batched(
-                    37,
-                    11,
-                    threads,
-                    width,
-                    &Telemetry::disabled(),
-                    &ctx,
-                    "c",
-                    || (),
-                    |items, _: &mut ()| per_item(items),
-                )
-                .unwrap();
-                let out: Vec<u64> = out.into_iter().map(Option::unwrap).collect();
-                assert_eq!(out, want, "width={width} threads={threads}");
-                assert!(ctx.quarantined().is_empty());
-            }
-        }
     }
 
     #[test]
@@ -1358,85 +1086,6 @@ mod tests {
         let q = ctx.quarantined();
         assert_eq!(q.len(), 4);
         assert!(q[0].panic_message.contains("returned 3 results for 4 runs"));
-    }
-
-    #[test]
-    fn batched_scratch_rebuilt_after_block_panic() {
-        let ctx = ExecContext::transient();
-        let out = run_campaign_resilient_batched(
-            12,
-            5,
-            1,
-            3,
-            &Telemetry::disabled(),
-            &ctx,
-            "c",
-            || 0u64,
-            |items, scratch: &mut u64| {
-                assert_eq!(*scratch % 2, 0, "scratch from a panicked block leaked");
-                *scratch += 2;
-                if items.iter().any(|&(i, _)| i == 7) {
-                    *scratch = 1; // poison, then die: the runner must rebuild
-                    panic!("boom");
-                }
-                per_item(items)
-            },
-        )
-        .unwrap();
-        assert!(out[7].is_none());
-        assert_eq!(out.iter().filter(|r| r.is_some()).count(), 11);
-    }
-
-    #[test]
-    fn batched_campaign_resumes_bit_identically_across_widths() {
-        let dir = tmp_dir("batched-resume");
-        let full = run_campaign(40, 5, 1, |i, s| (s ^ u64::from(i)) as f64 * 0.1);
-
-        // Phase 1: width-8 batches, cancelled mid-campaign.
-        let ctx =
-            ExecContext::with_journal(Journal::open(&dir, &meta()).unwrap()).with_cancel_after(16);
-        let err = run_campaign_resilient_batched(
-            40,
-            5,
-            2,
-            8,
-            &Telemetry::disabled(),
-            &ctx,
-            "c",
-            || (),
-            |items, _: &mut ()| {
-                items.iter().map(|&(i, s)| (s ^ u64::from(i)) as f64 * 0.1).collect()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), crate::error::EXIT_INTERRUPTED);
-
-        // Phase 2: resume with a *different* width — batch boundaries are
-        // an execution detail, so the journal replays per-run values and
-        // the final vector is bit-identical to the uninterrupted campaign.
-        let tel = Telemetry::enabled();
-        let journal = Journal::open(&dir, &meta()).unwrap();
-        assert!(journal.resumed() >= 16, "phase 1 journaled its completed runs");
-        let resumed_count = journal.resumed();
-        let ctx = ExecContext::with_journal(journal);
-        let out = run_campaign_resilient_batched(
-            40,
-            5,
-            2,
-            5,
-            &tel,
-            &ctx,
-            "c",
-            || (),
-            |items, _: &mut ()| {
-                items.iter().map(|&(i, s)| (s ^ u64::from(i)) as f64 * 0.1).collect()
-            },
-        )
-        .unwrap();
-        let out: Vec<f64> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, full);
-        assert_eq!(tel.snapshot().counter("journal.runs_skipped"), Some(resumed_count));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -739,15 +739,17 @@ pub fn error_response(e: &ReproError) -> Response {
         ReproError::Usage(_) => (400, "Bad Request"),
         ReproError::InvalidSpec(_) => (422, "Unprocessable Entity"),
         ReproError::Interrupted { .. } => (503, "Service Unavailable"),
-        ReproError::Io(_) | ReproError::Regression(_) | ReproError::Degraded(_) => {
-            (500, "Internal Server Error")
-        }
+        ReproError::Io(_)
+        | ReproError::Regression(_)
+        | ReproError::RunPanicked(_)
+        | ReproError::Degraded(_) => (500, "Internal Server Error"),
     };
     let class = match e {
         ReproError::Usage(_) => "usage",
         ReproError::Io(_) => "io",
         ReproError::InvalidSpec(_) => "invalid-spec",
         ReproError::Regression(_) => "regression",
+        ReproError::RunPanicked(_) => "run-panicked",
         ReproError::Degraded(_) => "degraded",
         ReproError::Interrupted { .. } => "interrupted",
     };

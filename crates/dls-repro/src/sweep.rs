@@ -8,7 +8,7 @@
 //! summary statistics per cell.
 
 use crate::error::ReproError;
-use crate::runner::{batch_width_for, cell_seed, run_campaign_resilient_batched, ExecContext};
+use crate::runner::{cell_seed, run_campaign_resilient_batched, ExecContext};
 use dls_core::{SetupError, Technique};
 use dls_metrics::{OverheadModel, SummaryStats};
 use dls_msgsim::{simulate_with_tasks, SimSpec};
@@ -120,16 +120,11 @@ pub struct SweepRunObs {
     pub chunks: u64,
 }
 
-/// Runs the sweep; the row order is the nesting order
-/// (n, p, family, technique).
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, ReproError> {
-    run_sweep_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
-}
-
-/// [`run_sweep`] under a resilient [`ExecContext`]: each grid cell is its
-/// own journaled campaign, cancellation is honoured between runs, and a
-/// panicking run is quarantined (excluded from its cell's statistics)
-/// instead of aborting the sweep.
+/// Runs the sweep under `ctx`; the row order is the nesting order
+/// (n, p, family, technique). Each grid cell is its own journaled
+/// campaign, cancellation is honoured between runs, and a panicking run is
+/// quarantined (excluded from its cell's statistics) instead of aborting
+/// the sweep.
 pub fn run_sweep_resilient(
     cfg: &SweepConfig,
     telemetry: &Telemetry,
@@ -156,16 +151,13 @@ pub fn run_sweep_resilient(
                     cell += 1;
                     let label = format!("n={n} p={p} {} {}", family.name, technique.name());
                     // Sweep cells are msgsim-only, so there is no lockstep
-                    // kernel to amortize into — but claiming runs through
-                    // the batched runner keeps the work-stealing granule
-                    // consistent with the figure campaigns, and each item
-                    // is still evaluated per run (per-run journal values,
-                    // bit-identical to the scalar claiming path).
+                    // kernel to amortize: runs are claimed one at a time,
+                    // the finest work-stealing granule.
                     let per_run: Vec<Option<SweepRunObs>> = run_campaign_resilient_batched(
                         cfg.runs,
                         seed,
                         cfg.threads,
-                        batch_width_for(n),
+                        1,
                         telemetry,
                         ctx,
                         &label,
@@ -266,6 +258,10 @@ pub fn winners(rows: &[SweepRow]) -> Vec<(u64, usize, String, String, f64)> {
 mod tests {
     use super::*;
 
+    fn sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, ReproError> {
+        run_sweep_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+    }
+
     fn tiny() -> SweepConfig {
         SweepConfig {
             ns: vec![512],
@@ -290,7 +286,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid() {
-        let rows = run_sweep(&tiny()).unwrap();
+        let rows = sweep(&tiny()).unwrap();
         assert_eq!(rows.len(), 2 * 3);
         assert!(rows.iter().all(|r| r.wasted.count() == 5));
     }
@@ -298,7 +294,7 @@ mod tests {
     #[test]
     fn constant_workload_prefers_stat() {
         // With zero variance and non-zero h, STAT's p chunks beat SS's n.
-        let rows = run_sweep(&tiny()).unwrap();
+        let rows = sweep(&tiny()).unwrap();
         let win = winners(&rows);
         let constant = win.iter().find(|(_, _, w, _, _)| w == "constant").unwrap();
         assert_eq!(constant.3, "STAT");
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn exponential_workload_prefers_dynamic() {
-        let rows = run_sweep(&tiny()).unwrap();
+        let rows = sweep(&tiny()).unwrap();
         let win = winners(&rows);
         let expo = win.iter().find(|(_, _, w, _, _)| w == "exponential").unwrap();
         assert_ne!(expo.3, "SS", "SS pays n·h and cannot win");
@@ -314,8 +310,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run_sweep(&tiny()).unwrap();
-        let b = run_sweep(&tiny()).unwrap();
+        let a = sweep(&tiny()).unwrap();
+        let b = sweep(&tiny()).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.wasted.mean(), y.wasted.mean());
         }
@@ -324,10 +320,10 @@ mod tests {
     #[test]
     fn batched_claiming_preserves_per_run_observations() {
         // Recompute one cell by hand, run by run, straight through the
-        // engine — the sweep's batched claiming must reproduce the exact
-        // same statistics (pins seed assignment and evaluation order).
+        // engine — the sweep's claiming must reproduce the exact same
+        // statistics (pins seed assignment and evaluation order).
         let cfg = tiny();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = sweep(&cfg).unwrap();
         let row = rows
             .iter()
             .find(|r| r.workload == "exponential" && r.technique == "SS")

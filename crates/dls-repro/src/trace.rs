@@ -25,7 +25,7 @@ use dls_core::{SetupError, Technique};
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::{breakdown_csv, chunk_size_series, pe_breakdowns, OverheadModel};
-use dls_msgsim::{simulate_metered, simulate_with_tasks_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks_metered, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::{Snapshot, Telemetry};
 use dls_trace::{chrome::chrome_trace_json, timeline::timeline_csv, TraceEvent, Tracer};
@@ -63,7 +63,8 @@ pub struct TraceArtifacts {
 pub fn trace_msgsim(spec: &SimSpec, seed: u64, label: &str) -> Result<TraceArtifacts, SetupError> {
     let (tracer, recorder) = Tracer::ring(RING_CAPACITY);
     let telemetry = Telemetry::enabled();
-    let out = simulate_metered(spec, seed, &tracer, &telemetry)?;
+    let out =
+        simulate_with_tasks_metered(spec, &spec.workload.generate(seed), &tracer, &telemetry)?;
     let rec = recorder.borrow();
     Ok(TraceArtifacts {
         label: label.into(),

@@ -12,6 +12,7 @@
 //! chunk computation the message-passing model simply does not have.
 
 use crate::reference::{self, ReferenceSeries, TSS_PES};
+use crate::runner::ExecContext;
 use dls_core::Technique;
 use dls_msgsim::{simulate, SimSpec};
 use dls_platform::{LinkSpec, Platform};
@@ -127,40 +128,21 @@ impl ContentionModel {
     }
 }
 
-/// Runs one TSS-publication experiment over the standard PE sweep.
+/// Runs one TSS-publication experiment over the PE counts `pes` under
+/// `ctx`.
 ///
-/// `link` models the interconnect; the paper's Figure 3b/4b behavior
-/// corresponds to a fast network ([`LinkSpec::fast`]) without contention.
-pub fn run_experiment(
-    exp: TssExperiment,
-    link: LinkSpec,
-    pes: &[u32],
-) -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
-    run_experiment_contended(exp, link, pes, ContentionModel::none())
-}
-
-/// Runs one TSS-publication experiment with a contention model.
-pub fn run_experiment_contended(
-    exp: TssExperiment,
-    link: LinkSpec,
-    pes: &[u32],
-    contention: ContentionModel,
-) -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
-    run_experiment_resilient(exp, link, pes, contention, &crate::runner::ExecContext::transient())
-}
-
-/// [`run_experiment_contended`] under a resilient [`ExecContext`]: the
+/// `link` models the interconnect and `contention` the original machine's
+/// scheduling contention; the paper's Figure 3b/4b behavior corresponds to
+/// a fast network ([`LinkSpec::fast`]) with [`ContentionModel::none`]. The
 /// panel is deterministic and fast (one run per cell), so it is not
 /// journaled, but cancellation is honoured between PE cells so a Ctrl-C
 /// during `repro all` stops promptly here too.
-///
-/// [`ExecContext`]: crate::runner::ExecContext
 pub fn run_experiment_resilient(
     exp: TssExperiment,
     link: LinkSpec,
     pes: &[u32],
     contention: ContentionModel,
-    ctx: &crate::runner::ExecContext,
+    ctx: &ExecContext,
 ) -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
     let refs = exp.reference();
     let mut rows = Vec::new();
@@ -185,14 +167,22 @@ pub fn run_experiment_resilient(
     Ok(rows)
 }
 
-/// Figure 3 with the default sweep and a fast interconnect.
+/// Figure 3 with the default sweep, a fast interconnect and no contention.
 pub fn run_fig3() -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
-    run_experiment(TssExperiment::Exp1, LinkSpec::fast(), &TSS_PES)
+    uncontended(TssExperiment::Exp1, &TSS_PES)
 }
 
-/// Figure 4 with the default sweep and a fast interconnect.
+/// Figure 4 with the default sweep, a fast interconnect and no contention.
 pub fn run_fig4() -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
-    run_experiment(TssExperiment::Exp2, LinkSpec::fast(), &TSS_PES)
+    uncontended(TssExperiment::Exp2, &TSS_PES)
+}
+
+fn uncontended(
+    exp: TssExperiment,
+    pes: &[u32],
+) -> Result<Vec<SpeedupRow>, crate::error::ReproError> {
+    let ctx = ExecContext::transient();
+    run_experiment_resilient(exp, LinkSpec::fast(), pes, ContentionModel::none(), &ctx)
 }
 
 #[cfg(test)]
@@ -220,7 +210,7 @@ mod tests {
     fn small_sweep_reproduces_the_shape() {
         // Only p ∈ {8, 16} to keep the unit test fast; the full sweep runs
         // in the repro binary and benches.
-        let rows = run_experiment(TssExperiment::Exp1, LinkSpec::fast(), &[8, 16]).unwrap();
+        let rows = uncontended(TssExperiment::Exp1, &[8, 16]).unwrap();
         assert_eq!(rows.len(), 10);
         for row in &rows {
             // Explicit-parallelism simulation: everything is near-ideal,
@@ -240,11 +230,12 @@ mod tests {
 
     #[test]
     fn contention_model_restores_fig3a_tendencies() {
-        let rows = run_experiment_contended(
+        let rows = run_experiment_resilient(
             TssExperiment::Exp1,
             LinkSpec::fast(),
             &[80],
             ContentionModel::bbn_gp1000(),
+            &ExecContext::transient(),
         )
         .unwrap();
         let sim = |label: &str| rows.iter().find(|r| r.label == label).unwrap().simulated;
@@ -270,7 +261,7 @@ mod tests {
 
     #[test]
     fn reference_lookup_joins_correctly() {
-        let rows = run_experiment(TssExperiment::Exp2, LinkSpec::fast(), &[8]).unwrap();
+        let rows = uncontended(TssExperiment::Exp2, &[8]).unwrap();
         assert!(rows.iter().all(|r| r.reference.is_some()));
         let tss = rows.iter().find(|r| r.label == "TSS").unwrap();
         assert_eq!(tss.reference, Some(7.8));

@@ -18,7 +18,7 @@
 //! * [`Span`] — a drop guard that times a scope on the wall clock and
 //!   records the elapsed seconds into a histogram.
 //! * Per-thread **shards**: each recording thread writes to its own shard
-//!   (an uncontended mutex — one CAS), so `run_campaign` workers never
+//!   (an uncontended mutex — one CAS), so campaign worker threads never
 //!   contend on a shared line. [`Telemetry::snapshot`] merges all shards.
 //! * [`Logger`] — a structured, leveled JSONL event log (monotonic
 //!   sequence numbers, bounded ring buffer) with the same

@@ -20,24 +20,17 @@
 
 use dls_suite::dls_platform::LinkSpec;
 use dls_suite::dls_repro::reference::TSS_PES;
-use dls_suite::dls_repro::tss_exp::{run_experiment_contended, ContentionModel, TssExperiment};
+use dls_suite::dls_repro::runner::ExecContext;
+use dls_suite::dls_repro::tss_exp::{run_experiment_resilient, ContentionModel, TssExperiment};
 
 fn main() {
-    let pes = &TSS_PES[..];
-    let free = run_experiment_contended(
-        TssExperiment::Exp1,
-        LinkSpec::fast(),
-        pes,
-        ContentionModel::none(),
-    )
-    .unwrap();
-    let contended = run_experiment_contended(
-        TssExperiment::Exp1,
-        LinkSpec::fast(),
-        pes,
-        ContentionModel::bbn_gp1000(),
-    )
-    .unwrap();
+    let run = |contention| {
+        let ctx = ExecContext::transient();
+        run_experiment_resilient(TssExperiment::Exp1, LinkSpec::fast(), &TSS_PES, contention, &ctx)
+            .unwrap()
+    };
+    let free = run(ContentionModel::none());
+    let contended = run(ContentionModel::bbn_gp1000());
 
     println!("TSS publication experiment 1 (n=100,000, 110 µs tasks), speedup at each p:\n");
     println!(

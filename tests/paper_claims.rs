@@ -3,16 +3,31 @@
 
 use dls_suite::dls_metrics::SummaryStats;
 use dls_suite::dls_platform::LinkSpec;
+use dls_suite::dls_repro::error::ReproError;
 use dls_suite::dls_repro::hagerup_exp::{
-    max_relative_discrepancy_excluding_outlier, run_figure, HagerupConfig, OracleMode,
+    max_relative_discrepancy_excluding_outlier, run_figure_resilient, HagerupConfig, OracleMode,
+    WastedRow,
 };
-use dls_suite::dls_repro::tss_exp::{run_experiment, TssExperiment};
+use dls_suite::dls_repro::runner::ExecContext;
+use dls_suite::dls_repro::tss_exp::{run_experiment_resilient, ContentionModel, TssExperiment};
+use dls_telemetry::Telemetry;
+
+fn figure(cfg: &HagerupConfig) -> Result<Vec<WastedRow>, ReproError> {
+    run_figure_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+}
 
 /// §IV-A: "a very similar performance of CSS and TSS. The SS and GSS plots
 /// have almost the same tendency, yet the values differ strongly."
 #[test]
 fn tss_reproduction_verdict() {
-    let rows = run_experiment(TssExperiment::Exp1, LinkSpec::fast(), &[48, 80]).unwrap();
+    let rows = run_experiment_resilient(
+        TssExperiment::Exp1,
+        LinkSpec::fast(),
+        &[48, 80],
+        ContentionModel::none(),
+        &ExecContext::transient(),
+    )
+    .unwrap();
     let sim = |label: &str, p: u32| rows.iter().find(|r| r.label == label && r.p == p).unwrap();
     // CSS/TSS/GSS(80) within 15 % of the digitized originals.
     for label in ["CSS", "TSS", "GSS(80)"] {
@@ -48,7 +63,7 @@ fn hagerup_1k_within_paper_band() {
     cfg.pes = vec![2, 8, 64];
     cfg.threads = 1;
     cfg.oracle = OracleMode::IndependentSeeds;
-    let rows = run_figure(&cfg).unwrap();
+    let rows = figure(&cfg).unwrap();
     let max_rel = max_relative_discrepancy_excluding_outlier(&rows);
     assert!(max_rel < 15.0, "max relative discrepancy {max_rel}% exceeds the paper's 15% band");
 }
@@ -62,7 +77,7 @@ fn hagerup_ordering_at_small_p() {
     cfg.pes = vec![2];
     cfg.threads = 1;
     cfg.oracle = OracleMode::SharedRealizations;
-    let rows = run_figure(&cfg).unwrap();
+    let rows = figure(&cfg).unwrap();
     let value = |t: &str| rows.iter().find(|r| r.technique == t).unwrap().msgsim;
     let ss = value("SS");
     let bold = value("BOLD");
@@ -106,7 +121,7 @@ fn discrepancy_shrinks_with_n() {
         let mut cfg = HagerupConfig::paper(n, runs);
         cfg.pes = vec![8];
         cfg.oracle = OracleMode::IndependentSeeds;
-        let rows = run_figure(&cfg).unwrap();
+        let rows = figure(&cfg).unwrap();
         // Use the mean |relative| over techniques: single cells are noisy.
         let mut s = SummaryStats::new();
         for r in &rows {

@@ -2,12 +2,21 @@
 
 use dls_suite::dls_core::Technique;
 use dls_suite::dls_platform::{LinkSpec, Platform};
-use dls_suite::dls_repro::hagerup_exp::{run_figure, HagerupConfig, OracleMode};
+use dls_suite::dls_repro::error::ReproError;
+use dls_suite::dls_repro::hagerup_exp::{
+    run_figure_resilient, HagerupConfig, OracleMode, WastedRow,
+};
 use dls_suite::dls_repro::outlier::{run_outlier, OutlierConfig};
 use dls_suite::dls_repro::report;
+use dls_suite::dls_repro::runner::ExecContext;
 use dls_suite::dls_repro::spec::{ExperimentSpec, MeasuredValue, OverheadSpec};
-use dls_suite::dls_repro::tss_exp::{run_experiment, TssExperiment};
+use dls_suite::dls_repro::tss_exp::{run_experiment_resilient, ContentionModel, TssExperiment};
 use dls_suite::dls_workload::Workload;
+use dls_telemetry::Telemetry;
+
+fn figure(cfg: &HagerupConfig) -> Result<Vec<WastedRow>, ReproError> {
+    run_figure_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+}
 
 /// A figure-2 spec survives serialization and drives a real campaign.
 #[test]
@@ -38,7 +47,7 @@ fn spec_round_trip_drives_campaign() {
         techniques: Technique::hagerup_set().to_vec(),
         batch_width: 8,
     };
-    let rows = run_figure(&cfg).unwrap();
+    let rows = figure(&cfg).unwrap();
     assert_eq!(rows.len(), 8);
     let (headers, body) = report::wasted_rows(&rows);
     let table = report::format_table(&headers, &body);
@@ -62,8 +71,8 @@ fn campaigns_are_deterministic() {
         techniques: Technique::hagerup_set().to_vec(),
         batch_width: 8,
     };
-    let a = run_figure(&cfg(1)).unwrap();
-    let b = run_figure(&cfg(4)).unwrap();
+    let a = figure(&cfg(1)).unwrap();
+    let b = figure(&cfg(4)).unwrap();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.msgsim, y.msgsim, "{} differs across thread counts", x.technique);
@@ -75,7 +84,14 @@ fn campaigns_are_deterministic() {
 /// join every row with a digitized original.
 #[test]
 fn tss_experiment_shape() {
-    let rows = run_experiment(TssExperiment::Exp2, LinkSpec::fast(), &[8, 16, 24]).unwrap();
+    let rows = run_experiment_resilient(
+        TssExperiment::Exp2,
+        LinkSpec::fast(),
+        &[8, 16, 24],
+        ContentionModel::none(),
+        &ExecContext::transient(),
+    )
+    .unwrap();
     assert_eq!(rows.len(), 5 * 3);
     assert!(rows.iter().all(|r| r.reference.is_some()));
     // The CSS chunk adapts to p: it is n/p in every row.

@@ -7,7 +7,7 @@ use dls_suite::dls_core::Technique;
 use dls_suite::dls_repro::error::ReproError;
 use dls_suite::dls_repro::hagerup_exp::{run_figure_resilient, HagerupConfig};
 use dls_suite::dls_repro::journal::{Journal, JournalMeta};
-use dls_suite::dls_repro::runner::{run_campaign_resilient, ExecContext};
+use dls_suite::dls_repro::runner::{run_campaign_resilient_batched, ExecContext};
 use dls_suite::dls_repro::sweep::{run_sweep_resilient, SweepConfig};
 use dls_suite::dls_repro::{faults, sweep};
 use dls_telemetry::Telemetry;
@@ -22,6 +22,33 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn meta(command: &str) -> JournalMeta {
     JournalMeta::new(command, "test", 0)
+}
+
+/// The campaign runner at width 1 (one run per claim) over a per-run
+/// closure, the way the sweeps drive it.
+fn campaign<T>(
+    runs: u32,
+    seed: u64,
+    threads: usize,
+    telemetry: &Telemetry,
+    ctx: &ExecContext,
+    cell: &str,
+    f: impl Fn(u32, u64) -> T + Sync,
+) -> Result<Vec<Option<T>>, ReproError>
+where
+    T: Send + serde::Serialize + for<'de> serde::Deserialize<'de>,
+{
+    run_campaign_resilient_batched(
+        runs,
+        seed,
+        threads,
+        1,
+        telemetry,
+        ctx,
+        cell,
+        || (),
+        |items, _: &mut ()| items.iter().map(|&(run, seed)| f(run, seed)).collect(),
+    )
 }
 
 /// Runs `body` once transiently and once interrupted-then-resumed through a
@@ -116,7 +143,7 @@ fn interrupted_fault_sweep_resumes_bit_identical() {
 fn panicking_run_is_quarantined_without_contaminating_neighbours() {
     let telemetry = Telemetry::enabled();
     let ctx = ExecContext::transient();
-    let results = run_campaign_resilient(8, 0xC0FFEE, 2, &telemetry, &ctx, "cell", |run, seed| {
+    let results = campaign(8, 0xC0FFEE, 2, &telemetry, &ctx, "cell", |run, seed| {
         if run == 3 {
             panic!("injected failure at run 3");
         }
@@ -142,9 +169,8 @@ fn quarantine_is_scoped_to_one_sweep_cell() {
     // the second cell's run panics, and only it lands in quarantine.
     let ctx = ExecContext::transient();
     let telemetry = Telemetry::disabled();
-    let healthy =
-        run_campaign_resilient(4, 1, 1, &telemetry, &ctx, "healthy", |_, seed| seed).unwrap();
-    let faulty = run_campaign_resilient(4, 1, 1, &telemetry, &ctx, "faulty", |run, seed| {
+    let healthy = campaign(4, 1, 1, &telemetry, &ctx, "healthy", |_, seed| seed).unwrap();
+    let faulty = campaign(4, 1, 1, &telemetry, &ctx, "faulty", |run, seed| {
         assert!(run != 2, "boom");
         seed
     })
@@ -164,12 +190,11 @@ fn sweep_statistics_survive_a_quarantined_run() {
     // the same campaign where the "panicking" run simply never ran.
     let obs = |seed: u64| sweep::SweepRunObs { wasted: seed as f64, speedup: 1.0, chunks: 10 };
     let ctx = ExecContext::transient();
-    let with_panic =
-        run_campaign_resilient(4, 7, 1, &Telemetry::disabled(), &ctx, "cell", |run, seed| {
-            assert!(run != 1, "boom");
-            obs(seed)
-        })
-        .unwrap();
+    let with_panic = campaign(4, 7, 1, &Telemetry::disabled(), &ctx, "cell", |run, seed| {
+        assert!(run != 1, "boom");
+        obs(seed)
+    })
+    .unwrap();
     let completed: Vec<_> = with_panic.iter().flatten().collect();
     assert_eq!(completed.len(), 3);
     // Mean over the 3 completed observations only.

@@ -12,7 +12,7 @@ use dls_core::Technique;
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::OverheadModel;
-use dls_msgsim::{simulate, simulate_metered, SimSpec};
+use dls_msgsim::{simulate, simulate_with_tasks_metered, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_trace::Tracer;
@@ -31,7 +31,9 @@ fn fig_spec(technique: Technique, n: u64, p: usize) -> SimSpec {
 fn assert_telemetry_is_observational(spec: &SimSpec, seed: u64) {
     let plain = simulate(spec, seed).unwrap();
     let telemetry = Telemetry::enabled();
-    let metered = simulate_metered(spec, seed, &Tracer::disabled(), &telemetry).unwrap();
+    let tasks = spec.workload.generate(seed);
+    let metered =
+        simulate_with_tasks_metered(spec, &tasks, &Tracer::disabled(), &telemetry).unwrap();
     assert_eq!(plain, metered, "enabled telemetry changed the outcome");
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter("msgsim.simulate_calls"), Some(1));
@@ -103,7 +105,8 @@ fn tracer_and_telemetry_compose_without_perturbing_the_run() {
     let plain = simulate(&spec, 0xC0).unwrap();
     let (tracer, recorder) = Tracer::ring(1 << 20);
     let telemetry = Telemetry::enabled();
-    let both = simulate_metered(&spec, 0xC0, &tracer, &telemetry).unwrap();
+    let tasks = spec.workload.generate(0xC0);
+    let both = simulate_with_tasks_metered(&spec, &tasks, &tracer, &telemetry).unwrap();
     assert_eq!(plain, both, "tracer + telemetry together changed the outcome");
     assert!(!recorder.borrow().events().is_empty());
     assert!(telemetry.snapshot().counter("msgsim.events").unwrap_or(0) > 0);

@@ -12,8 +12,9 @@ use dls_core::Technique;
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::OverheadModel;
-use dls_msgsim::{simulate, simulate_traced, SimSpec};
+use dls_msgsim::{simulate, simulate_with_tasks_metered, SimSpec};
 use dls_platform::{LinkSpec, Platform};
+use dls_telemetry::Telemetry;
 use dls_trace::{chrome::chrome_trace_json, Tracer};
 use dls_workload::Workload;
 
@@ -31,7 +32,9 @@ fn fig_spec(technique: Technique, n: u64, p: usize) -> SimSpec {
 fn assert_tracing_is_observational(spec: &SimSpec, seed: u64) {
     let plain = simulate(spec, seed).unwrap();
     let (tracer, recorder) = Tracer::ring(1 << 20);
-    let traced = simulate_traced(spec, seed, &tracer).unwrap();
+    let tasks = spec.workload.generate(seed);
+    let traced =
+        simulate_with_tasks_metered(spec, &tasks, &tracer, &Telemetry::disabled()).unwrap();
     assert_eq!(plain, traced, "enabled tracer changed the outcome");
     assert!(
         !recorder.borrow().events().is_empty(),
