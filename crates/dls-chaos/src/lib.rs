@@ -8,7 +8,8 @@
 //! simulated network's failure modes injectable:
 //!
 //! * [`HostIo`] — the narrow host-I/O surface the crash-consistent writers
-//!   use (create, write, fsync, rename, directory sync, remove);
+//!   use (create, open-for-append, write, fsync, rename, directory sync,
+//!   remove);
 //! * [`RealIo`] — the passthrough implementation backed by `std::fs`;
 //! * [`ChaosIo`] — a fault-injecting wrapper driven by a seeded,
 //!   serializable [`HostFaultPlan`]: generic I/O errors, `ENOSPC`, torn
@@ -62,6 +63,9 @@ pub trait HostFile: Send {
 pub trait HostIo: Send + Sync + std::fmt::Debug {
     /// Creates (truncating) a file for writing.
     fn create<'a>(&'a self, path: &Path) -> io::Result<Box<dyn HostFile + 'a>>;
+    /// Opens an existing file for appending; every write lands at its end.
+    /// A missing file is an error (`NotFound`), never silently created.
+    fn open_append<'a>(&'a self, path: &Path) -> io::Result<Box<dyn HostFile + 'a>>;
     /// Renames `from` over `to` (atomic on POSIX filesystems).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Syncs a directory so a completed rename survives a power cut.
@@ -93,6 +97,10 @@ impl HostIo for RealIo {
         Ok(Box::new(RealFile(std::fs::File::create(path)?)))
     }
 
+    fn open_append<'a>(&'a self, path: &Path) -> io::Result<Box<dyn HostFile + 'a>> {
+        Ok(Box::new(RealFile(std::fs::OpenOptions::new().append(true).open(path)?)))
+    }
+
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
     }
@@ -115,7 +123,7 @@ impl HostIo for RealIo {
 pub enum IoOp {
     /// `File::create` of a tmp file.
     Create,
-    /// `write_all` of the artifact bytes.
+    /// `write_all` of the artifact bytes (to a created or appended file).
     Write,
     /// `sync_all` of the written file.
     Fsync,
@@ -125,12 +133,24 @@ pub enum IoOp {
     DirSync,
     /// Tmp-file removal on an error path.
     Remove,
+    /// Opening an existing file for append (the journal's flush path).
+    /// Last, so the earlier kinds keep the discriminants that seed their
+    /// flake sites.
+    Append,
 }
 
 impl IoOp {
-    /// Every operation kind, in pipeline order.
-    pub const ALL: [IoOp; 6] =
-        [IoOp::Create, IoOp::Write, IoOp::Fsync, IoOp::Rename, IoOp::DirSync, IoOp::Remove];
+    /// Every operation kind: an atomic write's pipeline order, then the
+    /// append that opens a journal flush.
+    pub const ALL: [IoOp; 7] = [
+        IoOp::Create,
+        IoOp::Write,
+        IoOp::Fsync,
+        IoOp::Rename,
+        IoOp::DirSync,
+        IoOp::Remove,
+        IoOp::Append,
+    ];
 
     /// Lower-case operation name for error messages.
     pub fn name(self) -> &'static str {
@@ -141,6 +161,7 @@ impl IoOp {
             IoOp::Rename => "rename",
             IoOp::DirSync => "dir-sync",
             IoOp::Remove => "remove",
+            IoOp::Append => "append",
         }
     }
 }
@@ -524,7 +545,9 @@ impl HostFile for ChaosFile<'_> {
             }
             Gate::Crash => {
                 // A crash mid-write leaves a prefix in the tmp file — the
-                // state `atomic_write`'s rename discipline must tolerate.
+                // state `atomic_write`'s rename discipline must tolerate —
+                // or a torn tail on an appended file, which the journal's
+                // loader drops and its next flush rewrites.
                 let _ = self.inner.write_all(&buf[..buf.len() / 2]);
                 Err(crashed_error())
             }
@@ -559,6 +582,20 @@ impl HostIo for ChaosIo {
                 let _ = self.inner.create(path);
                 Err(crashed_error())
             }
+        }
+    }
+
+    fn open_append<'a>(&'a self, path: &Path) -> io::Result<Box<dyn HostFile + 'a>> {
+        match self.gate(IoOp::Append, path, 0) {
+            Gate::Proceed => Ok(Box::new(ChaosFile {
+                io: self,
+                inner: self.inner.open_append(path)?,
+                path: path.to_path_buf(),
+            })),
+            Gate::Fail(e) => Err(e),
+            Gate::Torn(_) => unreachable!("torn faults only target writes"),
+            // The crash lands after the open: the file is untouched.
+            Gate::Crash => Err(crashed_error()),
         }
     }
 
@@ -859,6 +896,49 @@ mod tests {
             }
         }
         assert_eq!(io.stats().flakes, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One append flush over a `HostIo`: open for append, write, fsync.
+    fn append(io: &dyn HostIo, path: &Path, contents: &[u8]) -> io::Result<()> {
+        let mut f = io.open_append(path)?;
+        f.write_all(contents)?;
+        f.sync_all()
+    }
+
+    #[test]
+    fn append_extends_an_existing_file_and_never_creates_one() {
+        let dir = tmp_dir("append");
+        let path = dir.join("a.txt");
+        let err = append(&RealIo, &path, b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "append must not create the file");
+        pipeline(&RealIo, &path, b"head\n").unwrap();
+        let io = ChaosIo::new(HostFaultPlan::none());
+        append(&io, &path, b"tail\n").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"head\ntail\n");
+        // open-for-append + write + fsync = 3 boundaries.
+        assert_eq!(io.ops_executed(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_faults_follow_the_write_fault_model() {
+        let dir = tmp_dir("append-faults");
+        let path = dir.join("a.txt");
+        pipeline(&RealIo, &path, b"head\n").unwrap();
+        // A crash at the open leaves the file untouched.
+        let io = ChaosIo::new(HostFaultPlan::none()).with_crash_at(0);
+        append(&io, &path, b"tail\n").unwrap_err();
+        assert_eq!(std::fs::read(&path).unwrap(), b"head\n");
+        // An injected error scoped to `Append` fails the open, not writes.
+        let plan = HostFaultPlan::none().with_errors(1.0).only_ops(vec![IoOp::Append]);
+        let err = append(&ChaosIo::new(plan), &path, b"tail\n").unwrap_err();
+        assert!(err.to_string().contains("append"), "fault names its op: {err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"head\n");
+        // A crash mid-write on the appended handle leaves a torn tail.
+        let io = ChaosIo::new(HostFaultPlan::none()).with_crash_at(1);
+        append(&io, &path, b"0123456789").unwrap_err();
+        assert_eq!(std::fs::read(&path).unwrap(), b"head\n01234");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -137,9 +137,10 @@ fn report_resilience(ctx: &ExecContext) {
     if let Some(j) = ctx.journal() {
         let s = j.stats();
         println!(
-            "journal: {} run(s) replayed, {} newly recorded -> {}",
+            "journal: {} run(s) replayed, {} newly recorded, {} byte(s) written -> {}",
             s.resumed,
             s.recorded,
+            s.bytes_written,
             j.path().display()
         );
     }

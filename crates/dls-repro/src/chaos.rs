@@ -51,9 +51,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Journal flush cadence for the chaos runs: every other record, so even a
-/// reduced campaign crosses many mid-campaign flush boundaries. The
-/// journal's on-disk bytes are cadence-independent (each flush rewrites
-/// the whole file), so this never changes what the comparisons see.
+/// reduced campaign crosses many mid-campaign append boundaries. The
+/// journal's final bytes are cadence-independent (a flush appends the
+/// lines since the previous one; a rewrite emits all of them), so this
+/// never changes what the comparisons see.
 pub const CHAOS_FLUSH_EVERY: usize = 2;
 
 /// Worst-case transient failures one atomic write can absorb under the
@@ -886,13 +887,10 @@ fn count_valid_entries(dir: &Path) -> u64 {
 
 /// Loads a [`HostFaultPlan`] from a JSON file (the `--host-fault-plan`
 /// CLI path). An unreadable file classifies as I/O, an undecodable or
-/// inconsistent plan as an invalid spec — mirroring [`faults::load_plan`].
+/// inconsistent plan — or one with an unknown field — as an invalid spec,
+/// mirroring [`faults::load_plan`].
 pub fn load_host_plan(path: &str) -> Result<HostFaultPlan, ReproError> {
-    let text = std::fs::read_to_string(path).map_err(|e| ReproError::io(format!("{path}: {e}")))?;
-    let plan: HostFaultPlan = serde_json::from_str(&text)
-        .map_err(|e| ReproError::invalid_spec(format!("{path}: invalid host fault plan: {e}")))?;
-    plan.validate().map_err(|e| ReproError::invalid_spec(format!("{path}: {e}")))?;
-    Ok(plan)
+    crate::spec::load_json_plan(path, "host fault plan", HostFaultPlan::validate)
 }
 
 /// The campaign identity every attempt (reference, crash, resume) shares —
@@ -932,9 +930,25 @@ fn disk_state(cfg: &ChaosConfig, dir: &Path) -> Result<DiskState, ReproError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls_chaos::IoOp;
 
     fn micro(target: ChaosTarget) -> ChaosConfig {
         ChaosConfig { target, quick: true, runs: Some(2), seed: Some(11), plan: None }
+    }
+
+    #[test]
+    fn host_plans_with_unknown_fields_are_invalid_specs() {
+        let dir = std::env::temp_dir().join(format!("dls-host-plan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plan.json");
+        std::fs::write(&path, r#"{"seed": 3, "error_prob": 0.5}"#).unwrap();
+        let err = load_host_plan(path.to_str().unwrap()).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_INVALID_SPEC);
+        assert!(err.to_string().contains("unknown field `error_prob`"), "{err}");
+        assert!(err.to_string().contains("error_probability"), "{err}");
+        std::fs::write(&path, r#"{"seed": 3, "ops": ["Append"]}"#).unwrap();
+        assert_eq!(load_host_plan(path.to_str().unwrap()).unwrap().ops, vec![IoOp::Append]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -101,13 +101,10 @@ pub fn default_scenarios(n: u64, p: usize) -> Vec<FaultScenario> {
 
 /// Loads a [`FaultPlan`] from a JSON file (the `--fault-plan` CLI path).
 /// An unreadable file classifies as I/O, an undecodable or inconsistent
-/// plan as an invalid spec — each with its own exit code.
+/// plan — or one with an unknown field — as an invalid spec, each with
+/// its own exit code (see [`crate::spec::load_json_plan`]).
 pub fn load_plan(path: &str) -> Result<FaultPlan, ReproError> {
-    let text = std::fs::read_to_string(path).map_err(|e| ReproError::io(format!("{path}: {e}")))?;
-    let plan: FaultPlan = serde_json::from_str(&text)
-        .map_err(|e| ReproError::invalid_spec(format!("{path}: invalid fault plan: {e}")))?;
-    plan.validate().map_err(|e| ReproError::invalid_spec(format!("{path}: {e}")))?;
-    Ok(plan)
+    crate::spec::load_json_plan(path, "fault plan", FaultPlan::validate)
 }
 
 /// One (technique, scenario) cell of the sweep.
@@ -401,5 +398,19 @@ mod tests {
         std::fs::write(&bad, r#"{"loss_probability": 2.0}"#).unwrap();
         assert!(load_plan(bad.to_str().unwrap()).is_err());
         assert!(load_plan("/nonexistent/plan.json").is_err());
+    }
+
+    #[test]
+    fn load_plan_rejects_unknown_fields() {
+        let dir = std::env::temp_dir().join("dls-repro-fault-plan-strict");
+        std::fs::create_dir_all(&dir).unwrap();
+        let typo = dir.join("typo.json");
+        std::fs::write(&typo, r#"{"loss": 0.1}"#).unwrap();
+        let err = load_plan(typo.to_str().unwrap()).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_INVALID_SPEC);
+        let msg = err.to_string();
+        assert!(msg.contains("unknown field `loss`"), "names the bad field: {msg}");
+        assert!(msg.contains("loss_probability"), "lists the known set: {msg}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

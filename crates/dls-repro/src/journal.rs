@@ -19,11 +19,28 @@
 //!   (shortest-round-trip `f64`) — produces results bit-identical to an
 //!   uninterrupted run (pinned by `tests/resume_determinism.rs`).
 //!
-//! The journal file is logically append-only: records are never mutated or
-//! removed. Physically each flush rewrites the whole file via
-//! [`atomic_write`], so a crash during a flush cannot corrupt previously
-//! journaled runs. A torn trailing line (from a crash of a *previous*
-//! process between flushes) is detected on load and dropped.
+//! The journal file is a header line followed by one JSONL record per line,
+//! in record order. Each record is serialized once, when it is recorded,
+//! and a flush appends only the lines recorded since the previous flush:
+//! one `write_all` then `sync_all` on the file opened for append, so a
+//! campaign's journaling costs O(records), not O(records²). The whole file
+//! is rewritten through [`atomic_write`] only to create or heal it:
+//!
+//! 1. the first flush of a fresh journal (it writes the header);
+//! 2. the first flush after [`Journal::open`] loaded a file holding
+//!    anything but this session's header and whole record lines — a torn
+//!    tail, a last line without its `\n`, a blank or duplicate line, or a
+//!    header from another build;
+//! 3. any failed append, torn partial writes included, redone under the
+//!    journal's [`RetryPolicy`]; until a rewrite succeeds every flush
+//!    stays a rewrite, since the file may end in stray bytes.
+//!
+//! The final bytes are therefore the same whichever path wrote them and
+//! whatever the flush cadence: header plus every record line in record
+//! order — what a rewrite emits, and what a chain of appends builds. A
+//! crash mid-append leaves previously flushed lines intact plus at most a
+//! torn tail, which the next [`Journal::open`] drops (the run simply
+//! re-executes) before case 2 rewrites the file clean.
 
 use crate::error::ReproError;
 use dls_chaos::{HostIo, RealIo, RetryPolicy};
@@ -200,14 +217,23 @@ pub struct JournalStats {
     pub flushes: u64,
     /// Torn/undecodable trailing lines dropped at open time.
     pub torn_lines: u64,
+    /// Bytes this session's successful flushes handed to the host: the
+    /// appended lines, or the whole file for a rewrite.
+    pub bytes_written: u64,
 }
 
 struct JournalState {
-    /// All records in append order: `(key, value JSON)`.
-    records: Vec<(String, Value)>,
-    /// Key → index into `records` (first write wins; keys never repeat in
+    /// Journaled value per run key (first write wins; keys never repeat in
     /// normal operation).
-    index: HashMap<String, usize>,
+    index: HashMap<String, Value>,
+    /// Every record line (`\n`-terminated) in record order, serialized
+    /// once; the file is the header line followed by exactly these bytes.
+    body: Vec<u8>,
+    /// Length of the prefix of `body` known to be on disk.
+    persisted: usize,
+    /// Whether the next flush must rewrite the whole file instead of
+    /// appending `body[persisted..]` (see the module docs).
+    rewrite: bool,
     /// Records appended since the last successful flush.
     dirty: usize,
     /// First flush failure that exhausted its retries; returned by the
@@ -217,11 +243,22 @@ struct JournalState {
     stats: JournalStats,
 }
 
+impl JournalState {
+    /// Books a successful flush of `bytes`: every line is now on disk.
+    fn mark_flushed(&mut self, bytes: usize) {
+        self.persisted = self.body.len();
+        self.dirty = 0;
+        self.stats.flushes += 1;
+        self.stats.bytes_written += bytes as u64;
+    }
+}
+
 /// The checkpoint journal behind `--resume DIR`; see the module docs.
 ///
 /// Thread-safe: campaign workers record completed runs concurrently.
 pub struct Journal {
     path: PathBuf,
+    /// This session's header line, `\n` included.
     header: String,
     io: Arc<dyn HostIo>,
     retry: RetryPolicy,
@@ -270,16 +307,27 @@ impl Journal {
         std::fs::create_dir_all(dir)
             .map_err(|e| ReproError::io(format!("{}: {e}", dir.display())))?;
         let path = dir.join(JOURNAL_FILE);
-        let header = header_line(meta);
+        let mut header = header_line(meta);
+        header.push('\n');
         let mut state = JournalState {
-            records: Vec::new(),
             index: HashMap::new(),
+            body: Vec::new(),
+            persisted: 0,
+            rewrite: true,
             dirty: 0,
             sticky_error: None,
             stats: JournalStats::default(),
         };
-        match std::fs::read_to_string(&path) {
-            Ok(text) => load_existing(&path, &text, meta, &mut state)?,
+        match std::fs::read(&path) {
+            Ok(bytes) => {
+                load_existing(&path, &bytes, meta, &mut state)?;
+                // Append only onto a file that is exactly this session's
+                // header plus whole record lines; anything else is
+                // rewritten by the first flush.
+                state.persisted = state.body.len();
+                state.rewrite =
+                    bytes.strip_prefix(header.as_bytes()) != Some(state.body.as_slice());
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(ReproError::io(format!("{}: {e}", path.display()))),
         }
@@ -290,9 +338,10 @@ impl Journal {
     ///
     /// The chaos harness flushes every couple of records so a reduced
     /// campaign still crosses many journal-flush I/O boundaries; values
-    /// below 1 are clamped to 1. The journal's on-disk bytes are
-    /// cadence-independent — every flush rewrites the whole file — so
-    /// changing this never changes the final artifact.
+    /// below 1 are clamped to 1. The journal's final bytes are
+    /// cadence-independent — a flush appends the lines recorded since the
+    /// previous one, and a rewrite emits all of them — so changing this
+    /// never changes the final artifact, only how many appends build it.
     pub fn with_flush_every(mut self, every: usize) -> Journal {
         self.flush_every = every.max(1);
         self
@@ -314,7 +363,7 @@ impl Journal {
         // a plain data record that stays valid after a writer panic, and a
         // quarantined panic must not abort every later run's checkpointing.
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.index.get(key).map(|&i| state.records[i].1.clone())
+        state.index.get(key).cloned()
     }
 
     /// Appends a completed run. Flushes every [`FLUSH_EVERY`] records; a
@@ -323,13 +372,14 @@ impl Journal {
     ///
     /// [`flush`]: Journal::flush
     pub fn record(&self, key: String, value: Value) {
+        // Serialized before taking the lock, which the other workers need.
+        let line = record_line(&key, &value);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.index.contains_key(&key) {
             return; // idempotent: a re-executed run re-records its result
         }
-        state.records.push((key.clone(), value));
-        let idx = state.records.len() - 1;
-        state.index.insert(key, idx);
+        state.body.extend_from_slice(line.as_bytes());
+        state.index.insert(key, value);
         state.dirty += 1;
         state.stats.recorded += 1;
         if state.dirty >= self.flush_every {
@@ -337,9 +387,12 @@ impl Journal {
         }
     }
 
-    /// Writes every record to disk via [`atomic_write`] under the retry
-    /// policy. Returns the first error any earlier automatic flush
-    /// swallowed, so persistent I/O trouble is reported exactly once.
+    /// Puts every record on disk: appends the lines recorded since the last
+    /// flush, or rewrites the whole file via [`atomic_write`] under the
+    /// retry policy when the module docs' rewrite cases apply. A clean
+    /// journal with nothing new performs no I/O. Returns the first error
+    /// any earlier automatic flush swallowed, so persistent I/O trouble is
+    /// reported exactly once.
     pub fn flush(&self) -> Result<(), ReproError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.flush_locked(&mut state);
@@ -357,24 +410,26 @@ impl Journal {
     }
 
     fn flush_locked(&self, state: &mut JournalState) {
-        if state.dirty == 0 && state.stats.flushes > 0 {
-            return;
+        if !state.rewrite {
+            let tail = &state.body[state.persisted..];
+            let len = tail.len();
+            if len == 0 {
+                return;
+            }
+            match self.append(tail) {
+                Ok(()) => return state.mark_flushed(len),
+                // A failed append may have left a torn prefix at the end of
+                // the file: only a whole-file rewrite can heal it.
+                Err(_) => state.rewrite = true,
+            }
         }
-        let mut out = String::with_capacity(64 * (state.records.len() + 1));
-        out.push_str(&self.header);
-        out.push('\n');
-        for (key, value) in &state.records {
-            let line = Value::Object(vec![
-                ("key".into(), Value::String(key.clone())),
-                ("value".into(), value.clone()),
-            ]);
-            out.push_str(&serde_json::to_string(&line).expect("journal line serialization"));
-            out.push('\n');
-        }
-        match self.retry.run(|| atomic_write_with(&*self.io, &self.path, out.as_bytes())) {
+        let mut file = Vec::with_capacity(self.header.len() + state.body.len());
+        file.extend_from_slice(self.header.as_bytes());
+        file.extend_from_slice(&state.body);
+        match self.retry.run(|| atomic_write_with(&*self.io, &self.path, &file)) {
             Ok(()) => {
-                state.dirty = 0;
-                state.stats.flushes += 1;
+                state.rewrite = false;
+                state.mark_flushed(file.len());
             }
             Err(e) => {
                 if state.sticky_error.is_none() {
@@ -384,6 +439,22 @@ impl Journal {
             }
         }
     }
+
+    /// One append: the new lines as a single write, then an fsync.
+    fn append(&self, tail: &[u8]) -> std::io::Result<()> {
+        let mut file = self.io.open_append(&self.path)?;
+        file.write_all(tail)?;
+        file.sync_all()
+    }
+}
+
+/// The JSONL line, `\n` included, journaling `value` under `key`.
+fn record_line(key: &str, value: &Value) -> String {
+    let line = Value::Object(vec![
+        ("key".into(), Value::String(key.to_string())),
+        ("value".into(), value.clone()),
+    ]);
+    serde_json::to_string(&line).expect("journal line serialization") + "\n"
 }
 
 fn header_line(meta: &JournalMeta) -> String {
@@ -397,22 +468,35 @@ fn header_line(meta: &JournalMeta) -> String {
     serde_json::to_string(&header).expect("journal header serialization")
 }
 
+/// Loads the records of an existing journal file into `state`, validating
+/// the header against `meta`. Each loaded record's line goes into
+/// `state.body` as read, so the body equals the file's record bytes
+/// exactly when the file holds nothing else (no torn tail, blank or
+/// duplicate line). Works on bytes, so a tail torn inside a multi-byte
+/// character is just another torn line.
 fn load_existing(
     path: &Path,
-    text: &str,
+    bytes: &[u8],
     meta: &JournalMeta,
     state: &mut JournalState,
 ) -> Result<(), ReproError> {
-    let mut lines = text.lines();
-    let Some(first) = lines.next().filter(|l| !l.trim().is_empty()) else {
+    let is_blank = |line: &[u8]| line.iter().all(u8::is_ascii_whitespace);
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop(); // the terminator of the last line, not a line
+    }
+    let Some((&first, body)) = lines.split_first().filter(|(first, _)| !is_blank(first)) else {
         return Ok(()); // empty file: treat as a fresh journal
     };
-    let header: Value = serde_json::from_str(first).map_err(|e| {
-        ReproError::usage(format!(
-            "{}: unreadable journal header ({e}) — pass a fresh --resume directory",
-            path.display()
-        ))
-    })?;
+    let header: Value = std::str::from_utf8(first)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|e| {
+            ReproError::usage(format!(
+                "{}: unreadable journal header ({e}) — pass a fresh --resume directory",
+                path.display()
+            ))
+        })?;
     let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
     if schema != SCHEMA {
         return Err(ReproError::usage(format!(
@@ -461,23 +545,24 @@ fn load_existing(
             );
         }
     }
-    let body: Vec<&str> = lines.collect();
     for (i, line) in body.iter().enumerate() {
-        if line.trim().is_empty() {
+        if is_blank(line) {
             continue;
         }
-        let parsed: Result<Value, _> = serde_json::from_str(line);
-        let record = parsed.ok().and_then(|v| {
-            let key = v.get("key")?.as_str()?.to_string();
-            let value = v.get("value")?.clone();
-            Some((key, value))
-        });
+        let record = std::str::from_utf8(line)
+            .ok()
+            .and_then(|text| serde_json::from_str::<Value>(text).ok())
+            .and_then(|v| {
+                let key = v.get("key")?.as_str()?.to_string();
+                let value = v.get("value")?.clone();
+                Some((key, value))
+            });
         match record {
             Some((key, value)) => {
                 if !state.index.contains_key(&key) {
-                    state.records.push((key.clone(), value));
-                    let idx = state.records.len() - 1;
-                    state.index.insert(key, idx);
+                    state.body.extend_from_slice(line);
+                    state.body.push(b'\n');
+                    state.index.insert(key, value);
                     state.stats.resumed += 1;
                 }
             }
@@ -793,6 +878,172 @@ mod tests {
         assert_eq!(j.stats().recorded, 200);
         let j2 = Journal::open(&dir, &meta()).unwrap();
         assert_eq!(j2.resumed(), 200);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A campaign-shaped record stream: three cells of 50 runs with
+    /// seed-derived `f64` payloads.
+    fn record_stream() -> Vec<(String, Value)> {
+        let mut rng = dls_rng::SplitMix64::new(0x0DD5);
+        (0..150u32)
+            .map(|i| {
+                let value = Value::Array(vec![Value::F64(rng.next_f64() * 1e3), Value::U64(7)]);
+                (run_key(&format!("cell {}", i / 50), 0xAB, i % 50), value)
+            })
+            .collect()
+    }
+
+    /// Journals `stream` in `dir` through `io` at cadence `every`, closing
+    /// each cell with a flush as the runner does; returns the file bytes.
+    fn journal_stream(
+        dir: &Path,
+        io: Arc<dyn HostIo>,
+        retry: RetryPolicy,
+        every: usize,
+        stream: &[(String, Value)],
+    ) -> Vec<u8> {
+        let j = Journal::open_with_io(dir, &meta(), io, retry).unwrap().with_flush_every(every);
+        for (i, (k, v)) in stream.iter().enumerate() {
+            j.record(k.clone(), v.clone());
+            if i % 50 == 49 {
+                j.flush().unwrap();
+            }
+        }
+        j.flush().unwrap();
+        std::fs::read(j.path()).unwrap()
+    }
+
+    #[test]
+    fn flush_cadence_never_changes_the_bytes() {
+        let stream = record_stream();
+        let mut reference: Option<Vec<u8>> = None;
+        for every in [1, 2, 7, 64, 1_000_000] {
+            let dir = tmp_dir(&format!("cadence-{every}"));
+            let bytes =
+                journal_stream(&dir, Arc::new(RealIo), RetryPolicy::standard(), every, &stream);
+            assert_eq!(Journal::open(&dir, &meta()).unwrap().resumed(), 150);
+            match &reference {
+                None => reference = Some(bytes),
+                Some(r) => assert!(bytes == *r, "flush_every={every} changed the journal bytes"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn each_line_is_written_once_when_nothing_fails() {
+        let dir = tmp_dir("once");
+        let j = Journal::open(&dir, &meta()).unwrap().with_flush_every(3);
+        for (k, v) in record_stream() {
+            j.record(k, v);
+        }
+        j.flush().unwrap();
+        let size = std::fs::metadata(j.path()).unwrap().len();
+        assert_eq!(j.stats().flushes, 50);
+        assert_eq!(j.stats().bytes_written, size, "appends write no line twice");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_appends_fall_back_to_an_identical_rewrite() {
+        use dls_chaos::{ChaosIo, HostFaultPlan, IoOp};
+        let stream = record_stream();
+        let dir = tmp_dir("fallback-ref");
+        let reference = journal_stream(&dir, Arc::new(RealIo), RetryPolicy::standard(), 7, &stream);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let plans = [
+            // Every append fails to open: each flush becomes a rewrite.
+            HostFaultPlan::none().with_errors(1.0).only_ops(vec![IoOp::Append]),
+            // Half of all writes error, appended and tmp handles alike.
+            HostFaultPlan::none().with_seed(3).with_errors(0.5).only_ops(vec![IoOp::Write]),
+            // Half of all writes tear: stray prefixes land at the end of
+            // the journal itself, which only the rewrite can remove.
+            HostFaultPlan::none().with_seed(5).with_torn_writes(0.5),
+        ];
+        for (n, plan) in plans.into_iter().enumerate() {
+            let dir = tmp_dir(&format!("fallback-{n}"));
+            let io = Arc::new(ChaosIo::new(plan));
+            let bytes = journal_stream(&dir, io.clone(), RetryPolicy::no_delay(24), 7, &stream);
+            let stats = io.stats();
+            assert!(stats.errors_injected + stats.torn_writes > 0, "plan {n} injected nothing");
+            assert!(bytes == reference, "plan {n}: the fallback changed the journal bytes");
+            assert_eq!(lingering_tmp_files(&dir), Vec::<String>::new());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_rewrite_keeps_rewriting_and_stays_sticky() {
+        use dls_chaos::{ChaosIo, HostFaultPlan};
+        let dir = tmp_dir("sticky");
+        let j = Journal::open(&dir, &meta()).unwrap();
+        j.record(run_key("c", 1, 0), Value::U64(1));
+        j.flush().unwrap();
+        drop(j);
+        // Every write tears: the append strands a prefix in the journal
+        // and every rewrite attempt fails too.
+        let plan = HostFaultPlan::none().with_seed(9).with_torn_writes(1.0);
+        let j = Journal::open_with_io(
+            &dir,
+            &meta(),
+            Arc::new(ChaosIo::new(plan)),
+            RetryPolicy::no_delay(2),
+        )
+        .unwrap();
+        j.record(run_key("c", 1, 1), Value::U64(2));
+        let err = j.flush().unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_IO);
+        {
+            let state = j.state.lock().unwrap();
+            assert!(state.rewrite, "a torn append must never be appended onto");
+            assert!(state.persisted < state.body.len(), "the record is still pending");
+        }
+        assert_eq!(j.stats().flushes, 0);
+        // A later session drops the torn tail and heals the file.
+        let j = Journal::open(&dir, &meta()).unwrap();
+        assert_eq!(j.resumed(), 1);
+        j.record(run_key("c", 1, 1), Value::U64(2));
+        j.flush().unwrap();
+        let healed = std::fs::read(j.path()).unwrap();
+        let clean_dir = tmp_dir("sticky-clean");
+        let clean = Journal::open(&clean_dir, &meta()).unwrap();
+        clean.record(run_key("c", 1, 0), Value::U64(1));
+        clean.record(run_key("c", 1, 1), Value::U64(2));
+        clean.flush().unwrap();
+        assert!(healed == std::fs::read(clean.path()).unwrap(), "healed journal differs");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&clean_dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_a_clean_journal_and_flushing_performs_no_io() {
+        use dls_chaos::{ChaosIo, HostFaultPlan};
+        let dir = tmp_dir("no-io");
+        journal_stream(&dir, Arc::new(RealIo), RetryPolicy::standard(), 64, &record_stream());
+        let io = Arc::new(ChaosIo::new(HostFaultPlan::none()));
+        let j = Journal::open_with_io(&dir, &meta(), io.clone(), RetryPolicy::standard()).unwrap();
+        assert_eq!(j.resumed(), 150);
+        j.record(run_key("cell 0", 0xAB, 0), Value::U64(0)); // already journaled
+        j.flush().unwrap();
+        assert_eq!(io.ops_executed(), 0, "a clean, complete journal needs no writes");
+        assert_eq!(j.stats().bytes_written, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_header_from_another_build_is_rewritten_on_first_flush() {
+        let dir = tmp_dir("rev");
+        let mut old = meta();
+        old.git_rev = "0ldbu1d".into();
+        let j = Journal::open(&dir, &old).unwrap();
+        j.record(run_key("c", 1, 0), Value::U64(1));
+        j.flush().unwrap();
+        let j = Journal::open(&dir, &meta()).unwrap();
+        j.flush().unwrap();
+        let text = std::fs::read_to_string(j.path()).unwrap();
+        assert!(text.starts_with(&j.header), "the header names the last writer: {text}");
+        assert_eq!(j.resumed(), 1);
+        assert!(text.ends_with("\"value\":1}\n"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -411,7 +411,8 @@ pub fn batch_width_for(n: u64) -> usize {
 /// `campaign.runs_quarantined` count runs; `campaign.run_wall_s` times
 /// every run executed on its own and `campaign.batch_wall_s` every
 /// lockstep block; `journal.runs_skipped` / `journal.runs_recorded` count
-/// replays and checkpoints.
+/// replays and checkpoints, and `journal.bytes_written` the journal bytes
+/// the cell's flushes (automatic and final) handed to the host.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_resilient_batched<T, S, G, F>(
     runs: u32,
@@ -431,6 +432,15 @@ where
 {
     let batch_width = batch_width.max(1);
     let seeds: Vec<u64> = seed_stream(campaign_seed).take(runs as usize).collect();
+    let bytes_before = ctx.journal().map(|j| j.stats().bytes_written);
+    // The cell's closing flush, crediting `journal.bytes_written`.
+    let final_flush = || {
+        let flushed = ctx.flush();
+        if let (Some(j), Some(before)) = (ctx.journal(), bytes_before) {
+            telemetry.counter_add("journal.bytes_written", j.stats().bytes_written - before);
+        }
+        flushed
+    };
     let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
 
     // Replay journaled runs; anything missing or undecodable re-executes.
@@ -467,7 +477,7 @@ where
     }
 
     if ctx.is_cancelled() {
-        ctx.flush()?;
+        final_flush()?;
         return Err(ctx.interrupted_error());
     }
 
@@ -609,7 +619,7 @@ where
     }
 
     let cancelled = ctx.is_cancelled();
-    ctx.flush()?;
+    final_flush()?;
     if cancelled {
         return Err(ctx.interrupted_error());
     }

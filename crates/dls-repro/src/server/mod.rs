@@ -861,14 +861,12 @@ fn parse_run_request(body: &[u8]) -> Result<(String, HagerupConfig), ReproError>
     let text = std::str::from_utf8(body).map_err(|_| spec_err("request body is not UTF-8"))?;
     let value: Value =
         serde_json::from_str(text).map_err(|e| spec_err(format!("request is not JSON: {e}")))?;
-    let obj = value.as_object().ok_or_else(|| spec_err("request must be a JSON object"))?;
+    if value.as_object().is_none() {
+        return Err(spec_err("request must be a JSON object"));
+    }
 
     const KNOWN: [&str; 6] = ["fig", "runs", "seed", "pes", "techniques", "threads"];
-    for (field, _) in obj {
-        if !KNOWN.contains(&field.as_str()) {
-            return Err(spec_err(format!("unknown field `{field}` (known: {})", KNOWN.join(", "))));
-        }
-    }
+    crate::spec::reject_unknown_fields(&value, &KNOWN).map_err(spec_err)?;
 
     let fig = value
         .get("fig")

@@ -6,11 +6,16 @@
 //! of runs, measured values). [`ExperimentSpec`] captures exactly that and
 //! round-trips through JSON — the workspace's analog of SimGrid's platform
 //! and deployment files.
+//!
+//! The strict-input helpers ([`reject_unknown_fields`], [`load_json_plan`])
+//! check fault plans, host fault plans and `POST /run` bodies, so a typo'd
+//! key is refused instead of silently running with the field's default.
 
+use crate::error::ReproError;
 use dls_core::Technique;
 use dls_platform::Platform;
 use dls_workload::Workload;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Which quantity an experiment measures (Figure 2 "Measured Value(s)").
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
@@ -86,6 +91,43 @@ impl ExperimentSpec {
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
+}
+
+/// Names the first field of the JSON object `value` that is not in
+/// `known`, together with the known set. A non-object passes: decoding
+/// rejects it with a better message.
+pub fn reject_unknown_fields(value: &Value, known: &[&str]) -> Result<(), String> {
+    let fields = value.as_object().unwrap_or_default();
+    match fields.iter().find(|(field, _)| !known.contains(&field.as_str())) {
+        Some((field, _)) => Err(format!("unknown field `{field}` (known: {})", known.join(", "))),
+        None => Ok(()),
+    }
+}
+
+/// Loads the JSON plan file at `path` strictly: an unreadable file is an
+/// I/O error (exit 3); undecodable JSON, a top-level field `T` does not
+/// have, or a plan `validate` refuses is an invalid spec (exit 4). The
+/// known fields are read off `T::default()`'s JSON form, so they cannot
+/// drift from the struct.
+pub fn load_json_plan<T, E>(
+    path: &str,
+    what: &str,
+    validate: impl Fn(&T) -> Result<(), E>,
+) -> Result<T, ReproError>
+where
+    T: Default + Serialize + for<'de> Deserialize<'de>,
+    E: std::fmt::Display,
+{
+    let text = std::fs::read_to_string(path).map_err(|e| ReproError::io(format!("{path}: {e}")))?;
+    let invalid = |e: String| ReproError::invalid_spec(format!("{path}: invalid {what}: {e}"));
+    let value: Value = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+    let template = T::default().to_value();
+    let known: Vec<&str> =
+        template.as_object().unwrap_or_default().iter().map(|(k, _)| k.as_str()).collect();
+    reject_unknown_fields(&value, &known).map_err(invalid)?;
+    let plan = T::from_value(&value).map_err(|e| invalid(e.to_string()))?;
+    validate(&plan).map_err(|e| ReproError::invalid_spec(format!("{path}: {e}")))?;
+    Ok(plan)
 }
 
 #[cfg(test)]

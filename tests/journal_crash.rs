@@ -4,9 +4,11 @@
 //! prefix of the original records or be refused with a typed usage error.
 //! Never a panic, and never a silently merged partial record.
 //!
-//! (The journal's own writer is atomic-rename based, so these states
-//! cannot arise from `repro` itself; this pins the *loader's* tolerance to
-//! hostile bytes — copied journals, other tools, failing disks.)
+//! The journal's writer appends each flush's lines to the file, so a crash
+//! mid-append leaves exactly these states: every earlier line intact plus
+//! a torn tail. Resuming from any of them and recording the lost runs must
+//! end in a file byte-identical to an uninterrupted run's — no torn bytes
+//! stranded mid-file.
 
 use dls_suite::dls_repro::journal::{run_key, Journal, JournalMeta, JOURNAL_FILE};
 use dls_suite::dls_rng::SplitMix64;
@@ -41,6 +43,19 @@ fn build_reference(dir: &Path) -> Vec<(String, Value)> {
     }
     j.flush().unwrap();
     records
+}
+
+/// Records every run of `records` the journal in `dir` lacks, in order,
+/// flushing after each one (the append path), and returns the file bytes.
+fn resume_and_finish(dir: &Path, records: &[(String, Value)]) -> Vec<u8> {
+    let j = Journal::open(dir, &meta()).unwrap().with_flush_every(1);
+    for (k, v) in records {
+        if j.lookup(k).is_none() {
+            j.record(k.clone(), v.clone());
+        }
+    }
+    j.flush().unwrap();
+    std::fs::read(dir.join(JOURNAL_FILE)).unwrap()
 }
 
 #[test]
@@ -114,5 +129,63 @@ fn a_truncated_then_resumed_journal_reexecutes_only_the_lost_suffix() {
     for (k, v) in &records {
         assert_eq!(j2.lookup(k).as_ref(), Some(v));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resuming_from_every_truncation_offset_ends_byte_identical_to_a_clean_run() {
+    let ref_dir = tmp_dir("ident-ref");
+    let records = build_reference(&ref_dir);
+    let reference = std::fs::read(ref_dir.join(JOURNAL_FILE)).unwrap();
+
+    let work = tmp_dir("ident-work");
+    let mut resumed = 0u32;
+    for cut in 0..=reference.len() {
+        std::fs::write(work.join(JOURNAL_FILE), &reference[..cut]).unwrap();
+        if Journal::open(&work, &meta()).is_err() {
+            continue; // a cut inside the header: refused (pinned above)
+        }
+        let finished = resume_and_finish(&work, &records);
+        assert!(
+            finished == reference,
+            "cut@{cut}: resumed journal differs from the clean run:\n{}",
+            String::from_utf8_lossy(&finished)
+        );
+        resumed += 1;
+    }
+    // Every cut past the header resumes (the header line is the only
+    // refusal zone), and so does the empty file.
+    let header_len = reference.iter().position(|&b| b == b'\n').unwrap();
+    assert!(resumed as usize >= reference.len() - header_len, "only {resumed} cuts resumed");
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn a_complete_last_line_without_its_newline_is_kept_and_healed() {
+    let ref_dir = tmp_dir("nl-ref");
+    let records = build_reference(&ref_dir);
+    let reference = std::fs::read(ref_dir.join(JOURNAL_FILE)).unwrap();
+    let dir = tmp_dir("nl");
+    std::fs::write(dir.join(JOURNAL_FILE), &reference[..reference.len() - 1]).unwrap();
+
+    // The last record is whole: it loads, and is not counted as torn.
+    let j = Journal::open(&dir, &meta()).unwrap();
+    assert_eq!(j.resumed() as usize, records.len());
+    assert_eq!(j.stats().torn_lines, 0);
+    // Nothing new to record, yet the first flush restores the newline
+    // instead of leaving a file the next append would glue onto.
+    j.flush().unwrap();
+    assert!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap() == reference);
+
+    // With the last record lost as well, so the penultimate one is the
+    // unterminated line: the re-recorded run lands on its own line.
+    let last_line_start =
+        reference[..reference.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    std::fs::write(dir.join(JOURNAL_FILE), &reference[..last_line_start - 1]).unwrap();
+    assert!(resume_and_finish(&dir, &records) == reference);
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

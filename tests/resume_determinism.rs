@@ -6,7 +6,7 @@
 use dls_suite::dls_core::Technique;
 use dls_suite::dls_repro::error::ReproError;
 use dls_suite::dls_repro::hagerup_exp::{run_figure_resilient, HagerupConfig};
-use dls_suite::dls_repro::journal::{Journal, JournalMeta};
+use dls_suite::dls_repro::journal::{Journal, JournalMeta, JOURNAL_FILE};
 use dls_suite::dls_repro::runner::{run_campaign_resilient_batched, ExecContext};
 use dls_suite::dls_repro::sweep::{run_sweep_resilient, SweepConfig};
 use dls_suite::dls_repro::{faults, sweep};
@@ -120,6 +120,10 @@ fn interrupted_sweep_resumes_bit_identical_and_counts_skips() {
     assert!(!journal_counters.is_empty(), "journal.* counters must be recorded");
     assert!(skipped >= 3, "resume must skip the journaled runs (skipped={skipped})");
     assert_eq!(recorded, 2 * families * 4, "every run is journaled exactly once");
+    // Every journal line is written once across both sessions: the
+    // resumed session appends to the clean file the interrupted one left.
+    let journal_len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+    assert_eq!(snap.counter("journal.bytes_written"), Some(journal_len));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
