@@ -16,6 +16,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dls_core::{ChunkScheduler, LoopSetup, Technique};
 use dls_hagerup::DirectSimulator;
 use dls_metrics::{OverheadModel, SummaryStats};
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 use dls_workload::Workload;
 use std::time::Duration;
 
@@ -68,7 +70,12 @@ fn mean_wasted(
     let mut stats = SummaryStats::new();
     for seed in 0..runs {
         let tasks = workload.generate(seed);
-        let out = sim.run_with(build(&setup), &tasks);
+        let out = sim.run_with_ref(
+            build(&setup).as_mut(),
+            &tasks,
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        );
         stats.push(out.average_wasted(overhead));
     }
     stats.mean()

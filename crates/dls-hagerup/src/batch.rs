@@ -126,7 +126,8 @@ impl BatchDirectSimulator {
 
     /// [`BatchDirectSimulator::run_batch`] with host-side telemetry: the
     /// per-run counters (`hagerup.run_calls/chunks/tasks`) advance exactly
-    /// as if each run had gone through `DirectSimulator::run_metered`, plus
+    /// as if each run had gone through [`DirectSimulator::run_with_ref`]
+    /// with the same registry, plus
     /// one `hagerup.batch_wall_s` observation and a `hagerup.batch_calls`
     /// tick for the batch itself.
     pub fn run_batch_metered(

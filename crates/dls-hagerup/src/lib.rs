@@ -22,6 +22,15 @@
 //! [`OverheadModel`]: post-hoc (`h × chunks` added to the run's average
 //! wasted time — Hagerup's accounting, reproduced by the paper) or
 //! in-dynamics (each chunk costs `h` on its PE before execution).
+//!
+//! # Entry points
+//!
+//! [`DirectSimulator::run`] validates the setup and builds the technique's
+//! scheduler; [`DirectSimulator::run_with_ref`] takes a caller-built
+//! scheduler plus a [`Tracer`] and a [`Telemetry`] registry (pass disabled
+//! handles for a plain run). [`BatchDirectSimulator::run_batch`] runs many
+//! seeds of one cell, bit-identical to `run` per seed, and
+//! [`BatchDirectSimulator::run_batch_metered`] adds telemetry to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -174,7 +183,9 @@ impl DirectSimulator {
         self.p
     }
 
-    /// Runs one simulation of `technique` over the task-time realization.
+    /// Runs one uninstrumented simulation of `technique` over the
+    /// task-time realization, with a fresh scheduler built (and its setup
+    /// validated) by [`Technique::build`].
     ///
     /// The `setup` must agree with the simulator (`setup.p == self.p`) and
     /// the workload (`setup.n == tasks.len()`).
@@ -190,86 +201,42 @@ impl DirectSimulator {
         if setup.n != tasks.len() as u64 {
             return Err(SetupError::BadParam("setup.n must match the workload length"));
         }
-        let scheduler = technique.build(setup)?;
-        Ok(self.run_with(scheduler, tasks))
-    }
-
-    /// Like [`DirectSimulator::run`], but streams chunk-lifecycle events
-    /// (assign, start, complete) into the given [`Tracer`]. A disabled
-    /// tracer makes this identical to `run`.
-    ///
-    /// The tracer is a per-call argument (not simulator state) so the
-    /// simulator itself stays `Sync` and shareable across campaign threads.
-    pub fn run_traced(
-        &self,
-        technique: Technique,
-        setup: &LoopSetup,
-        tasks: &TaskTimes,
-        tracer: &Tracer,
-    ) -> Result<DirectOutcome, SetupError> {
-        if setup.p != self.p {
-            return Err(SetupError::BadParam("setup.p must match the simulator's PE count"));
-        }
-        if setup.n != tasks.len() as u64 {
-            return Err(SetupError::BadParam("setup.n must match the workload length"));
-        }
         let mut scheduler = technique.build(setup)?;
-        Ok(self.run_with_ref_traced(scheduler.as_mut(), tasks, tracer))
+        Ok(self.run_with_ref(
+            scheduler.as_mut(),
+            tasks,
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        ))
     }
 
-    /// Like [`DirectSimulator::run_traced`], but additionally records
-    /// host-side `hagerup.*` metrics (wall time, chunk counts) into the
-    /// given [`Telemetry`] registry.
-    ///
-    /// Telemetry is recorded only after the dispatch loop finishes, so the
-    /// outcome is bit-identical to [`DirectSimulator::run`] (enforced by
-    /// the workspace `telemetry_determinism` tests).
-    pub fn run_metered(
-        &self,
-        technique: Technique,
-        setup: &LoopSetup,
-        tasks: &TaskTimes,
-        tracer: &Tracer,
-        telemetry: &Telemetry,
-    ) -> Result<DirectOutcome, SetupError> {
-        let wall = telemetry.span("hagerup.run_wall_s");
-        let out = self.run_traced(technique, setup, tasks, tracer)?;
-        wall.finish();
-        telemetry.counter_inc("hagerup.run_calls");
-        telemetry.counter_add("hagerup.chunks", out.chunks);
-        telemetry.counter_add("hagerup.tasks", setup.n);
-        Ok(out)
-    }
-
-    /// Runs with a pre-built scheduler (for custom techniques).
-    pub fn run_with(
-        &self,
-        mut scheduler: Box<dyn ChunkScheduler>,
-        tasks: &TaskTimes,
-    ) -> DirectOutcome {
-        self.run_with_ref(scheduler.as_mut(), tasks)
-    }
-
-    /// Runs with a borrowed scheduler — the time-stepping building block:
-    /// call [`ChunkScheduler::start_time_step`] between invocations and the
+    /// Runs with a borrowed, caller-built scheduler — custom techniques,
+    /// instrumented runs, and the time-stepping building block: call
+    /// [`ChunkScheduler::start_time_step`] between invocations and the
     /// scheduler's adaptive state carries across steps.
+    ///
+    /// The [`Tracer`] receives chunk-lifecycle events (assign, start,
+    /// complete); the [`Telemetry`] registry receives host-side `hagerup.*`
+    /// metrics (wall time, chunk and task counts), recorded only after the
+    /// dispatch loop finishes. Both are per-call arguments, not simulator
+    /// state, so the simulator stays `Sync` and shareable across campaign
+    /// threads; an instrumented run is bit-identical to one with disabled
+    /// handles (enforced by the workspace `trace_determinism` and
+    /// `telemetry_determinism` tests).
     pub fn run_with_ref(
         &self,
         scheduler: &mut dyn ChunkScheduler,
         tasks: &TaskTimes,
-    ) -> DirectOutcome {
-        self.run_with_ref_traced(scheduler, tasks, &Tracer::disabled())
-    }
-
-    /// [`DirectSimulator::run_with_ref`] with a trace sink attached (see
-    /// [`DirectSimulator::run_traced`]).
-    pub fn run_with_ref_traced(
-        &self,
-        scheduler: &mut dyn ChunkScheduler,
-        tasks: &TaskTimes,
         tracer: &Tracer,
+        telemetry: &Telemetry,
     ) -> DirectOutcome {
-        self.run_core(scheduler, tasks, tracer, ReadyQueue::new(self.p))
+        let wall = telemetry.span("hagerup.run_wall_s");
+        let out = self.run_core(scheduler, tasks, tracer, ReadyQueue::new(self.p));
+        wall.finish();
+        telemetry.counter_inc("hagerup.run_calls");
+        telemetry.counter_add("hagerup.chunks", out.chunks);
+        telemetry.counter_add("hagerup.tasks", tasks.len() as u64);
+        out
     }
 
     /// Forces the binary-heap availability queue regardless of PE count.
@@ -488,8 +455,8 @@ mod tests {
         let s = setup(1000, 4);
         let plain = sim.run(Technique::Fac2, &s, &tasks).unwrap();
         let tel = Telemetry::enabled();
-        let metered =
-            sim.run_metered(Technique::Fac2, &s, &tasks, &Tracer::disabled(), &tel).unwrap();
+        let mut sched = Technique::Fac2.build(&s).unwrap();
+        let metered = sim.run_with_ref(sched.as_mut(), &tasks, &Tracer::disabled(), &tel);
         assert_eq!(plain, metered);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("hagerup.run_calls"), Some(1));
@@ -550,7 +517,13 @@ mod tests {
         for step in 0..5 {
             sched.start_time_step();
             let tasks = workload.generate(step);
-            makespans.push(sim.run_with_ref(sched.as_mut(), &tasks).makespan);
+            let out = sim.run_with_ref(
+                sched.as_mut(),
+                &tasks,
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
+            );
+            makespans.push(out.makespan);
         }
         // Step 1 is uniform-weighted (imbalanced); later steps learn.
         assert!(makespans[4] < 0.75 * makespans[0], "AWF must improve across steps: {makespans:?}");

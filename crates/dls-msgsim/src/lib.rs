@@ -14,6 +14,17 @@
 //! each message transfer. However ... the assumption is made that the
 //! application data is replicated and no data transfer is necessary.").
 //!
+//! # Entry points
+//!
+//! Every run reaches one simulation core through one of two functions:
+//! [`simulate_with_tasks`], where the simulator builds the scheduler, and
+//! [`simulate_with_scheduler_metered`], where the caller holds it (time
+//! stepping). [`simulate`] (a seed instead of a realization) and
+//! [`simulate_time_steps`] are conveniences over them. Instrumentation is
+//! an argument, not a variant: pass `&Tracer::disabled()` and
+//! `&Telemetry::disabled()` for a plain run. [`SimSpec::check`] is the one
+//! validity check every path shares.
+//!
 //! # Example
 //!
 //! ```
@@ -43,7 +54,7 @@ pub use outcome::{FaultStats, SimOutcome};
 pub use spec::{MessageSizes, Recovery, SimSpec};
 
 use actors::{FaultInjector, Master, SharedStats, Worker};
-use dls_core::SetupError;
+use dls_core::{ChunkScheduler, SetupError};
 use dls_des::Engine;
 use dls_telemetry::Telemetry;
 use dls_trace::Tracer;
@@ -51,62 +62,42 @@ use dls_workload::TaskTimes;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Runs one simulation, generating the workload realization from `seed`.
+/// Runs one uninstrumented simulation, generating the workload realization
+/// from `seed`.
 pub fn simulate(spec: &SimSpec, seed: u64) -> Result<SimOutcome, SetupError> {
-    simulate_with_tasks(spec, &spec.workload.generate(seed))
+    simulate_with_tasks(
+        spec,
+        &spec.workload.generate(seed),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
+    )
 }
 
-/// Runs one simulation over a caller-provided task-time realization.
+/// Runs one simulation over a caller-provided task-time realization, with a
+/// fresh scheduler built from the spec's technique.
 ///
 /// Sharing the realization with another simulator (e.g. `dls-hagerup`)
 /// isolates *simulator* differences from sampling noise — the comparison
 /// at the heart of the paper's Figures 5–8.
-pub fn simulate_with_tasks(spec: &SimSpec, tasks: &TaskTimes) -> Result<SimOutcome, SetupError> {
-    simulate_with_tasks_metered(spec, tasks, &Tracer::disabled(), &Telemetry::disabled())
-}
-
-/// [`simulate_with_tasks`] with a trace sink and a telemetry registry
-/// attached.
 ///
 /// The [`Tracer`] receives chunk-lifecycle and message events; the
 /// [`Telemetry`] registry receives host-side `msgsim.*` metrics (wall time,
 /// engine event counts, delivery-fault counters). Both are observational:
 /// telemetry records only *after* the engine has finished and trace hooks
 /// never feed back into the simulation, so an instrumented run is
-/// bit-identical to [`simulate_with_tasks`] (enforced by the workspace
+/// bit-identical to one with disabled handles (enforced by the workspace
 /// `trace_determinism` and `telemetry_determinism` tests). Disabled
 /// handles make every hook a single branch.
-pub fn simulate_with_tasks_metered(
+pub fn simulate_with_tasks(
     spec: &SimSpec,
     tasks: &TaskTimes,
     tracer: &Tracer,
     telemetry: &Telemetry,
 ) -> Result<SimOutcome, SetupError> {
-    let setup = spec.loop_setup();
-    let scheduler = Rc::new(RefCell::new(spec.technique.build(&setup)?));
-    simulate_core(spec, tasks, scheduler, &setup, tracer, telemetry)
+    simulate_core(spec, tasks, None, tracer, telemetry)
 }
 
-/// [`simulate_with_tasks_metered`] for callers that already derived the
-/// spec's [`dls_core::LoopSetup`] — campaign drivers build spec and setup
-/// once per grid cell and replicate thousands of runs against them, so the
-/// per-run work shrinks to constructing the fresh scheduler.
-///
-/// `setup` must be the value of `spec.loop_setup()`; handing a foreign
-/// setup produces a simulation of that setup, not of `spec`.
-pub fn simulate_with_setup_metered(
-    spec: &SimSpec,
-    tasks: &TaskTimes,
-    setup: &dls_core::LoopSetup,
-    tracer: &Tracer,
-    telemetry: &Telemetry,
-) -> Result<SimOutcome, SetupError> {
-    let scheduler = Rc::new(RefCell::new(spec.technique.build(setup)?));
-    simulate_core(spec, tasks, scheduler, setup, tracer, telemetry)
-}
-
-/// Runs one simulation with a caller-owned scheduler handle, trace sink and
-/// telemetry registry.
+/// [`simulate_with_tasks`] with a caller-owned scheduler handle.
 ///
 /// This is the building block for time-stepping applications: the caller
 /// keeps the `Rc` across steps so adaptive techniques (AWF, AF) carry
@@ -115,39 +106,31 @@ pub fn simulate_with_setup_metered(
 pub fn simulate_with_scheduler_metered(
     spec: &SimSpec,
     tasks: &TaskTimes,
-    scheduler: Rc<RefCell<Box<dyn dls_core::ChunkScheduler>>>,
+    scheduler: Rc<RefCell<Box<dyn ChunkScheduler>>>,
     tracer: &Tracer,
     telemetry: &Telemetry,
 ) -> Result<SimOutcome, SetupError> {
-    let setup = spec.loop_setup();
-    simulate_core(spec, tasks, scheduler, &setup, tracer, telemetry)
+    simulate_core(spec, tasks, Some(scheduler), tracer, telemetry)
 }
 
-/// The shared implementation behind the metered entry points, taking
-/// the already-built [`dls_core::LoopSetup`] so callers that construct the
-/// scheduler themselves do not pay for a second setup derivation per run.
+/// The one simulation core: checks the spec ([`SimSpec::check`], which
+/// builds the scheduler unless the caller `held` one) and the realization,
+/// then runs the master–worker engine.
 fn simulate_core(
     spec: &SimSpec,
     tasks: &TaskTimes,
-    scheduler: Rc<RefCell<Box<dyn dls_core::ChunkScheduler>>>,
-    setup: &dls_core::LoopSetup,
+    held: Option<Rc<RefCell<Box<dyn ChunkScheduler>>>>,
     tracer: &Tracer,
     telemetry: &Telemetry,
 ) -> Result<SimOutcome, SetupError> {
     let _wall = telemetry.span("msgsim.simulate_wall_s");
-    setup.validate()?;
-    if tasks.len() as u64 != setup.n {
+    let scheduler = spec.check(held)?;
+    let n = spec.workload.n();
+    if tasks.len() as u64 != n {
         return Err(SetupError::BadParam("task realization length must equal workload n"));
     }
     let p = spec.platform.num_hosts();
-
     let plan = &spec.faults;
-    if plan.validate().is_err() {
-        return Err(SetupError::BadParam("invalid fault plan"));
-    }
-    if plan.max_worker().is_some_and(|w| w >= p) {
-        return Err(SetupError::BadParam("fault plan references a worker the platform lacks"));
-    }
 
     let stats = Rc::new(RefCell::new(SharedStats::new(p)));
     if spec.record_chunks {
@@ -182,9 +165,9 @@ fn simulate_core(
     telemetry.observe_secs("msgsim.max_queue", engine_stats.max_queue as f64);
 
     let mut s = stats.borrow_mut();
-    debug_assert_eq!(s.assigned_tasks, setup.n, "all tasks must be assigned exactly once");
+    debug_assert_eq!(s.assigned_tasks, n, "all tasks must be assigned exactly once");
     if plan.is_none() {
-        debug_assert_eq!(s.faults.completed_tasks, setup.n, "fault-free runs complete every task");
+        debug_assert_eq!(s.faults.completed_tasks, n, "fault-free runs complete every task");
     }
     telemetry.counter_add("msgsim.chunks", s.chunks);
     let mut faults = std::mem::take(&mut s.faults);
@@ -217,9 +200,7 @@ pub fn simulate_time_steps(
     spec: &SimSpec,
     step_seeds: &[u64],
 ) -> Result<Vec<SimOutcome>, SetupError> {
-    let setup = spec.loop_setup();
-    setup.validate()?;
-    let scheduler = Rc::new(RefCell::new(spec.technique.build(&setup)?));
+    let scheduler = spec.check(None)?;
     let mut outcomes = Vec::with_capacity(step_seeds.len());
     for &seed in step_seeds {
         scheduler.borrow_mut().start_time_step();
@@ -284,7 +265,8 @@ mod tests {
     fn shared_realization_matches_workload() {
         let sp = spec(Technique::Fac2, 256, 4);
         let tasks = sp.workload.generate(3);
-        let a = simulate_with_tasks(&sp, &tasks).unwrap();
+        let a =
+            simulate_with_tasks(&sp, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
         let b = simulate(&sp, 3).unwrap();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.chunks, b.chunks);
@@ -314,7 +296,9 @@ mod tests {
     fn mismatched_tasks_rejected() {
         let sp = spec(Technique::SS, 100, 2);
         let wrong = Workload::constant(50, 1.0).generate(0);
-        assert!(simulate_with_tasks(&sp, &wrong).is_err());
+        assert!(
+            simulate_with_tasks(&sp, &wrong, &Tracer::disabled(), &Telemetry::disabled()).is_err()
+        );
     }
 
     #[test]
@@ -548,7 +532,7 @@ mod tests {
         let plain = simulate(&sp, 3).unwrap();
         let tel = Telemetry::enabled();
         let tasks = sp.workload.generate(3);
-        let metered = simulate_with_tasks_metered(&sp, &tasks, &Tracer::disabled(), &tel).unwrap();
+        let metered = simulate_with_tasks(&sp, &tasks, &Tracer::disabled(), &tel).unwrap();
         assert_eq!(plain, metered);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("msgsim.simulate_calls"), Some(1));

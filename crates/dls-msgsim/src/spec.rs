@@ -1,11 +1,13 @@
 //! Simulation specification: the full "information required for performing
 //! a DLS simulation" of paper Figure 2.
 
-use dls_core::{LoopSetup, Technique};
+use dls_core::{ChunkScheduler, LoopSetup, SetupError, Technique};
 use dls_faults::FaultPlan;
 use dls_metrics::OverheadModel;
 use dls_platform::Platform;
 use dls_workload::Workload;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Recovery-protocol tuning for the fault-tolerant master and workers.
 ///
@@ -160,6 +162,38 @@ impl SimSpec {
             setup = setup.with_weights(speeds);
         }
         setup
+    }
+
+    /// Decides whether this spec is runnable — the one check every
+    /// simulation entry point and every campaign's up-front validation
+    /// share. It rejects an invalid [`LoopSetup`] (n = 0, p = 0, bad
+    /// moments or `h`), an invalid technique parameter, an inconsistent
+    /// fault plan, and a plan that names a worker the platform lacks.
+    ///
+    /// Returns the scheduler a run starts with: `held` when the caller
+    /// keeps its own scheduler across runs (its technique is then the
+    /// caller's business), otherwise a fresh one built from `technique` —
+    /// so no run builds a scheduler twice. A campaign checking a spec up
+    /// front passes `None` and drops the result.
+    pub fn check(
+        &self,
+        held: Option<Rc<RefCell<Box<dyn ChunkScheduler>>>>,
+    ) -> Result<Rc<RefCell<Box<dyn ChunkScheduler>>>, SetupError> {
+        let setup = self.loop_setup();
+        let scheduler = match held {
+            Some(scheduler) => {
+                setup.validate()?;
+                scheduler
+            }
+            None => Rc::new(RefCell::new(self.technique.build(&setup)?)),
+        };
+        if self.faults.validate().is_err() {
+            return Err(SetupError::BadParam("invalid fault plan"));
+        }
+        if self.faults.max_worker().is_some_and(|w| w >= self.num_workers()) {
+            return Err(SetupError::BadParam("fault plan references a worker the platform lacks"));
+        }
+        Ok(scheduler)
     }
 }
 

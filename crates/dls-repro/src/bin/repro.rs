@@ -447,12 +447,8 @@ fn cmd_tss(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproError
 }
 
 fn cmd_hagerup(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
-    let n = match fig {
-        "fig5" => 1_024,
-        "fig6" => 8_192,
-        "fig7" => 65_536,
-        _ => 524_288,
-    };
+    let n = hagerup_exp::figure_n(fig)
+        .ok_or_else(|| ReproError::usage(format!("unknown figure `{fig}`")))?;
     let mut cfg = HagerupConfig::paper(n, o.runs);
     cfg.threads = o.threads;
     if let Some(s) = o.seed {
@@ -465,18 +461,7 @@ fn cmd_hagerup(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproE
         cfg.techniques = ts.clone();
     }
     let logger = logger_for(o);
-    let ctx = with_observability(
-        exec_context(
-            fig,
-            format!(
-                "n={} pes={:?} runs={} h={} mean={} seed={:#x} oracle={:?} techniques={:?}",
-                cfg.n, cfg.pes, cfg.runs, cfg.h, cfg.mean, cfg.seed, cfg.oracle, cfg.techniques
-            ),
-            cfg.seed,
-            o,
-        )?,
-        &logger,
-    );
+    let ctx = with_observability(exec_context(fig, cfg.fingerprint(), cfg.seed, o)?, &logger);
     eprintln!(
         "{fig}: n={n}, pes={:?}, runs={}, h={}, exp(mu=1s) — running...",
         cfg.pes, cfg.runs, cfg.h
@@ -622,20 +607,8 @@ fn cmd_sweep(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
         cfg.seed = s;
     }
     cfg.threads = o.threads;
-    let family_names: Vec<String> = cfg.families.iter().map(|f| f.name.to_string()).collect();
     let logger = logger_for(o);
-    let ctx = with_observability(
-        exec_context(
-            "sweep",
-            format!(
-                "ns={:?} pes={:?} families={:?} techniques={:?} runs={} h={} seed={:#x}",
-                cfg.ns, cfg.pes, family_names, cfg.techniques, cfg.runs, cfg.h, cfg.seed
-            ),
-            cfg.seed,
-            o,
-        )?,
-        &logger,
-    );
+    let ctx = with_observability(exec_context("sweep", cfg.fingerprint(), cfg.seed, o)?, &logger);
     eprintln!(
         "sweep: ns={:?}, pes={:?}, {} families x {} techniques, runs={}...",
         cfg.ns,
@@ -693,20 +666,8 @@ fn cmd_faults(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
             .unwrap_or_else(|| path.clone());
         cfg.scenarios = vec![FaultScenario { name, plan }];
     }
-    let scenario_names: Vec<String> = cfg.scenarios.iter().map(|s| s.name.to_string()).collect();
     let logger = logger_for(o);
-    let ctx = with_observability(
-        exec_context(
-            "faults",
-            format!(
-                "n={} p={} techniques={:?} scenarios={:?} runs={} h={} seed={:#x}",
-                cfg.n, cfg.p, cfg.techniques, scenario_names, cfg.runs, cfg.h, cfg.seed
-            ),
-            cfg.seed,
-            o,
-        )?,
-        &logger,
-    );
+    let ctx = with_observability(exec_context("faults", cfg.fingerprint(), cfg.seed, o)?, &logger);
     eprintln!(
         "faults: n={}, p={}, {} techniques x {} scenarios, runs={} — running...",
         cfg.n,

@@ -13,7 +13,7 @@ use crate::runner::{cell_seed, run_campaign_resilient_batched, ExecContext};
 use dls_core::{SetupError, Technique};
 use dls_faults::FaultPlan;
 use dls_metrics::{flexibility, makespan_degradation, wasted_work_fraction, SummaryStats};
-use dls_msgsim::{simulate_with_tasks_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_trace::Tracer;
@@ -70,6 +70,20 @@ impl Default for FaultSweepConfig {
             seed: 0xFA17,
             threads: crate::runner::default_threads(),
         }
+    }
+}
+
+impl FaultSweepConfig {
+    /// The sweep's identity for `--resume` journals: every field that can
+    /// change a row (`threads` never does; scenarios enter by name).
+    /// Existing journals embed this text, so its rendering must never
+    /// change.
+    pub fn fingerprint(&self) -> String {
+        let scenarios: Vec<&str> = self.scenarios.iter().map(|s| s.name.as_str()).collect();
+        format!(
+            "n={} p={} techniques={:?} scenarios={:?} runs={} h={} seed={:#x}",
+            self.n, self.p, self.techniques, scenarios, self.runs, self.h, self.seed
+        )
     }
 }
 
@@ -134,6 +148,9 @@ pub struct FaultRow {
     pub all_completed: bool,
 }
 
+/// The fault-free spec of a technique's cells — the baseline campaign
+/// runs it as is, each scenario campaign with its plan attached — and the
+/// one `trace::trace_fault_cell` traces.
 pub(crate) fn cell_spec(
     cfg: &FaultSweepConfig,
     technique: Technique,
@@ -178,22 +195,19 @@ pub fn run_fault_sweep_resilient(
     ctx: &ExecContext,
 ) -> Result<Vec<FaultRow>, ReproError> {
     let _wall = telemetry.span("faults.wall_s");
-    for s in &cfg.scenarios {
-        s.plan.validate().map_err(|_| SetupError::BadParam("invalid fault plan"))?;
-        if s.plan.max_worker().is_some_and(|w| w >= cfg.p) {
-            return Err(
-                SetupError::BadParam("fault plan references a worker the platform lacks").into()
-            );
+    // Check every cell's spec before the first campaign runs: a bad
+    // configuration or plan must surface as Err, not as a panic inside a
+    // worker thread or after half the sweep is journaled.
+    for &technique in &cfg.techniques {
+        let spec = cell_spec(cfg, technique)?;
+        spec.check(None)?;
+        for s in &cfg.scenarios {
+            spec.clone().with_faults(s.plan.clone()).check(None)?;
         }
     }
     let mut rows = Vec::new();
     for (ti, &technique) in cfg.techniques.iter().enumerate() {
         let spec = cell_spec(cfg, technique)?;
-        // Surface a bad configuration as Err before the campaign, not as a
-        // panic inside a worker thread.
-        let setup = spec.loop_setup();
-        setup.validate()?;
-        technique.build(&setup)?;
         // Stream-derived per-technique seeds (see `runner::cell_seed`); the
         // old `seed ^ n ^ (p << 24)` mixing was precedence-fragile and
         // could collide across configurations.
@@ -212,8 +226,8 @@ pub fn run_fault_sweep_resilient(
                     .iter()
                     .map(|&(_, run_seed)| {
                         let tasks = spec.workload.generate(run_seed);
-                        simulate_with_tasks_metered(&spec, &tasks, &Tracer::disabled(), telemetry)
-                            .expect("validated spec cannot fail")
+                        simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), telemetry)
+                            .expect("checked spec cannot fail")
                             .makespan
                     })
                     .collect()
@@ -274,8 +288,8 @@ pub fn run_fault_sweep_resilient(
 /// One scenario run: simulate `spec` on the realization of `run_seed`.
 fn fault_run(spec: &SimSpec, run_seed: u64, n: u64, telemetry: &Telemetry) -> FaultRunObs {
     let tasks = spec.workload.generate(run_seed);
-    let out = simulate_with_tasks_metered(spec, &tasks, &Tracer::disabled(), telemetry)
-        .expect("validated spec cannot fail");
+    let out = simulate_with_tasks(spec, &tasks, &Tracer::disabled(), telemetry)
+        .expect("checked spec cannot fail");
     FaultRunObs {
         makespan: out.makespan,
         wasted_work: out.wasted_work(),
@@ -331,6 +345,17 @@ mod tests {
 
     fn sweep(cfg: &FaultSweepConfig) -> Result<Vec<FaultRow>, ReproError> {
         run_fault_sweep_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_byte_for_byte() {
+        // Existing `--resume` journals embed exactly this text.
+        assert_eq!(
+            FaultSweepConfig::default().fingerprint(),
+            "n=4096 p=8 techniques=[Stat, SS, Fac2, Gss { min_chunk: 1 }, \
+             Tss { first: None, last: None }] scenarios=[\"fail-stop@25%\", \"loss(2%)\", \
+             \"partition@50%\", \"combined\"] runs=25 h=0.01 seed=0xfa17"
+        );
     }
 
     fn tiny() -> FaultSweepConfig {

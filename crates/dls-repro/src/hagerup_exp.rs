@@ -19,7 +19,7 @@ use crate::runner::{batch_width_for, cell_seed, run_campaign_resilient_batched, 
 use dls_core::{SetupError, Technique};
 use dls_hagerup::BatchDirectSimulator;
 use dls_metrics::{discrepancy, relative_discrepancy_pct, OverheadModel, SummaryStats};
-use dls_msgsim::{simulate_with_setup_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_trace::Tracer;
@@ -86,6 +86,48 @@ impl HagerupConfig {
             batch_width: batch_width_for(n),
         }
     }
+
+    /// The campaign's identity for `--resume` journals and the server's
+    /// result cache: every field that can change a row (`threads` and
+    /// `batch_width` never change an output bit, so they are left out).
+    /// The CLI's `fig5`–`fig8` and `repro serve` both key on this text and
+    /// existing journals embed it, so its rendering must never change.
+    pub fn fingerprint(&self) -> String {
+        format!(
+            "n={} pes={:?} runs={} h={} mean={} seed={:#x} oracle={:?} techniques={:?}",
+            self.n, self.pes, self.runs, self.h, self.mean, self.seed, self.oracle, self.techniques
+        )
+    }
+}
+
+/// Task count `n` of a figure variant (paper Table III): `fig5` → 1,024,
+/// `fig6` → 8,192, `fig7` → 65,536, `fig8` → 524,288; `None` for any
+/// other name.
+pub fn figure_n(fig: &str) -> Option<u64> {
+    match fig {
+        "fig5" => Some(1_024),
+        "fig6" => Some(8_192),
+        "fig7" => Some(65_536),
+        "fig8" => Some(524_288),
+        _ => None,
+    }
+}
+
+fn figure_workload(cfg: &HagerupConfig) -> Result<Workload, SetupError> {
+    Workload::exponential(cfg.n, cfg.mean)
+        .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))
+}
+
+/// The spec every msgsim run of the figure's `(technique, p)` cell
+/// simulates — and the one `trace::trace_figure_cell` traces.
+pub(crate) fn cell_spec(
+    cfg: &HagerupConfig,
+    technique: Technique,
+    p: usize,
+) -> Result<SimSpec, SetupError> {
+    let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
+    Ok(SimSpec::new(technique, figure_workload(cfg)?, platform)
+        .with_overhead(OverheadModel::PostHocTotal { h: cfg.h }))
 }
 
 /// Seed salt separating the oracle's realization stream from msgsim's.
@@ -151,24 +193,19 @@ pub fn run_figure_resilient(
     let _wall = telemetry.span("figure.wall_s");
     let techniques = &cfg.techniques;
     let overhead = OverheadModel::PostHocTotal { h: cfg.h };
-    let workload = Workload::exponential(cfg.n, cfg.mean)
-        .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))?;
+    let workload = figure_workload(cfg)?;
     let mut rows = Vec::new();
 
     for (pi, &p) in cfg.pes.iter().enumerate() {
-        let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
         let sim = BatchDirectSimulator::new(p, overhead);
-        // Build and validate every technique's (spec, setup) once per cell:
-        // a bad configuration must surface as Err here, not as a panic
-        // inside a worker thread — and the replications below then reuse
-        // the prepared setups instead of re-deriving them per run.
+        // Check every technique's spec once per cell: a bad configuration
+        // must surface as Err here, not as a panic inside a worker thread.
+        // The replica side reuses each spec's setup for the whole cell.
         let mut prepared = Vec::with_capacity(techniques.len());
         for &technique in techniques {
-            let spec =
-                SimSpec::new(technique, workload.clone(), platform.clone()).with_overhead(overhead);
+            let spec = cell_spec(cfg, technique, p)?;
+            spec.check(None)?;
             let setup = spec.loop_setup();
-            setup.validate()?;
-            technique.build(&setup)?;
             prepared.push((spec, setup));
         }
         // One campaign per p: each run generates a single realization and
@@ -203,16 +240,11 @@ pub fn run_figure_resilient(
                     vec![vec![FigPair { msgsim: 0.0, replica: 0.0 }; techniques.len()]; b];
                 for (lane, lane_pairs) in pairs.iter_mut().enumerate() {
                     let tasks = scratch.tasks[lane].as_ref().expect("generate_into fills slots");
-                    for (ti, (spec, setup)) in prepared.iter().enumerate() {
-                        lane_pairs[ti].msgsim = simulate_with_setup_metered(
-                            spec,
-                            tasks,
-                            setup,
-                            &Tracer::disabled(),
-                            telemetry,
-                        )
-                        .expect("validated spec cannot fail")
-                        .average_wasted();
+                    for (ti, (spec, _)) in prepared.iter().enumerate() {
+                        lane_pairs[ti].msgsim =
+                            simulate_with_tasks(spec, tasks, &Tracer::disabled(), telemetry)
+                                .expect("checked spec cannot fail")
+                                .average_wasted();
                     }
                 }
                 // Arc-bump clones for the batch call; dropped before return.
@@ -341,7 +373,7 @@ pub fn run_direct_campaign_resilient(
         let setup = dls_core::LoopSetup::new(cfg.n, cfg.p)
             .with_moments(cfg.mean, cfg.mean)
             .with_overhead(cfg.h);
-        setup.validate()?;
+        // No SimSpec here: `build` validates the setup and the technique.
         technique.build(&setup)?;
         setups.push(setup);
     }
@@ -409,6 +441,33 @@ mod tests {
 
     fn figure(cfg: &HagerupConfig) -> Result<Vec<WastedRow>, ReproError> {
         run_figure_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_byte_for_byte() {
+        // Journals and cache keys written before `fingerprint()` existed
+        // embed exactly this text; a change would orphan every one of them.
+        assert_eq!(
+            HagerupConfig::paper(1024, 8).fingerprint(),
+            "n=1024 pes=[2, 8, 64, 256, 1024] runs=8 h=0.5 mean=1 seed=0x20170129 \
+             oracle=IndependentSeeds techniques=[Stat, SS, Fsc, Gss { min_chunk: 1 }, \
+             Tss { first: None, last: None }, Fac, Fac2, Bold]"
+        );
+        let mut cfg = HagerupConfig::paper(8192, 3);
+        cfg.threads = 7;
+        cfg.batch_width = 1;
+        assert_eq!(
+            cfg.fingerprint(),
+            HagerupConfig::paper(8192, 3).fingerprint(),
+            "threads and batch width never change a row"
+        );
+    }
+
+    #[test]
+    fn figure_lookup_covers_the_four_variants() {
+        let ns: Vec<_> = ["fig5", "fig6", "fig7", "fig8"].map(figure_n).into();
+        assert_eq!(ns, [Some(1_024), Some(8_192), Some(65_536), Some(524_288)]);
+        assert_eq!(figure_n("fig9"), None);
     }
 
     fn tiny_cfg(oracle: OracleMode) -> HagerupConfig {

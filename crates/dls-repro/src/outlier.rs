@@ -83,15 +83,13 @@ pub fn run_outlier(cfg: &OutlierConfig, threshold: f64) -> Result<OutlierAnalysi
     let platform = Platform::homogeneous_star("pe", cfg.p, 1.0, LinkSpec::negligible());
     let spec = SimSpec::new(Technique::Fac, workload, platform)
         .with_overhead(OverheadModel::PostHocTotal { h: cfg.h });
-    // Validate the spec once, up front: a bad configuration must come back
+    // Check the spec once, up front: a bad configuration must come back
     // as Err from this function, not panic a campaign worker thread (where
     // the expect below would otherwise be the first to see it).
-    let setup = spec.loop_setup();
-    setup.validate()?;
-    spec.technique.build(&setup)?;
+    spec.check(None)?;
 
     let per_run = per_run_series(cfg, |run_seed| {
-        simulate(&spec, run_seed).expect("spec validated before the campaign").average_wasted()
+        simulate(&spec, run_seed).expect("spec checked before the campaign").average_wasted()
     })?;
     let stats = SummaryStats::from_slice(&per_run);
     let outliers = per_run.iter().filter(|&&w| w > threshold).count();

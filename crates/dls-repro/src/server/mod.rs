@@ -57,7 +57,7 @@ pub mod spans;
 
 use crate::cli::Options;
 use crate::error::ReproError;
-use crate::hagerup_exp::{run_figure_resilient, HagerupConfig};
+use crate::hagerup_exp::{figure_n, run_figure_resilient, HagerupConfig};
 use crate::journal::JournalMeta;
 use crate::report::{format_csv, wasted_rows};
 use crate::runner::{CancelFlag, ExecContext, Progress};
@@ -455,7 +455,7 @@ fn handle_run(request: &Request, shared: &Shared) -> Response {
             return response;
         }
     };
-    let meta = JournalMeta::new(&fig, fingerprint(&cfg), cfg.seed);
+    let meta = JournalMeta::new(&fig, cfg.fingerprint(), cfg.seed);
     let key = meta.cache_key();
 
     // `cache.begin` is where a follower of an in-flight computation blocks,
@@ -818,27 +818,6 @@ fn overloaded_response(retry_after_secs: u64) -> Response {
     .with_header("Retry-After", retry_after_secs.to_string())
 }
 
-/// Task counts of the four figure variants.
-fn fig_n(fig: &str) -> Option<u64> {
-    match fig {
-        "fig5" => Some(1024),
-        "fig6" => Some(8192),
-        "fig7" => Some(65_536),
-        "fig8" => Some(524_288),
-        _ => None,
-    }
-}
-
-/// The campaign fingerprint, rendered exactly like the CLI's `fig5`–`fig8`
-/// commands render theirs, so a server cache key and a CLI `--resume`
-/// journal agree on campaign identity.
-fn fingerprint(cfg: &HagerupConfig) -> String {
-    format!(
-        "n={} pes={:?} runs={} h={} mean={} seed={:#x} oracle={:?} techniques={:?}",
-        cfg.n, cfg.pes, cfg.runs, cfg.h, cfg.mean, cfg.seed, cfg.oracle, cfg.techniques
-    )
-}
-
 fn spec_err(msg: impl Into<String>) -> ReproError {
     ReproError::invalid_spec(msg.into())
 }
@@ -873,7 +852,8 @@ fn parse_run_request(body: &[u8]) -> Result<(String, HagerupConfig), ReproError>
         .and_then(Value::as_str)
         .ok_or_else(|| spec_err("`fig` is required: one of fig5, fig6, fig7, fig8"))?
         .to_string();
-    let n = fig_n(&fig).ok_or_else(|| spec_err(format!("`fig` must be fig5…fig8, got `{fig}`")))?;
+    let n =
+        figure_n(&fig).ok_or_else(|| spec_err(format!("`fig` must be fig5…fig8, got `{fig}`")))?;
     let runs = value
         .get("runs")
         .and_then(value_u64)
@@ -1118,9 +1098,11 @@ mod tests {
 
     #[test]
     fn fingerprint_matches_the_cli_rendering() {
-        let cfg = HagerupConfig::paper(1024, 8);
-        let fp = fingerprint(&cfg);
-        assert!(fp.starts_with("n=1024 pes=[2, 8, 64, 256, 1024] runs=8 h=0.5 mean=1 seed="));
-        assert!(fp.contains("oracle=IndependentSeeds"));
+        // A request and the CLI's `fig5 --runs 8` name the same campaign,
+        // so the cache key and a `--resume` journal must carry the same
+        // fingerprint — whatever thread count either side runs with.
+        let (fig, cfg) = parse_run_request(br#"{"fig":"fig5","runs":8,"threads":2}"#).unwrap();
+        assert_eq!(fig, "fig5");
+        assert_eq!(cfg.fingerprint(), HagerupConfig::paper(1024, 8).fingerprint());
     }
 }

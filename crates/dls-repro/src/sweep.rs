@@ -11,7 +11,7 @@ use crate::error::ReproError;
 use crate::runner::{cell_seed, run_campaign_resilient_batched, ExecContext};
 use dls_core::{SetupError, Technique};
 use dls_metrics::{OverheadModel, SummaryStats};
-use dls_msgsim::{simulate_with_tasks, SimSpec};
+use dls_msgsim::{simulate, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_workload::{TimeModel, Workload};
@@ -89,6 +89,35 @@ impl Default for SweepConfig {
     }
 }
 
+impl SweepConfig {
+    /// The sweep's identity for `--resume` journals: every field that can
+    /// change a row (`threads` never does). Existing journals embed this
+    /// text, so its rendering must never change.
+    pub fn fingerprint(&self) -> String {
+        let families: Vec<&str> = self.families.iter().map(|f| f.name.as_str()).collect();
+        format!(
+            "ns={:?} pes={:?} families={:?} techniques={:?} runs={} h={} seed={:#x}",
+            self.ns, self.pes, families, self.techniques, self.runs, self.h, self.seed
+        )
+    }
+}
+
+/// The spec every run of the `(n, p, family, technique)` sweep cell
+/// simulates — and the one `trace::trace_sweep_cell` traces.
+pub(crate) fn cell_spec(
+    cfg: &SweepConfig,
+    n: u64,
+    p: usize,
+    family: &WorkloadFamily,
+    technique: Technique,
+) -> Result<SimSpec, SetupError> {
+    let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
+    let workload = Workload::new(n, family.model.clone())
+        .map_err(|_| SetupError::BadParam("invalid sweep workload"))?;
+    Ok(SimSpec::new(technique, workload, platform)
+        .with_overhead(OverheadModel::PostHocTotal { h: cfg.h }))
+}
+
 /// One sweep cell's summary.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
@@ -130,23 +159,16 @@ pub fn run_sweep_resilient(
     telemetry: &Telemetry,
     ctx: &ExecContext,
 ) -> Result<Vec<SweepRow>, ReproError> {
-    let overhead = OverheadModel::PostHocTotal { h: cfg.h };
     let mut rows = Vec::new();
     // Cells are seeded by their position in the nesting order, so two cells
     // can never share a campaign seed (the old xor mixing could collide).
     let mut cell = 0u64;
     for &n in &cfg.ns {
         for &p in &cfg.pes {
-            let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
             for family in &cfg.families {
-                let workload = Workload::new(n, family.model.clone())
-                    .map_err(|_| SetupError::BadParam("invalid sweep workload"))?;
                 for &technique in &cfg.techniques {
-                    let spec = SimSpec::new(technique, workload.clone(), platform.clone())
-                        .with_overhead(overhead);
-                    let setup = spec.loop_setup();
-                    setup.validate()?;
-                    technique.build(&setup)?;
+                    let spec = cell_spec(cfg, n, p, family, technique)?;
+                    spec.check(None)?;
                     let seed = cell_seed(cfg.seed, cell);
                     cell += 1;
                     let label = format!("n={n} p={p} {} {}", family.name, technique.name());
@@ -166,9 +188,8 @@ pub fn run_sweep_resilient(
                             items
                                 .iter()
                                 .map(|&(_, run_seed)| {
-                                    let tasks = spec.workload.generate(run_seed);
-                                    let out = simulate_with_tasks(&spec, &tasks)
-                                        .expect("validated spec cannot fail");
+                                    let out = simulate(&spec, run_seed)
+                                        .expect("checked spec cannot fail");
                                     SweepRunObs {
                                         wasted: out.average_wasted(),
                                         speedup: out.speedup(),
@@ -262,6 +283,17 @@ mod tests {
         run_sweep_resilient(cfg, &Telemetry::disabled(), &ExecContext::transient())
     }
 
+    #[test]
+    fn fingerprint_is_pinned_byte_for_byte() {
+        // Existing `--resume` journals embed exactly this text.
+        assert_eq!(
+            SweepConfig::default().fingerprint(),
+            "ns=[4096] pes=[4, 16, 64] families=[\"constant\", \"uniform\", \"exponential\", \
+             \"gamma(k=2)\", \"lognormal\"] techniques=[Stat, SS, Fsc, Gss { min_chunk: 1 }, \
+             Tss { first: None, last: None }, Fac, Fac2, Bold] runs=20 h=0.01 seed=0x53ee9"
+        );
+    }
+
     fn tiny() -> SweepConfig {
         SweepConfig {
             ns: vec![512],
@@ -337,8 +369,7 @@ mod tests {
             .with_overhead(OverheadModel::PostHocTotal { h: cfg.h });
         let mut wasted = SummaryStats::new();
         for run_seed in dls_rng::seed_stream(seed).take(cfg.runs as usize) {
-            let tasks = spec.workload.generate(run_seed);
-            wasted.push(simulate_with_tasks(&spec, &tasks).unwrap().average_wasted());
+            wasted.push(simulate(&spec, run_seed).unwrap().average_wasted());
         }
         assert_eq!(row.wasted.mean().to_bits(), wasted.mean().to_bits());
         assert_eq!(row.wasted.std_dev().to_bits(), wasted.std_dev().to_bits());

@@ -17,15 +17,15 @@
 //! as the untraced ones, and `tests/trace_determinism.rs` pins that the
 //! outcome stays bit-identical with the tracer enabled.
 
-use crate::faults::{cell_spec, FaultSweepConfig};
-use crate::hagerup_exp::HagerupConfig;
+use crate::faults::{self, FaultSweepConfig};
+use crate::hagerup_exp::{self, HagerupConfig};
 use crate::runner::cell_seed;
-use crate::sweep::SweepConfig;
+use crate::sweep::{self, SweepConfig};
 use dls_core::{SetupError, Technique};
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::{breakdown_csv, chunk_size_series, pe_breakdowns, OverheadModel};
-use dls_msgsim::{simulate_with_tasks_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::{Snapshot, Telemetry};
 use dls_trace::{chrome::chrome_trace_json, timeline::timeline_csv, TraceEvent, Tracer};
@@ -59,34 +59,12 @@ pub struct TraceArtifacts {
     pub telemetry: Snapshot,
 }
 
-/// Traces one run of `spec` through the SimGrid-MSG analog.
+/// Traces one run of `spec` through the SimGrid-MSG analog, on the
+/// realization of `seed`.
 pub fn trace_msgsim(spec: &SimSpec, seed: u64, label: &str) -> Result<TraceArtifacts, SetupError> {
     let (tracer, recorder) = Tracer::ring(RING_CAPACITY);
     let telemetry = Telemetry::enabled();
-    let out =
-        simulate_with_tasks_metered(spec, &spec.workload.generate(seed), &tracer, &telemetry)?;
-    let rec = recorder.borrow();
-    Ok(TraceArtifacts {
-        label: label.into(),
-        p: spec.platform.num_hosts(),
-        events: rec.to_vec(),
-        evicted: rec.evicted(),
-        makespan: out.makespan,
-        in_sim_h: spec.overhead.in_sim_h(),
-        telemetry: telemetry.snapshot(),
-    })
-}
-
-/// Traces one run of `spec` on a pre-generated realization (used by the
-/// `--trace` flag so the traced run is exactly run 0 of the campaign).
-pub fn trace_msgsim_with_tasks(
-    spec: &SimSpec,
-    tasks: &dls_workload::TaskTimes,
-    label: &str,
-) -> Result<TraceArtifacts, SetupError> {
-    let (tracer, recorder) = Tracer::ring(RING_CAPACITY);
-    let telemetry = Telemetry::enabled();
-    let out = simulate_with_tasks_metered(spec, tasks, &tracer, &telemetry)?;
+    let out = simulate_with_tasks(spec, &spec.workload.generate(seed), &tracer, &telemetry)?;
     let rec = recorder.borrow();
     Ok(TraceArtifacts {
         label: label.into(),
@@ -113,13 +91,12 @@ pub fn trace_hagerup(
         .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))?;
     let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
     let spec = SimSpec::new(technique, workload, platform).with_overhead(overhead);
-    let setup = spec.loop_setup();
-    setup.validate()?;
+    let mut scheduler = technique.build(&spec.loop_setup())?;
     let tasks = spec.workload.generate(seed);
     let sim = DirectSimulator::new(p, overhead);
     let (tracer, recorder) = Tracer::ring(RING_CAPACITY);
     let telemetry = Telemetry::enabled();
-    let out = sim.run_metered(technique, &setup, &tasks, &tracer, &telemetry)?;
+    let out = sim.run_with_ref(scheduler.as_mut(), &tasks, &tracer, &telemetry);
     let rec = recorder.borrow();
     Ok(TraceArtifacts {
         label: label.into(),
@@ -147,9 +124,7 @@ fn scenario_spec(technique: Technique) -> Result<SimSpec, SetupError> {
     // leave nothing to see).
     let spec = SimSpec::new(technique, workload, platform)
         .with_overhead(OverheadModel::InDynamics { h: SCENARIO_H });
-    let setup = spec.loop_setup();
-    setup.validate()?;
-    spec.technique.build(&setup)?;
+    spec.check(None)?;
     Ok(spec)
 }
 
@@ -194,26 +169,23 @@ pub fn run_scenario(target: &str, seed: u64) -> Result<TraceArtifacts, String> {
     }
 }
 
+/// Seed of run 0 of a campaign's cell 0: cell 0 is seeded with
+/// `cell_seed(seed, 0)`, and a cell's run seeds are its seed's stream.
+fn run0_seed(campaign_seed: u64) -> u64 {
+    cell_seed(cell_seed(campaign_seed, 0), 0)
+}
+
 /// Traces run 0 of the first (technique, p) cell of a Figures 5–8
-/// campaign — the representative run behind `fig5 --trace DIR` etc.
+/// campaign — the representative run behind `fig5 --trace DIR` etc. The
+/// spec is the campaign's own (`hagerup_exp::cell_spec`), so the trace
+/// is that run by construction.
 pub fn trace_figure_cell(cfg: &HagerupConfig, fig: &str) -> Result<TraceArtifacts, SetupError> {
     let technique =
         *cfg.techniques.first().ok_or(SetupError::BadParam("no techniques configured"))?;
     let p = *cfg.pes.first().ok_or(SetupError::BadParam("no PE counts configured"))?;
-    let workload = Workload::exponential(cfg.n, cfg.mean)
-        .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))?;
-    let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
-    let spec = SimSpec::new(technique, workload, platform)
-        .with_overhead(OverheadModel::PostHocTotal { h: cfg.h });
-    let setup = spec.loop_setup();
-    setup.validate()?;
-    spec.technique.build(&setup)?;
-    // Run 0 of cell 0: the campaign for p-index 0 is seeded with
-    // cell_seed(cfg.seed, 0), and run seeds are the same stream again.
-    let run_seed = cell_seed(cell_seed(cfg.seed, 0), 0);
-    let tasks = spec.workload.generate(run_seed);
+    let spec = hagerup_exp::cell_spec(cfg, technique, p)?;
     let label = format!("{fig}-{}-p{p}", technique.name().to_lowercase().replace('/', "-"));
-    trace_msgsim_with_tasks(&spec, &tasks, &label)
+    trace_msgsim(&spec, run0_seed(cfg.seed), &label)
 }
 
 /// Traces run 0 of the first sweep cell (first n, p, family, technique).
@@ -223,22 +195,13 @@ pub fn trace_sweep_cell(cfg: &SweepConfig) -> Result<TraceArtifacts, SetupError>
     let family = cfg.families.first().ok_or(SetupError::BadParam("no families configured"))?;
     let technique =
         *cfg.techniques.first().ok_or(SetupError::BadParam("no techniques configured"))?;
-    let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
-    let workload = Workload::new(n, family.model.clone())
-        .map_err(|_| SetupError::BadParam("invalid sweep workload"))?;
-    let spec = SimSpec::new(technique, workload, platform)
-        .with_overhead(OverheadModel::PostHocTotal { h: cfg.h });
-    let setup = spec.loop_setup();
-    setup.validate()?;
-    spec.technique.build(&setup)?;
-    let run_seed = cell_seed(cell_seed(cfg.seed, 0), 0);
-    let tasks = spec.workload.generate(run_seed);
+    let spec = sweep::cell_spec(cfg, n, p, family, technique)?;
     let label = format!(
         "sweep-{}-{}-p{p}",
         family.name.replace(['(', ')', '='], "-"),
         technique.name().to_lowercase().replace('/', "-")
     );
-    trace_msgsim_with_tasks(&spec, &tasks, &label)
+    trace_msgsim(&spec, run0_seed(cfg.seed), &label)
 }
 
 /// Traces run 0 of the first (technique, scenario) fault-sweep cell.
@@ -246,15 +209,13 @@ pub fn trace_fault_cell(cfg: &FaultSweepConfig) -> Result<TraceArtifacts, SetupE
     let technique =
         *cfg.techniques.first().ok_or(SetupError::BadParam("no techniques configured"))?;
     let scenario = cfg.scenarios.first().ok_or(SetupError::BadParam("no scenarios configured"))?;
-    let spec = cell_spec(cfg, technique)?.with_faults(scenario.plan.clone());
-    let run_seed = cell_seed(cell_seed(cfg.seed, 0), 0);
-    let tasks = spec.workload.generate(run_seed);
+    let spec = faults::cell_spec(cfg, technique)?.with_faults(scenario.plan.clone());
     let label = format!(
         "faults-{}-{}",
         technique.name().to_lowercase().replace('/', "-"),
         scenario.name.replace(['(', ')', '@', '%'], "-")
     );
-    trace_msgsim_with_tasks(&spec, &tasks, &label)
+    trace_msgsim(&spec, run0_seed(cfg.seed), &label)
 }
 
 /// Writes the four export files into `dir` (created if missing) and
@@ -355,6 +316,62 @@ mod tests {
         let faults = FaultSweepConfig { n: 256, runs: 1, ..Default::default() };
         let f = trace_fault_cell(&faults).unwrap();
         assert!(f.events.iter().any(|e| matches!(e.kind, TraceKind::WorkerFailStop { .. })));
+    }
+
+    #[test]
+    fn traced_cells_are_the_campaigns_run_zero() {
+        // A 1-run campaign's row is its run 0, so each traced cell must
+        // reproduce the row bit for bit through the campaign's own
+        // `cell_spec` and run-0 seed.
+        use crate::runner::ExecContext;
+        let run0 = |spec: &SimSpec, seed: u64| {
+            let tasks = spec.workload.generate(run0_seed(seed));
+            simulate_with_tasks(spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap()
+        };
+        let (off, ctx) = (Telemetry::disabled(), ExecContext::transient());
+
+        let mut fig = HagerupConfig::paper(256, 1);
+        fig.pes = vec![4];
+        fig.techniques = vec![Technique::Fac2];
+        let out = run0(&hagerup_exp::cell_spec(&fig, Technique::Fac2, 4).unwrap(), fig.seed);
+        let traced = trace_figure_cell(&fig, "fig5").unwrap();
+        assert_eq!(traced.makespan.to_bits(), out.makespan.to_bits());
+        let rows = hagerup_exp::run_figure_resilient(&fig, &off, &ctx).unwrap();
+        assert_eq!(rows[0].msgsim.to_bits(), out.average_wasted().to_bits());
+
+        let sweep_cfg = SweepConfig {
+            ns: vec![256],
+            pes: vec![4],
+            techniques: vec![Technique::Gss { min_chunk: 1 }],
+            runs: 1,
+            ..Default::default()
+        };
+        let family = &sweep_cfg.families[0];
+        let spec = sweep::cell_spec(&sweep_cfg, 256, 4, family, sweep_cfg.techniques[0]).unwrap();
+        let out = run0(&spec, sweep_cfg.seed);
+        let traced = trace_sweep_cell(&sweep_cfg).unwrap();
+        assert_eq!(traced.makespan.to_bits(), out.makespan.to_bits());
+        let rows = sweep::run_sweep_resilient(&sweep_cfg, &off, &ctx).unwrap();
+        assert_eq!(rows[0].wasted.mean().to_bits(), out.average_wasted().to_bits());
+
+        let fault_cfg = FaultSweepConfig {
+            n: 256,
+            techniques: vec![Technique::Fac2],
+            scenarios: faults::default_scenarios(256, 8),
+            runs: 1,
+            ..Default::default()
+        };
+        let spec = faults::cell_spec(&fault_cfg, Technique::Fac2)
+            .unwrap()
+            .with_faults(fault_cfg.scenarios[0].plan.clone());
+        let out = run0(&spec, fault_cfg.seed);
+        assert!(out.faults.reassigned_chunks > 0, "the fail-stop must strike mid-run");
+        let traced = trace_fault_cell(&fault_cfg).unwrap();
+        assert_eq!(traced.makespan.to_bits(), out.makespan.to_bits());
+        let rows = faults::run_fault_sweep_resilient(&fault_cfg, &off, &ctx).unwrap();
+        assert_eq!(rows[0].faulty_makespan.mean().to_bits(), out.makespan.to_bits());
+        let wasted = dls_metrics::wasted_work_fraction(out.wasted_work(), out.serial_time);
+        assert_eq!(rows[0].wasted_work_frac.to_bits(), wasted.to_bits());
     }
 
     #[test]

@@ -13,6 +13,8 @@ use dls_hagerup::DirectSimulator;
 use dls_metrics::{OverheadModel, SummaryStats};
 use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 use dls_workload::Workload;
 
 /// One verification cell: a technique over a (n, p) grid point.
@@ -78,7 +80,12 @@ pub fn run_verification(cfg: &VerifyConfig) -> Result<Vec<VerifyRow>, SetupError
                     let spec = SimSpec::new(technique, workload.clone(), platform.clone())
                         .with_overhead(overhead);
                     let setup = spec.loop_setup();
-                    let msg = simulate_with_tasks(&spec, &tasks)?;
+                    let msg = simulate_with_tasks(
+                        &spec,
+                        &tasks,
+                        &Tracer::disabled(),
+                        &Telemetry::disabled(),
+                    )?;
                     let rep = direct.run(technique, &setup, &tasks)?;
                     let mdev =
                         100.0 * (msg.makespan - rep.makespan).abs() / rep.makespan.max(1e-12);

@@ -14,6 +14,8 @@ use dls_suite::dls_msgsim::{simulate, SimSpec};
 use dls_suite::dls_platform::{LinkSpec, Platform};
 use dls_suite::dls_rng::{SplitMix64, UniformSource};
 use dls_suite::dls_workload::{TimeModel, Workload};
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 use proptest::prelude::*;
 
 fn technique_strategy() -> impl Strategy<Value = Technique> {
@@ -122,7 +124,7 @@ proptest! {
         let tasks = workload.generate(seed);
         let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
         let spec = SimSpec::new(technique, workload, platform);
-        let msg = dls_suite::dls_msgsim::simulate_with_tasks(&spec, &tasks).unwrap();
+        let msg = dls_suite::dls_msgsim::simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
         let rep = DirectSimulator::new(p, OverheadModel::None)
             .run(technique, &spec.loop_setup(), &tasks)
             .unwrap();

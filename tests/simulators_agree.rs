@@ -9,6 +9,8 @@ use dls_suite::dls_metrics::OverheadModel;
 use dls_suite::dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_suite::dls_platform::{LinkSpec, Platform};
 use dls_suite::dls_workload::{TimeModel, Workload};
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 
 fn all_techniques() -> Vec<Technique> {
     vec![
@@ -51,7 +53,9 @@ fn makespans_agree_across_techniques_and_workloads() {
                 let tasks = workload.generate(11);
                 let spec = SimSpec::new(technique, workload.clone(), platform.clone());
                 let setup = spec.loop_setup();
-                let msg = simulate_with_tasks(&spec, &tasks).unwrap();
+                let msg =
+                    simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled())
+                        .unwrap();
                 let rep = direct.run(technique, &setup, &tasks).unwrap();
                 // Adaptive schedules drift where finish-time ties break
                 // differently; non-adaptive ones must agree to DES noise.
@@ -97,7 +101,8 @@ fn per_worker_compute_agrees() {
     for technique in [Technique::Fac2, Technique::Gss { min_chunk: 1 }, Technique::Bold] {
         let tasks = workload.generate(5);
         let spec = SimSpec::new(technique, workload.clone(), platform.clone());
-        let msg = simulate_with_tasks(&spec, &tasks).unwrap();
+        let msg = simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled())
+            .unwrap();
         let rep = direct.run(technique, &spec.loop_setup(), &tasks).unwrap();
         for w in 0..p {
             assert!(
@@ -122,7 +127,9 @@ fn wasted_time_agrees_with_posthoc_overhead() {
         let tasks = workload.generate(21);
         let spec =
             SimSpec::new(technique, workload.clone(), platform.clone()).with_overhead(overhead);
-        let msg = simulate_with_tasks(&spec, &tasks).unwrap().average_wasted();
+        let msg = simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled())
+            .unwrap()
+            .average_wasted();
         let rep =
             direct.run(technique, &spec.loop_setup(), &tasks).unwrap().average_wasted(overhead);
         assert!(
@@ -142,7 +149,8 @@ fn heterogeneous_speeds_agree() {
     for technique in [Technique::SS, Technique::Wf, Technique::Fac2] {
         let tasks = workload.generate(9);
         let spec = SimSpec::new(technique, workload.clone(), platform.clone());
-        let msg = simulate_with_tasks(&spec, &tasks).unwrap();
+        let msg = simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled())
+            .unwrap();
         let rep = direct.run(technique, &spec.loop_setup(), &tasks).unwrap();
         assert!(
             (msg.makespan - rep.makespan).abs() < 1e-3 * rep.makespan,
@@ -164,7 +172,8 @@ fn network_cost_creates_positive_discrepancy() {
     let workload = Workload::constant(1_000, 1e-3);
     let tasks = workload.generate(0);
     let spec = SimSpec::new(Technique::SS, workload.clone(), platform);
-    let msg = simulate_with_tasks(&spec, &tasks).unwrap();
+    let msg =
+        simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
     let rep = direct.run(Technique::SS, &spec.loop_setup(), &tasks).unwrap();
     assert!(
         msg.makespan > 2.0 * rep.makespan,

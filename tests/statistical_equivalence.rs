@@ -7,6 +7,8 @@ use dls_suite::dls_metrics::{ks_test, welch_t_test, OverheadModel};
 use dls_suite::dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_suite::dls_platform::{LinkSpec, Platform};
 use dls_suite::dls_workload::Workload;
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 
 /// Per-run average wasted times for a (simulator, technique) campaign with
 /// its own seed stream.
@@ -30,7 +32,9 @@ fn campaign(
             if use_replica {
                 direct.run(technique, &setup, &tasks).unwrap().average_wasted(overhead)
             } else {
-                simulate_with_tasks(&spec, &tasks).unwrap().average_wasted()
+                simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled())
+                    .unwrap()
+                    .average_wasted()
             }
         })
         .collect()

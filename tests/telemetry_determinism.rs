@@ -12,7 +12,7 @@ use dls_core::Technique;
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::OverheadModel;
-use dls_msgsim::{simulate, simulate_with_tasks_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_trace::Tracer;
@@ -25,15 +25,15 @@ fn fig_spec(technique: Technique, n: u64, p: usize) -> SimSpec {
         .with_overhead(OverheadModel::PostHocTotal { h: 0.5 })
 }
 
-/// Runs `spec` unmetered and metered and asserts the outcomes are equal
-/// in every field (SimOutcome derives PartialEq; equality here means
-/// bit-identity up to NaN, which no outcome contains).
+/// Runs `spec` with a disabled and an enabled registry and asserts the
+/// outcomes are equal in every field (SimOutcome derives PartialEq;
+/// equality here means bit-identity up to NaN, which no outcome contains).
 fn assert_telemetry_is_observational(spec: &SimSpec, seed: u64) {
-    let plain = simulate(spec, seed).unwrap();
-    let telemetry = Telemetry::enabled();
     let tasks = spec.workload.generate(seed);
-    let metered =
-        simulate_with_tasks_metered(spec, &tasks, &Tracer::disabled(), &telemetry).unwrap();
+    let plain =
+        simulate_with_tasks(spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
+    let telemetry = Telemetry::enabled();
+    let metered = simulate_with_tasks(spec, &tasks, &Tracer::disabled(), &telemetry).unwrap();
     assert_eq!(plain, metered, "enabled telemetry changed the outcome");
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter("msgsim.simulate_calls"), Some(1));
@@ -85,10 +85,14 @@ fn telemetry_leaves_hagerup_outcomes_bit_identical() {
         let setup = spec.loop_setup();
         let tasks = spec.workload.generate(0xB01D);
         let sim = DirectSimulator::new(8, overhead);
-        let plain = sim.run(technique, &setup, &tasks).unwrap();
+        let run = |telemetry: &Telemetry| {
+            let mut scheduler = technique.build(&setup).unwrap();
+            sim.run_with_ref(scheduler.as_mut(), &tasks, &Tracer::disabled(), telemetry)
+        };
+        let plain = run(&Telemetry::disabled());
+        assert_eq!(plain, sim.run(technique, &setup, &tasks).unwrap());
         let telemetry = Telemetry::enabled();
-        let metered =
-            sim.run_metered(technique, &setup, &tasks, &Tracer::disabled(), &telemetry).unwrap();
+        let metered = run(&telemetry);
         assert_eq!(plain, metered, "{technique:?}: enabled telemetry changed the outcome");
         assert_eq!(plain.makespan.to_bits(), metered.makespan.to_bits());
         let snap = telemetry.snapshot();
@@ -102,11 +106,12 @@ fn tracer_and_telemetry_compose_without_perturbing_the_run() {
     // Both observability layers enabled at once — the combination the
     // `repro trace` command uses — must still be bit-identical.
     let spec = fig_spec(Technique::Fac2, 1_024, 4);
-    let plain = simulate(&spec, 0xC0).unwrap();
+    let tasks = spec.workload.generate(0xC0);
+    let plain =
+        simulate_with_tasks(&spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
     let (tracer, recorder) = Tracer::ring(1 << 20);
     let telemetry = Telemetry::enabled();
-    let tasks = spec.workload.generate(0xC0);
-    let both = simulate_with_tasks_metered(&spec, &tasks, &tracer, &telemetry).unwrap();
+    let both = simulate_with_tasks(&spec, &tasks, &tracer, &telemetry).unwrap();
     assert_eq!(plain, both, "tracer + telemetry together changed the outcome");
     assert!(!recorder.borrow().events().is_empty());
     assert!(telemetry.snapshot().counter("msgsim.events").unwrap_or(0) > 0);

@@ -12,7 +12,7 @@ use dls_core::Technique;
 use dls_faults::FaultPlan;
 use dls_hagerup::DirectSimulator;
 use dls_metrics::OverheadModel;
-use dls_msgsim::{simulate, simulate_with_tasks_metered, SimSpec};
+use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
 use dls_trace::{chrome::chrome_trace_json, Tracer};
@@ -25,16 +25,16 @@ fn fig_spec(technique: Technique, n: u64, p: usize) -> SimSpec {
         .with_overhead(OverheadModel::PostHocTotal { h: 0.5 })
 }
 
-/// Runs `spec` untraced and traced and asserts the outcomes are equal in
-/// every field (SimOutcome derives PartialEq; the f64s come out of the
-/// same arithmetic, so equality here means bit-identity up to NaN, which
-/// no outcome contains).
+/// Runs `spec` with a disabled and an enabled tracer and asserts the
+/// outcomes are equal in every field (SimOutcome derives PartialEq; the
+/// f64s come out of the same arithmetic, so equality here means
+/// bit-identity up to NaN, which no outcome contains).
 fn assert_tracing_is_observational(spec: &SimSpec, seed: u64) {
-    let plain = simulate(spec, seed).unwrap();
-    let (tracer, recorder) = Tracer::ring(1 << 20);
     let tasks = spec.workload.generate(seed);
-    let traced =
-        simulate_with_tasks_metered(spec, &tasks, &tracer, &Telemetry::disabled()).unwrap();
+    let plain =
+        simulate_with_tasks(spec, &tasks, &Tracer::disabled(), &Telemetry::disabled()).unwrap();
+    let (tracer, recorder) = Tracer::ring(1 << 20);
+    let traced = simulate_with_tasks(spec, &tasks, &tracer, &Telemetry::disabled()).unwrap();
     assert_eq!(plain, traced, "enabled tracer changed the outcome");
     assert!(
         !recorder.borrow().events().is_empty(),
@@ -83,9 +83,14 @@ fn tracer_leaves_hagerup_outcomes_bit_identical() {
         let setup = spec.loop_setup();
         let tasks = spec.workload.generate(0xB01D);
         let sim = DirectSimulator::new(8, overhead);
-        let plain = sim.run(technique, &setup, &tasks).unwrap();
+        let run = |tracer: &Tracer| {
+            let mut scheduler = technique.build(&setup).unwrap();
+            sim.run_with_ref(scheduler.as_mut(), &tasks, tracer, &Telemetry::disabled())
+        };
+        let plain = run(&Tracer::disabled());
+        assert_eq!(plain, sim.run(technique, &setup, &tasks).unwrap());
         let (tracer, recorder) = Tracer::ring(1 << 20);
-        let traced = sim.run_traced(technique, &setup, &tasks, &tracer).unwrap();
+        let traced = run(&tracer);
         assert_eq!(plain, traced, "{technique:?}: enabled tracer changed the outcome");
         assert!(!recorder.borrow().events().is_empty());
     }
@@ -104,7 +109,13 @@ fn chrome_export_of_tiny_tss_run_matches_golden() {
     let setup = spec.loop_setup();
     let tasks = spec.workload.generate(1);
     let (tracer, recorder) = Tracer::ring(1 << 10);
-    DirectSimulator::new(2, overhead).run_traced(technique, &setup, &tasks, &tracer).unwrap();
+    let mut scheduler = technique.build(&setup).unwrap();
+    DirectSimulator::new(2, overhead).run_with_ref(
+        scheduler.as_mut(),
+        &tasks,
+        &tracer,
+        &Telemetry::disabled(),
+    );
     let json = chrome_trace_json(&recorder.borrow().to_vec(), 2, "golden-tss-2pe");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_tss_2pe.trace.json");
