@@ -1,11 +1,13 @@
-//! Hot-path microbenches for the PR-10 batched direct simulator.
+//! Hot-path microbenches for the direct (Hagerup-replica) simulator.
 //!
-//! Two A/Bs, mirroring `hotpath_event_queue`'s role for the event engine:
+//! Two groups, mirroring `hotpath_event_queue`'s role for the event engine:
 //!
-//! 1. **Ready-queue layout** — the scalar simulator's `p ≤ 16` flat
-//!    index-min scan against the forced `BinaryHeap` path, at the paper's
-//!    PE counts. Outcomes are bit-identical by construction; only the
-//!    queue bookkeeping differs.
+//! 1. **Scalar ready queue** — single-seed `DirectSimulator::run` at
+//!    p ∈ {2, 16, 256, 1024}, from the smallest paper PE count to the
+//!    largest. Every dispatch re-keys the top of the 4-ary `QuadHeap`
+//!    ready queue, so SS (one task per chunk) is queue-bound and FAC2
+//!    shows the cost at the paper's chunk counts. At p > `LOCKSTEP_MAX_P` this is
+//!    also what the batch dispatcher falls back to, seed by seed.
 //! 2. **Lockstep batching** — `BatchDirectSimulator::run_batch` over B
 //!    seeds against B scalar `DirectSimulator::run` calls on the same
 //!    realizations, at the fig5 (n=1k, p=8) and fig6 (n=8k, p=64) cell
@@ -25,25 +27,20 @@ fn realizations(n: u64, seeds: std::ops::Range<u64>) -> Vec<TaskTimes> {
     seeds.map(|s| wl.generate(s)).collect()
 }
 
-/// Flat index-min scan vs forced heap, single-seed scalar runs.
-fn ready_queue(c: &mut Criterion) {
+/// Single-seed scalar runs across the paper's PE range.
+fn scalar_ready_queue(c: &mut Criterion) {
     let n = 8_192u64;
     let tasks = realizations(n, 0..1).pop().unwrap();
-    let mut g = c.benchmark_group("hotpath_ready_queue");
+    let mut g = c.benchmark_group("hotpath_scalar_direct");
     g.sample_size(20).measurement_time(Duration::from_secs(3));
-    for p in [4usize, 8, 16] {
+    for p in [2usize, 16, 256, 1024] {
         let setup = LoopSetup::new(n, p).with_moments(1.0, 1.0).with_overhead(0.5);
         let sim = DirectSimulator::new(p, OverheadModel::PostHocTotal { h: 0.5 });
-        let tech = Technique::Fac2;
-        g.bench_with_input(BenchmarkId::new("flat", p), &p, |b, _| {
-            b.iter(|| sim.run(tech, &setup, &tasks).unwrap())
-        });
-        g.bench_with_input(BenchmarkId::new("heap", p), &p, |b, _| {
-            b.iter(|| {
-                let mut sched = tech.build(&setup).unwrap();
-                sim.run_with_ref_forced_heap(sched.as_mut(), &tasks)
-            })
-        });
+        for tech in [Technique::SS, Technique::Fac2] {
+            g.bench_with_input(BenchmarkId::new(tech.name(), p), &p, |b, _| {
+                b.iter(|| sim.run(tech, &setup, &tasks).unwrap())
+            });
+        }
     }
     g.finish();
 }
@@ -82,5 +79,5 @@ fn batch_vs_scalar(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, ready_queue, batch_vs_scalar);
+criterion_group!(benches, scalar_ready_queue, batch_vs_scalar);
 criterion_main!(benches);

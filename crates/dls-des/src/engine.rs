@@ -1,9 +1,7 @@
 //! The event loop: actors, messages, timers, faults.
 
-use crate::SimTime;
+use crate::{QuadHeap, SimTime};
 use dls_trace::{TraceKind, Tracer};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Identifies an actor within one [`Engine`].
 pub type ActorId = usize;
@@ -80,33 +78,14 @@ enum EventKind<M> {
     Timer { actor: ActorId, key: u64, id: Option<TimerId> },
 }
 
-/// Heap node for one pending event. The payload ([`EventKind`]) lives in a
-/// slab and is addressed by `slot`; only this small fixed-size node moves
-/// through heap sifts. Ordering is keyed by `(time, seq)` alone — never by
-/// `slot`, which is reused and carries no temporal meaning.
-#[derive(Clone, Copy)]
-struct EventNode {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for EventNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for EventNode {}
-impl PartialOrd for EventNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventNode {
-    // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
+/// Queue key of one pending event: `time_ns << 64 | seq`.
+///
+/// Ordering is by `(time, seq)` alone — never by the slab slot (the heap
+/// payload), which is reused and carries no temporal meaning. `seq` is
+/// unique, so no two pending events share a key.
+#[inline(always)]
+fn event_key(time: SimTime, seq: u64) -> u128 {
+    (time.as_nanos() as u128) << 64 | seq as u128
 }
 
 /// Free-list slab holding the payloads of pending events.
@@ -294,7 +273,9 @@ pub struct EngineStats {
 pub struct Engine<M> {
     actors: Vec<Box<dyn Actor<M>>>,
     dead: Vec<bool>,
-    heap: BinaryHeap<EventNode>,
+    /// Pending events keyed by [`event_key`]; the payload is the slab slot
+    /// of the event's [`EventKind`], so only 24-byte nodes move in sifts.
+    heap: QuadHeap<u32>,
     slab: EventSlab<M>,
     now: SimTime,
     seq: u64,
@@ -318,7 +299,7 @@ impl<M> Engine<M> {
         Engine {
             actors: Vec::new(),
             dead: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: QuadHeap::new(),
             slab: EventSlab::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -368,7 +349,7 @@ impl<M> Engine<M> {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.slab.insert(kind);
-        self.heap.push(EventNode { time, seq, slot });
+        self.heap.push(event_key(time, seq), slot);
         self.stats.max_queue = self.stats.max_queue.max(self.heap.len());
     }
 
@@ -526,9 +507,10 @@ impl<M> Engine<M> {
             }
         }
 
-        while let Some(node) = self.heap.pop() {
-            debug_assert!(node.time >= self.now, "time must be monotone");
-            let kind = self.slab.take(node.slot);
+        while let Some((key, slot)) = self.heap.pop() {
+            let time = SimTime::from_nanos((key >> 64) as u64);
+            debug_assert!(time >= self.now, "time must be monotone");
+            let kind = self.slab.take(slot);
             // Cancelled timers and traffic to killed actors are skipped
             // without advancing the clock or the event counter — a fault-free
             // plan leaves both sets empty, so that path is untouched. The
@@ -542,7 +524,7 @@ impl<M> Engine<M> {
                 }
                 EventKind::Timer { actor, .. } if self.dead[*actor] => {
                     self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: node.time.as_secs_f64(),
+                        at: time.as_secs_f64(),
                         kind: TraceKind::DeadLetter { to: *actor },
                     });
                     self.stats.dead_letters += 1;
@@ -550,7 +532,7 @@ impl<M> Engine<M> {
                 }
                 EventKind::Deliver { to, .. } if self.dead[*to] => {
                     self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: node.time.as_secs_f64(),
+                        at: time.as_secs_f64(),
                         kind: TraceKind::DeadLetter { to: *to },
                     });
                     self.stats.dead_letters += 1;
@@ -558,7 +540,7 @@ impl<M> Engine<M> {
                 }
                 _ => {}
             }
-            self.now = node.time;
+            self.now = time;
             self.stats.events += 1;
             let actor_id = match kind {
                 EventKind::Deliver { from, to, msg } => {
@@ -617,6 +599,12 @@ impl<M> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A log shared between a test and the actors it runs: the engine
+    /// consumes the boxed actors, the test keeps the other handle.
+    type Log<T> = Rc<RefCell<Vec<T>>>;
 
     /// Ping-pong: actor 0 sends to 1, 1 replies, N rounds, fixed latency.
     struct Pinger {
@@ -660,11 +648,11 @@ mod tests {
 
     /// Events at the identical timestamp are dispatched in scheduling order.
     struct Recorder {
-        log: Vec<u32>,
+        log: Log<(SimTime, u32)>,
     }
     impl Actor<u32> for Recorder {
-        fn on_message(&mut self, _from: ActorId, msg: u32, _ctx: &mut Ctx<'_, u32>) {
-            self.log.push(msg);
+        fn on_message(&mut self, _from: ActorId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.log.borrow_mut().push((ctx.now(), msg));
         }
     }
     struct Burst;
@@ -679,18 +667,19 @@ mod tests {
 
     #[test]
     fn fifo_among_equal_timestamps() {
+        let log = Log::default();
         let mut eng = Engine::new();
         eng.add_actor(Box::new(Burst));
-        eng.add_actor(Box::new(Recorder { log: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(Recorder { log: log.clone() }));
+        let (_, stats) = eng.run();
         assert_eq!(stats.events, 16);
-        // Recover the recorder to inspect its log. We know actor 1's type.
-        let _ = actors;
+        let at = SimTime::from_nanos(1000);
+        assert_eq!(*log.borrow(), (0..16).map(|i| (at, i)).collect::<Vec<_>>());
     }
 
     /// Timers fire at the right time with the right key.
     struct TimerUser {
-        fired: Vec<(u64, SimTime)>,
+        fired: Log<(u64, SimTime)>,
     }
     impl Actor<()> for TimerUser {
         fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
@@ -700,18 +689,20 @@ mod tests {
         }
         fn on_message(&mut self, _f: ActorId, _m: (), _c: &mut Ctx<'_, ()>) {}
         fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, ()>) {
-            self.fired.push((key, ctx.now()));
+            self.fired.borrow_mut().push((key, ctx.now()));
         }
     }
 
     #[test]
     fn timers_fire_in_time_order() {
+        let fired = Log::default();
         let mut eng = Engine::new();
-        eng.add_actor(Box::new(TimerUser { fired: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(TimerUser { fired: fired.clone() }));
+        let (_, stats) = eng.run();
         assert_eq!(stats.events, 3);
         assert_eq!(stats.end_time, SimTime::from_nanos(30));
-        let _ = actors;
+        let ns = SimTime::from_nanos;
+        assert_eq!(*fired.borrow(), [(1, ns(10)), (2, ns(20)), (3, ns(30))]);
     }
 
     #[test]
@@ -753,7 +744,7 @@ mod tests {
 
     /// A cancelled timer never fires; an uncancelled sibling still does.
     struct CancelUser {
-        fired: Vec<u64>,
+        fired: Log<(u64, SimTime)>,
         handle: Option<TimerId>,
     }
     impl Actor<()> for CancelUser {
@@ -764,7 +755,7 @@ mod tests {
         }
         fn on_message(&mut self, _f: ActorId, _m: (), _c: &mut Ctx<'_, ()>) {}
         fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, ()>) {
-            self.fired.push(key);
+            self.fired.borrow_mut().push((key, ctx.now()));
             if key == 0 {
                 ctx.cancel_timer(self.handle.take().expect("armed in on_start"));
             }
@@ -773,14 +764,15 @@ mod tests {
 
     #[test]
     fn cancelled_timer_does_not_fire() {
+        let fired = Log::default();
         let mut eng = Engine::new();
-        eng.add_actor(Box::new(CancelUser { fired: vec![], handle: None }));
-        let (actors, stats) = eng.run();
-        let user = &actors[0];
-        let _ = user;
+        eng.add_actor(Box::new(CancelUser { fired: fired.clone(), handle: None }));
+        let (_, stats) = eng.run();
         // Key 1's timer was cancelled at t=10ns; keys 0 and 2 fire.
         assert_eq!(stats.events, 2);
         assert_eq!(stats.end_time, SimTime::from_nanos(80));
+        let ns = SimTime::from_nanos;
+        assert_eq!(*fired.borrow(), [(0, ns(10)), (2, ns(80))]);
     }
 
     #[test]
@@ -810,6 +802,7 @@ mod tests {
     /// Killing an actor turns its queued and future traffic into dead letters.
     struct Assassin {
         victim: ActorId,
+        log: Log<(SimTime, &'static str)>,
     }
     impl Actor<u32> for Assassin {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
@@ -820,19 +813,20 @@ mod tests {
         }
         fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
         fn on_timer(&mut self, _key: u64, ctx: &mut Ctx<'_, u32>) {
+            self.log.borrow_mut().push((ctx.now(), "kill"));
             ctx.kill(self.victim);
         }
     }
     struct Victim {
-        got: Vec<u32>,
+        log: Log<(SimTime, &'static str)>,
     }
     impl Actor<u32> for Victim {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
             // A timer that would fire after the kill.
             ctx.set_timer(SimTime::from_nanos(100), 9);
         }
-        fn on_message(&mut self, _f: ActorId, msg: u32, _c: &mut Ctx<'_, u32>) {
-            self.got.push(msg);
+        fn on_message(&mut self, _f: ActorId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.log.borrow_mut().push((ctx.now(), if msg == 1 { "got 1" } else { "got 2" }));
         }
         fn on_timer(&mut self, _key: u64, _ctx: &mut Ctx<'_, u32>) {
             panic!("dead actor's timer must not fire");
@@ -841,16 +835,18 @@ mod tests {
 
     #[test]
     fn killed_actor_receives_nothing_further() {
+        let log = Log::default();
         let mut eng = Engine::new();
-        eng.add_actor(Box::new(Assassin { victim: 1 }));
-        eng.add_actor(Box::new(Victim { got: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(Assassin { victim: 1, log: log.clone() }));
+        eng.add_actor(Box::new(Victim { log: log.clone() }));
+        let (_, stats) = eng.run();
         // Events: first delivery (t=5), kill timer (t=20). The second
         // delivery and the victim's own timer become dead letters.
         assert_eq!(stats.events, 2);
         assert_eq!(stats.dead_letters, 2);
         assert!(!stats.stopped);
-        let _ = actors;
+        let ns = SimTime::from_nanos;
+        assert_eq!(*log.borrow(), [(ns(5), "got 1"), (ns(20), "kill")]);
     }
 
     /// An interceptor that drops every Nth message and delays the rest.
@@ -873,7 +869,7 @@ mod tests {
     fn interceptor_drops_and_delays() {
         let mut eng = Engine::new();
         eng.add_actor(Box::new(Burst));
-        eng.add_actor(Box::new(Recorder { log: vec![] }));
+        eng.add_actor(Box::new(Recorder { log: Log::default() }));
         eng.set_interceptor(Box::new(EveryOther { n: 0, extra: SimTime::from_nanos(7) }));
         let (_, stats) = eng.run();
         // 16 sends: 8 dropped, 8 delayed-but-delivered.
@@ -971,5 +967,43 @@ mod tests {
         assert_eq!(stats.events, 10_001);
         // And the structure is deterministic across identical runs.
         assert_eq!(stats, run());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The engine's queue pops exactly what a reference `BinaryHeap`
+        /// ordered by `(time, seq)` pops, over random push/pop
+        /// interleavings. Times come from a tiny range, so most pushes tie
+        /// on time and only `seq` separates them.
+        #[test]
+        fn event_queue_matches_a_reference_binary_heap(
+            ops in proptest::collection::vec(0u64..12, 1..400),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let mut heap = QuadHeap::new();
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0u64;
+            for op in ops {
+                // 0..8 pushes at time `op % 4`; 8..12 pops.
+                if op < 8 {
+                    let time = SimTime::from_nanos(op % 4);
+                    heap.push(event_key(time, seq), seq as u32);
+                    reference.push(Reverse((time, seq)));
+                    seq += 1;
+                } else {
+                    let got = heap.pop().map(|(key, slot)| ((key >> 64) as u64, slot as u64));
+                    let want = reference.pop().map(|Reverse((t, s))| (t.as_nanos(), s));
+                    proptest::prop_assert_eq!(got, want);
+                }
+                proptest::prop_assert_eq!(heap.len(), reference.len());
+            }
+            while let Some(Reverse((t, s))) = reference.pop() {
+                let got = heap.pop().map(|(key, slot)| ((key >> 64) as u64, slot as u64));
+                proptest::prop_assert_eq!(got, Some((t.as_nanos(), s)));
+            }
+            proptest::prop_assert!(heap.pop().is_none());
+        }
     }
 }

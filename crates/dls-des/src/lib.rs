@@ -3,6 +3,8 @@
 //! This is the workspace's substitute for the SimGrid simulation kernel: a
 //! virtual clock, a priority queue of timestamped events, and an actor model
 //! for event-driven processes (the master and workers of `dls-msgsim`).
+//! Its priority queue, [`QuadHeap`], is shared with the direct replica in
+//! `dls-hagerup`, whose PE ready queue is the same structure.
 //!
 //! Design points:
 //!
@@ -14,6 +16,10 @@
 //! * **Total determinism.** Ties in time are broken by a monotonically
 //!   increasing sequence number, so two runs of the same scenario produce
 //!   identical schedules, event orders and statistics.
+//! * **One packed key per event.** The queue is a 4-ary min-heap
+//!   ([`QuadHeap`]) over 24-byte `Copy` nodes ordered by a single `u128`,
+//!   `time_ns << 64 | seq`; event payloads live in a slab and the node
+//!   carries only the slot index. Sibling selection is branch-free.
 //! * **Chunk-level granularity.** Actors schedule one event per message or
 //!   completion, never per task, keeping the event count proportional to the
 //!   number of scheduling operations (important at n = 524,288 × 1,000 runs).
@@ -22,9 +28,11 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod heap;
 mod time;
 
 pub use engine::{
     Actor, ActorId, Ctx, DeliveryMeta, Engine, EngineStats, Interceptor, TimerId, Verdict,
 };
+pub use heap::QuadHeap;
 pub use time::SimTime;

@@ -32,7 +32,7 @@ impl SimTime {
         if ns >= u64::MAX as f64 {
             SimTime(u64::MAX)
         } else {
-            SimTime(ns.round() as u64)
+            SimTime(round_half_up(ns))
         }
     }
 
@@ -59,6 +59,22 @@ impl SimTime {
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
+    }
+}
+
+/// `ns.round() as u64` for finite `0 <= ns < 2^64`, without the libm call
+/// `f64::round` compiles to on the x86-64 baseline target.
+///
+/// Exact: below 2^53 both `i as f64` and the fraction `ns - i` are
+/// representable, so the tie test sees the true fraction; from 2^52 up
+/// every `f64` is already an integer and the fraction is zero.
+#[inline]
+fn round_half_up(ns: f64) -> u64 {
+    let i = ns as u64;
+    if ns - i as f64 >= 0.5 {
+        i + 1
+    } else {
+        i
     }
 }
 
@@ -123,6 +139,71 @@ mod tests {
     fn saturating_ops() {
         assert_eq!(SimTime::MAX.saturating_add(SimTime::from_nanos(1)), SimTime::MAX);
         assert_eq!(SimTime::ZERO.saturating_sub(SimTime::from_nanos(1)), SimTime::ZERO);
+    }
+
+    /// The reference the fast rounding must match bit for bit.
+    fn libm_round(ns: f64) -> u64 {
+        ns.round() as u64
+    }
+
+    fn up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    #[test]
+    fn round_half_up_matches_round_at_ties_and_neighbours() {
+        let mut probes = vec![0.0, f64::MIN_POSITIVE, 0.49999999999999994, 0.5, 1.0];
+        for k in [0u64, 1, 2, 7, 1_000, 123_456_789, 1 << 40, (1 << 52) - 1] {
+            let tie = k as f64 + 0.5;
+            probes.extend([tie, up(tie), down(tie), k as f64, up(k as f64)]);
+        }
+        for e in [52, 53, 63] {
+            let x = 2f64.powi(e);
+            probes.extend([x, up(x), down(x), down(down(x)), x - 0.5, x + 0.5, x + 1.0]);
+        }
+        // The largest f64 below 2^64 (2^64 itself saturates in the caller).
+        probes.push(down(2f64.powi(64)));
+        for ns in probes {
+            assert!((0.0..2f64.powi(64)).contains(&ns), "probe {ns} out of domain");
+            assert_eq!(round_half_up(ns), libm_round(ns), "ns = {ns:e} ({:#x})", ns.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        /// Random bit patterns: every finite value in `[0, 2^64)` rounds as
+        /// `f64::round` does, and `from_secs_f64` agrees with the libm
+        /// formulation on any input at all.
+        #[test]
+        fn round_half_up_matches_round_on_random_bits(bits in proptest::prelude::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            let ns = x.abs();
+            if ns < 2f64.powi(64) {
+                proptest::prop_assert_eq!(round_half_up(ns), libm_round(ns));
+            }
+            let reference = if x.is_nan() || x <= 0.0 {
+                0
+            } else if x * 1e9 >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                libm_round(x * 1e9)
+            };
+            proptest::prop_assert_eq!(SimTime::from_secs_f64(x).as_nanos(), reference);
+        }
+
+        /// Random ties `k + 0.5` below 2^52 and their one-ulp neighbours.
+        #[test]
+        fn round_half_up_matches_round_at_random_ties(k in 0u64..(1 << 52)) {
+            let tie = k as f64 + 0.5;
+            for ns in [tie, up(tie), down(tie)] {
+                proptest::prop_assert_eq!(round_half_up(ns), libm_round(ns), "ns = {:e}", ns);
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! Dispatch rules (all fall back to the scalar path per seed, preserving
 //! bit-identity trivially):
 //! - adaptive / feedback-consuming techniques (AWF, AF, TAP, BOLD, WF);
-//! - `p > LOCKSTEP_MAX_P`, where the O(p) per-step argmin loses to the
-//!   scalar heap's O(log p) pops (e.g. SS at p = 1024);
+//! - `p > LOCKSTEP_MAX_P` (see its docs: the per-step grouped argmin
+//!   grows with p faster than the scalar heap's O(log p) pops, and loses
+//!   by about 3× at p = 1024);
 //! - degenerate batches (width ≤ 1).
 //!
 //! STAT gets its own batched path: its chunk→PE assignment is forced
@@ -43,11 +44,20 @@ use dls_metrics::OverheadModel;
 use dls_telemetry::Telemetry;
 use dls_workload::TaskTimes;
 
-/// Largest PE count simulated in lockstep. Above this, the per-step O(p)
-/// argmin sweep costs more than the scalar heap's O(log p) pops and the
-/// batch dispatcher falls back to per-seed scalar runs. The paper's batched
-/// bench cells are p = 8 (fig5) and p = 64 (fig6); fig7/fig8 campaigns
-/// (p ≥ 256) keep their scalar performance profile.
+/// Largest PE count simulated in lockstep; above it the batch dispatcher
+/// falls back to per-seed scalar runs.
+///
+/// The lockstep step's grouped argmin scans a p/8-wide row of group minima
+/// plus one 8-PE group, so its cost grows with p, while a scalar run pays
+/// O(log p) per pop on the 4-ary ready queue. Measured over 32 seeds at
+/// n = 8,192 (SS, FAC, FAC2, GSS; 2-vCPU Xeon VM): lockstep runs in
+/// 0.4× the scalar time at p = 64, 0.45–0.55× at p = 128, 0.7–1.1× at
+/// p = 256 and 2.7–3.1× at p = 1024. The crossover sits near p = 256, so
+/// this cutoff is conservative: lockstep would still win at p = 128 (no
+/// paper cell uses it), is about even at p = 256 and loses clearly at
+/// p = 1024. The paper's batched bench cells are p = 8 (fig5) and p = 64
+/// (fig6); fig7/fig8 campaigns (p ≥ 256) keep their scalar performance
+/// profile.
 pub const LOCKSTEP_MAX_P: usize = 64;
 
 /// Simulates B seeds of one campaign cell in lockstep (see module docs).
@@ -304,7 +314,7 @@ impl<'a> LockstepState<'a> {
 
     /// The step loop. Per step and lane: pick the earliest PE from the
     /// group-minima row (leftmost minimum wins, so ties resolve to the
-    /// smallest PE exactly like the scalar ready queue's `(Avail, pe)`
+    /// smallest PE exactly like the scalar ready queue's `(avail, pe)`
     /// ordering), replay the chunk assignment in the scalar simulator's
     /// f64 operation order, then rescan only the winner's group:
     ///
@@ -428,7 +438,7 @@ impl<'a> LockstepState<'a> {
 
 /// Leftmost argmin: an ascending strict-`<` branchless compare chain, so
 /// equal minima resolve to the smallest index — the scalar ready queue's
-/// `(Avail, pe)` tie order. (A depth-3 pairwise tournament was measured
+/// `(avail, pe)` tie order. (A depth-3 pairwise tournament was measured
 /// slower here: the extra selects cost more than the shorter chain saves.)
 #[inline(always)]
 fn argmin(row: &[f64]) -> (f64, usize) {

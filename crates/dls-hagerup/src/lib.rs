@@ -14,7 +14,9 @@
 //!
 //! # Mechanics
 //!
-//! A priority queue holds each PE's next-available time. Repeatedly, the
+//! A priority queue holds each PE's next-available time — the same 4-ary
+//! [`QuadHeap`] the `dls-des` engine uses for its events, keyed so that
+//! ties go to the smaller PE index and a NaN time panics. Repeatedly, the
 //! earliest-available PE requests work, receives a chunk from the technique
 //! under test, and becomes available again after executing it (consecutive
 //! task times come from the shared [`TaskTimes`] realization). The
@@ -36,97 +38,38 @@
 #![warn(missing_docs)]
 
 use dls_core::{ChunkScheduler, LoopSetup, SetupError, Technique};
+use dls_des::QuadHeap;
 use dls_metrics::{OverheadModel, RunCost};
 use dls_telemetry::Telemetry;
 use dls_trace::{TraceKind, Tracer};
 use dls_workload::TaskTimes;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 mod batch;
 pub use batch::{BatchDirectSimulator, LOCKSTEP_MAX_P};
 
-/// Ordered f64 wrapper for the availability heap (no NaNs by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Avail(f64);
-
-impl Eq for Avail {}
-impl PartialOrd for Avail {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Avail {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("availability times are never NaN")
-    }
-}
-
-/// Largest PE count for which the availability queue uses a flat index-min
-/// scan instead of a binary heap. Every paper configuration has P ≤ 16 in
-/// the figure-5/6 regime; a linear scan over ≤ 16 slots is branch-cheap,
-/// allocation-free and measurably faster than heap sift operations (see
-/// `hotpath_batch_direct` in the bench crate).
-const FLAT_QUEUE_MAX_P: usize = 16;
-
-/// The simulator's PE-availability priority queue.
+/// Ready-queue key of PE `pe` available at time `t`:
+/// `ordered_bits(t) << 64 | pe`.
 ///
-/// Both variants pop the minimum `(avail, pe)` pair — ties broken toward
-/// the smaller PE index, matching `BinaryHeap<Reverse<(Avail, usize)>>`
-/// tuple order — so the dispatch sequence (and therefore every f64 in the
-/// outcome) is identical whichever variant is selected.
-enum ReadyQueue {
-    /// One slot per PE; pop is an ascending strict-`<` scan. Each PE has at
-    /// most one queued entry by construction, so slots suffice.
-    Flat { avail: Vec<f64>, queued: Vec<bool> },
-    /// The original heap, kept for large P where O(log p) pops win.
-    Heap(BinaryHeap<Reverse<(Avail, usize)>>),
-}
-
-impl ReadyQueue {
-    /// All `p` PEs queued at availability 0.
-    fn new(p: usize) -> Self {
-        if p <= FLAT_QUEUE_MAX_P {
-            ReadyQueue::Flat { avail: vec![0.0; p], queued: vec![true; p] }
-        } else {
-            Self::heap(p)
-        }
-    }
-
-    fn heap(p: usize) -> Self {
-        ReadyQueue::Heap((0..p).map(|pe| Reverse((Avail(0.0), pe))).collect())
-    }
-
-    /// Removes and returns the earliest-available queued PE.
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        match self {
-            ReadyQueue::Flat { avail, queued } => {
-                let mut best: Option<usize> = None;
-                for pe in 0..avail.len() {
-                    if queued[pe] && best.is_none_or(|b| avail[pe] < avail[b]) {
-                        best = Some(pe);
-                    }
-                }
-                best.map(|pe| {
-                    queued[pe] = false;
-                    (avail[pe], pe)
-                })
-            }
-            ReadyQueue::Heap(h) => h.pop().map(|Reverse((Avail(t), pe))| (t, pe)),
-        }
-    }
-
-    /// Re-queues `pe` as available at time `t`.
-    fn push(&mut self, t: f64, pe: usize) {
-        match self {
-            ReadyQueue::Flat { avail, queued } => {
-                debug_assert!(!queued[pe], "PE already queued");
-                avail[pe] = t;
-                queued[pe] = true;
-            }
-            ReadyQueue::Heap(h) => h.push(Reverse((Avail(t), pe))),
-        }
-    }
+/// Orders exactly as `(t, pe)` under `f64::partial_cmp` — earlier
+/// availability first, ties to the smaller PE — for every non-NaN `t`,
+/// negative times and infinities included. The f64's sign-magnitude bits
+/// become a two's-complement integer (a negative `t` maps to minus its
+/// magnitude, so `-0.0` and `+0.0` both map to 0, as they compare equal),
+/// and flipping the sign bit turns signed order into unsigned order. Each
+/// PE is queued at most once, so keys are unique and the pop sequence is
+/// fully determined.
+///
+/// # Panics
+///
+/// On a NaN `t`: it has no place in the order and must never be sorted
+/// silently.
+#[inline]
+fn ready_key(t: f64, pe: usize) -> u128 {
+    assert!(!t.is_nan(), "availability times are never NaN");
+    let bits = t.to_bits() as i64;
+    let signed = if bits < 0 { (bits & i64::MAX).wrapping_neg() } else { bits };
+    let ordered = signed as u64 ^ 1 << 63;
+    (ordered as u128) << 64 | pe as u128
 }
 
 /// Result of one direct-simulation run.
@@ -231,7 +174,7 @@ impl DirectSimulator {
         telemetry: &Telemetry,
     ) -> DirectOutcome {
         let wall = telemetry.span("hagerup.run_wall_s");
-        let out = self.run_core(scheduler, tasks, tracer, ReadyQueue::new(self.p));
+        let out = self.run_core(scheduler, tasks, tracer);
         wall.finish();
         telemetry.counter_inc("hagerup.run_calls");
         telemetry.counter_add("hagerup.chunks", out.chunks);
@@ -239,24 +182,11 @@ impl DirectSimulator {
         out
     }
 
-    /// Forces the binary-heap availability queue regardless of PE count.
-    /// Exists only so the `hotpath_batch_direct` criterion bench can A/B the
-    /// flat scan against the heap; outcomes are identical by construction.
-    #[doc(hidden)]
-    pub fn run_with_ref_forced_heap(
-        &self,
-        scheduler: &mut dyn ChunkScheduler,
-        tasks: &TaskTimes,
-    ) -> DirectOutcome {
-        self.run_core(scheduler, tasks, &Tracer::disabled(), ReadyQueue::heap(self.p))
-    }
-
     fn run_core(
         &self,
         scheduler: &mut dyn ChunkScheduler,
         tasks: &TaskTimes,
         tracer: &Tracer,
-        mut queue: ReadyQueue,
     ) -> DirectOutcome {
         let in_sim_h = self.overhead.in_sim_h();
         let mut compute = vec![0.0f64; self.p];
@@ -271,9 +201,19 @@ impl DirectSimulator {
         let mut pending: Vec<Option<(u64, f64)>> = vec![None; self.p];
         let mut next_task = 0usize;
         let mut chunks = 0u64;
+        // The key folds -0.0 onto +0.0, so the payload carries the time
+        // itself and dispatch reads back the exact f64 that was queued.
+        let mut queue = QuadHeap::with_capacity(self.p);
+        for pe in 0..self.p {
+            queue.push(ready_key(0.0, pe), 0.0f64);
+        }
 
         while next_task < tasks.len() {
-            let (t, pe) = queue.pop().expect("queue holds all PEs");
+            // The earliest PE stays at the top while it is served: a PE
+            // that gets a chunk is re-keyed in place (`replace_top`, one
+            // sift), one that gets nothing leaves the queue.
+            let (key, t) = queue.peek().expect("queue holds all PEs");
+            let pe = key as u64 as usize;
             if let Some((c, elapsed)) = pending[pe].take() {
                 scheduler.record_completion(pe, c, elapsed);
             }
@@ -281,6 +221,7 @@ impl DirectSimulator {
             if c == 0 {
                 // This PE gets nothing more (e.g. STAT after its block);
                 // drop it from the rotation.
+                queue.pop();
                 continue;
             }
             let c = c as usize;
@@ -315,13 +256,14 @@ impl DirectSimulator {
             compute[pe] += work;
             finish[pe] = done;
             pending[pe] = Some((c as u64, work));
-            queue.push(done, pe);
+            queue.replace_top(ready_key(done, pe), done);
         }
         // Flush the final completions (the master receives them with the
         // requests that get answered by finalization messages). Popping in
         // (avail, pe) order matters for persistent adaptive schedulers that
         // carry state across time steps.
-        while let Some((_, pe)) = queue.pop() {
+        while let Some((key, _)) = queue.pop() {
+            let pe = key as u64 as usize;
             if let Some((c, elapsed)) = pending[pe].take() {
                 scheduler.record_completion(pe, c, elapsed);
             }
@@ -471,38 +413,131 @@ mod tests {
         DirectSimulator::with_speeds(vec![1.0, 0.0], OverheadModel::None);
     }
 
+    /// Reference order for the ready queue: `(RefAvail(t), pe)` tuples,
+    /// `t` compared by `f64::partial_cmp` and a NaN panicking.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct RefAvail(f64);
+    impl Eq for RefAvail {}
+    impl PartialOrd for RefAvail {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for RefAvail {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.partial_cmp(&other.0).expect("availability times are never NaN")
+        }
+    }
+
+    /// Availability values that stress the key mapping: signed zeros,
+    /// negatives, subnormals, extremes, infinities, plus near-duplicates.
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.5,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0000000000000002,
+        0.9999999999999999,
+    ];
+
     #[test]
-    fn flat_queue_matches_heap_bit_for_bit() {
-        // P ≤ 16 auto-selects the flat scan; the forced-heap entry point
-        // must produce the identical dispatch sequence and f64 bits.
-        let wl = Workload::exponential(2048, 1.0).unwrap();
-        for seed in 0..4u64 {
-            let tasks = wl.generate(seed);
-            for p in [1usize, 2, 8, 16] {
-                let s = LoopSetup::new(2048, p).with_moments(1.0, 1.0);
-                let sim = DirectSimulator::new(p, OverheadModel::InDynamics { h: 0.01 });
-                for tech in [Technique::SS, Technique::Fac2, Technique::Af] {
-                    let flat = sim.run(tech, &s, &tasks).unwrap();
-                    let mut sched = tech.build(&s).unwrap();
-                    let heap = sim.run_with_ref_forced_heap(sched.as_mut(), &tasks);
-                    assert_eq!(flat.makespan.to_bits(), heap.makespan.to_bits());
-                    assert_eq!(flat, heap, "{tech} p={p} seed={seed}");
+    fn ready_key_orders_exactly_as_the_tuple_comparator() {
+        for &a in &SPECIAL {
+            for &b in &SPECIAL {
+                for (pa, pb) in [(0usize, 1usize), (1, 0), (3, 3)] {
+                    let want = (RefAvail(a), pa).cmp(&(RefAvail(b), pb));
+                    let got = ready_key(a, pa).cmp(&ready_key(b, pb));
+                    assert_eq!(got, want, "({a:e}, {pa}) vs ({b:e}, {pb})");
                 }
             }
         }
     }
 
     #[test]
-    fn large_p_still_uses_heap_and_matches() {
-        let wl = Workload::exponential(512, 1.0).unwrap();
-        let tasks = wl.generate(7);
-        let p = FLAT_QUEUE_MAX_P + 1;
-        let s = LoopSetup::new(512, p).with_moments(1.0, 1.0);
-        let sim = DirectSimulator::new(p, OverheadModel::None);
-        let auto = sim.run(Technique::Gss { min_chunk: 1 }, &s, &tasks).unwrap();
-        let mut sched = Technique::Gss { min_chunk: 1 }.build(&s).unwrap();
-        let forced = sim.run_with_ref_forced_heap(sched.as_mut(), &tasks);
-        assert_eq!(auto, forced);
+    #[should_panic(expected = "availability times are never NaN")]
+    fn nan_availability_panics() {
+        ready_key(f64::NAN, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "availability times are never NaN")]
+    fn nan_availability_panics_inside_a_run() {
+        // An in-dynamics overhead of NaN makes the first chunk's completion
+        // time NaN; re-queueing that PE must panic, even at a small PE count.
+        let tasks = constant_tasks(4, 1.0);
+        let sim = DirectSimulator::new(2, OverheadModel::InDynamics { h: f64::NAN });
+        let _ = sim.run(Technique::SS, &setup(4, 2), &tasks);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The replica's queue pops exactly what a reference `BinaryHeap`
+        /// over `Reverse((RefAvail, pe))` pops, over random interleavings
+        /// of push, pop and the simulator's re-key of the top PE
+        /// (`replace_top` against a reference pop + push). Availabilities
+        /// come from a handful of values (negative ones and both zeros
+        /// included), so most pushes tie and the PE index decides; as in
+        /// the simulator, a PE is queued at most once at a time.
+        #[test]
+        fn ready_queue_matches_a_reference_binary_heap(
+            ops in proptest::collection::vec(0usize..32, 1..400),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            const P: usize = 8;
+            let avails = [0.0, -0.0, -2.5, 1.0, 1.0, 3.0, f64::INFINITY, -1e-300];
+            let mut heap = QuadHeap::<f64>::new();
+            let mut reference = BinaryHeap::new();
+            let mut queued = [false; P];
+            for op in ops {
+                // 0..16 pushes avails[op % 8] for the first idle PE at or
+                // after op % 8; 16..24 pops; 24..32 re-keys the top PE to
+                // avails[op % 8].
+                if op >= 24 {
+                    let Some(Reverse((RefAvail(top), pe))) = reference.pop() else {
+                        continue;
+                    };
+                    let (key, t) = heap.peek().expect("both heaps hold the same PEs");
+                    proptest::prop_assert_eq!((t.to_bits(), key as u64 as usize), (top.to_bits(), pe));
+                    let t = avails[op % avails.len()];
+                    heap.replace_top(ready_key(t, pe), t);
+                    reference.push(Reverse((RefAvail(t), pe)));
+                } else if op < 16 {
+                    let start = op % P;
+                    let Some(pe) = (0..P).map(|d| (start + d) % P).find(|&pe| !queued[pe])
+                    else {
+                        continue;
+                    };
+                    let t = avails[op % avails.len()];
+                    queued[pe] = true;
+                    heap.push(ready_key(t, pe), t);
+                    reference.push(Reverse((RefAvail(t), pe)));
+                } else {
+                    let got = heap.pop().map(|(key, t)| (t.to_bits(), key as u64 as usize));
+                    let want = reference.pop().map(|Reverse((RefAvail(t), pe))| (t.to_bits(), pe));
+                    proptest::prop_assert_eq!(got, want);
+                    if let Some((_, pe)) = want {
+                        queued[pe] = false;
+                    }
+                }
+            }
+            while let Some(Reverse((RefAvail(t), pe))) = reference.pop() {
+                let got = heap.pop().map(|(key, t)| (t.to_bits(), key as u64 as usize));
+                proptest::prop_assert_eq!(got, Some((t.to_bits(), pe)));
+            }
+            proptest::prop_assert!(heap.pop().is_none());
+        }
     }
 
     #[test]

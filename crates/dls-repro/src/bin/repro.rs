@@ -942,7 +942,7 @@ fn cmd_bench(o: &Options) -> Result<(), ReproError> {
 }
 
 fn cmd_verify(o: &Options) -> Result<(), ReproError> {
-    use dls_repro::verify::{run_verification, verdict, VerifyConfig};
+    use dls_repro::verify::{require_agreement, run_verification, verdict, VerifyConfig};
     let mut cfg = VerifyConfig::default();
     if o.runs != 1000 {
         cfg.runs = o.runs;
@@ -980,9 +980,9 @@ fn cmd_verify(o: &Options) -> Result<(), ReproError> {
     println!(
         "(The paper's verification had to tolerate <= 15 % against unknown-seed\n\
          published values; with identical realizations the two simulators in\n\
-         this workspace must — and do — agree to DES noise.)"
+         this workspace must agree to DES noise, below the table's precision.)"
     );
-    Ok(())
+    require_agreement(&rows)
 }
 
 /// Commands that support `--resume DIR` (their campaigns are journaled).

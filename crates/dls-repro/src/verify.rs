@@ -8,6 +8,7 @@
 //! only compare against published numbers with an unknown seed (§III-B);
 //! with both simulators in one workspace the comparison is exact.
 
+use crate::error::ReproError;
 use dls_core::{SetupError, Technique};
 use dls_hagerup::DirectSimulator;
 use dls_metrics::{OverheadModel, SummaryStats};
@@ -110,12 +111,36 @@ pub fn run_verification(cfg: &VerifyConfig) -> Result<Vec<VerifyRow>, SetupError
     Ok(rows)
 }
 
+/// The precision of the verification table's deviation columns, percent
+/// (four decimals). A deviation that reaches it shows up as a non-zero
+/// printed digit, so the simulators no longer agree to DES noise.
+pub const MAX_DEVIATION_PCT: f64 = 1e-4;
+
 /// The overall verdict: the largest deviation anywhere in the grid.
 pub fn verdict(rows: &[VerifyRow]) -> (f64, bool) {
     let worst =
         rows.iter().map(|r| r.max_makespan_dev_pct.max(r.max_wasted_dev_pct)).fold(0.0, f64::max);
     let all_chunks = rows.iter().all(|r| r.chunks_identical);
     (worst, all_chunks)
+}
+
+/// Passes only when every cell's chunk streams are identical and every
+/// deviation stays below [`MAX_DEVIATION_PCT`]; otherwise a
+/// [`ReproError::Regression`] (exit 5) naming the first failing cell. A NaN
+/// deviation fails too.
+pub fn require_agreement(rows: &[VerifyRow]) -> Result<(), ReproError> {
+    let within = |dev: f64| dev < MAX_DEVIATION_PCT;
+    match rows.iter().find(|r| {
+        !r.chunks_identical || !within(r.max_makespan_dev_pct) || !within(r.max_wasted_dev_pct)
+    }) {
+        None => Ok(()),
+        Some(r) => Err(ReproError::Regression(format!(
+            "verify: the simulators disagree on {} at n = {}, p = {} (chunk streams identical: \
+             {}, max makespan deviation {:e} %, max wasted-time deviation {:e} %; the \
+             tolerance is {MAX_DEVIATION_PCT:e} %)",
+            r.technique, r.n, r.p, r.chunks_identical, r.max_makespan_dev_pct, r.max_wasted_dev_pct,
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +158,29 @@ mod tests {
         let (worst, chunks_ok) = verdict(&rows);
         assert!(worst < 0.1, "worst deviation {worst}%");
         assert!(chunks_ok, "chunk counts must match for non-adaptive techniques");
+    }
+
+    #[test]
+    fn agreement_check_fails_on_any_disagreement() {
+        let rows = run_verification(&small()).unwrap();
+        require_agreement(&rows).unwrap();
+        let broken = |edit: fn(&mut VerifyRow)| {
+            let mut rows = rows.clone();
+            edit(&mut rows[3]);
+            require_agreement(&rows)
+        };
+        for edit in [
+            (|r| r.chunks_identical = false) as fn(&mut VerifyRow),
+            |r| r.max_makespan_dev_pct = MAX_DEVIATION_PCT,
+            |r| r.max_wasted_dev_pct = 0.5,
+            |r| r.max_wasted_dev_pct = f64::NAN,
+        ] {
+            let err = broken(edit).unwrap_err();
+            assert!(matches!(err, ReproError::Regression(_)), "{err:?}");
+            assert_eq!(err.exit_code(), crate::error::EXIT_REGRESSION);
+        }
+        // Deviations below the printed precision still pass.
+        broken(|r| r.max_makespan_dev_pct = 3.3e-7).unwrap();
     }
 
     #[test]
