@@ -30,6 +30,25 @@ pub trait Actor<M> {
     fn on_timer(&mut self, _key: u64, _ctx: &mut Ctx<'_, M>) {}
 }
 
+/// A boxed actor is an actor, so [`Engine<M>`] (whose actor type defaults
+/// to `Box<dyn Actor<M>>`) can hold actors of different types.
+impl<M, T: Actor<M> + ?Sized> Actor<M> for Box<T> {
+    #[inline]
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        (**self).on_start(ctx);
+    }
+
+    #[inline]
+    fn on_message(&mut self, from: ActorId, msg: M, ctx: &mut Ctx<'_, M>) {
+        (**self).on_message(from, msg, ctx);
+    }
+
+    #[inline]
+    fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, M>) {
+        (**self).on_timer(key, ctx);
+    }
+}
+
 /// Metadata describing one in-flight message, shown to the [`Interceptor`]
 /// before the delivery event is enqueued.
 ///
@@ -66,8 +85,9 @@ pub enum Verdict {
 ///
 /// Installed via [`Engine::set_interceptor`]; `dls-faults` implements this
 /// to realise loss, partition and latency-spike plans. The engine calls it
-/// exactly once per send, in deterministic (command-issue) order, so a
-/// seeded interceptor yields bit-identical runs.
+/// exactly once per send, inside [`Ctx::send`], so calls follow the
+/// deterministic order in which actors issue sends and a seeded
+/// interceptor yields bit-identical runs.
 pub trait Interceptor {
     /// Decides the fate of one message.
     fn intercept(&mut self, meta: &DeliveryMeta) -> Verdict;
@@ -102,6 +122,7 @@ impl<M> EventSlab<M> {
         EventSlab { slots: Vec::new(), free: Vec::new() }
     }
 
+    #[inline]
     fn insert(&mut self, kind: EventKind<M>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -118,6 +139,7 @@ impl<M> EventSlab<M> {
     }
 
     /// Removes and returns the payload at `slot`, recycling the slot.
+    #[inline]
     fn take(&mut self, slot: u32) -> EventKind<M> {
         let kind = self.slots[slot as usize].take().expect("slot must be occupied");
         self.free.push(slot);
@@ -168,30 +190,109 @@ impl CancelSet {
     }
 }
 
-enum Command<M> {
-    Send { to: ActorId, delay: SimTime, msg: M },
-    Timer { delay: SimTime, key: u64, id: Option<TimerId> },
-    CancelTimer { id: TimerId },
-    Kill { victim: ActorId },
-    Stop,
+/// Everything in an [`Engine`] except the actors: the part a callback's
+/// [`Ctx`] borrows, so every `Ctx` call takes effect on the spot.
+struct Core<M> {
+    dead: Vec<bool>,
+    /// Pending events keyed by [`event_key`]; the payload is the slab slot
+    /// of the event's [`EventKind`], so only 24-byte nodes move in sifts.
+    heap: QuadHeap<u32>,
+    slab: EventSlab<M>,
+    now: SimTime,
+    seq: u64,
+    next_timer_id: u64,
+    cancelled: CancelSet,
+    interceptor: Option<Box<dyn Interceptor>>,
+    tracer: Tracer,
+    stats: EngineStats,
+    /// The queue's root is the event being dispatched. Its payload has
+    /// left the slab; the callback's first push overwrites the root (one
+    /// sift instead of a pop's and a push's), and if nothing is pushed the
+    /// loop pops the root after the callback.
+    head_consumed: bool,
+    stop: bool,
+}
+
+impl<M> Core<M> {
+    #[inline]
+    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = self.slab.insert(kind);
+        let key = event_key(time, seq);
+        if self.head_consumed {
+            // Equal to popping the consumed head and then pushing: keys are
+            // unique, so the pop order and every later length are the same.
+            self.head_consumed = false;
+            self.heap.replace_top(key, slot);
+        } else {
+            self.heap.push(key, slot);
+        }
+        self.stats.max_queue = self.stats.max_queue.max(self.heap.len());
+    }
+
+    #[inline]
+    fn send(&mut self, from: ActorId, to: ActorId, delay: SimTime, msg: M) {
+        let at = self.now.saturating_add(delay);
+        let verdict = match self.interceptor.as_mut() {
+            None => Verdict::Deliver,
+            Some(hook) => hook.intercept(&DeliveryMeta {
+                from,
+                to,
+                sent_at: self.now,
+                deliver_at: at,
+                seq: self.seq,
+            }),
+        };
+        match verdict {
+            Verdict::Deliver => {
+                self.tracer.emit_with(|| dls_trace::TraceEvent {
+                    at: self.now.as_secs_f64(),
+                    kind: TraceKind::MsgSent {
+                        from,
+                        to,
+                        deliver_at: at.as_secs_f64(),
+                        seq: self.seq,
+                    },
+                });
+                self.push_event(at, EventKind::Deliver { from, to, msg });
+            }
+            Verdict::Drop => {
+                self.tracer.emit(self.now.as_secs_f64(), TraceKind::MsgDropped { from, to });
+                self.stats.dropped_sends += 1;
+            }
+            Verdict::Delay(extra) => {
+                self.tracer.emit(
+                    self.now.as_secs_f64(),
+                    TraceKind::MsgDelayed { from, to, extra: extra.as_secs_f64() },
+                );
+                self.stats.delayed_sends += 1;
+                self.push_event(at.saturating_add(extra), EventKind::Deliver { from, to, msg });
+            }
+        }
+    }
 }
 
 /// The per-callback handle through which an actor interacts with the engine.
+///
+/// It borrows the engine's queue and bookkeeping for the duration of one
+/// callback, and every call takes effect immediately, in issue order: a
+/// send is intercepted, traced and queued before `send` returns. Nothing
+/// is buffered until the callback ends.
 pub struct Ctx<'a, M> {
-    now: SimTime,
+    core: &'a mut Core<M>,
     self_id: ActorId,
-    num_actors: usize,
-    commands: &'a mut Vec<Command<M>>,
-    next_timer_id: &'a mut u64,
 }
 
 impl<M> Ctx<'_, M> {
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// This actor's id.
+    #[inline]
     pub fn self_id(&self) -> ActorId {
         self.self_id
     }
@@ -200,23 +301,27 @@ impl<M> Ctx<'_, M> {
     ///
     /// The delay is the caller-computed transfer time (the network model
     /// lives in `dls-platform`, not in the engine).
+    #[inline]
     pub fn send(&mut self, to: ActorId, delay: SimTime, msg: M) {
-        assert!(to < self.num_actors, "send to unknown actor {to}");
-        self.commands.push(Command::Send { to, delay, msg });
+        assert!(to < self.core.dead.len(), "send to unknown actor {to}");
+        self.core.send(self.self_id, to, delay, msg);
     }
 
     /// Schedules an `on_timer(key)` callback on this actor after `delay`.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, key: u64) {
-        self.commands.push(Command::Timer { delay, key, id: None });
+        let at = self.core.now.saturating_add(delay);
+        self.core.push_event(at, EventKind::Timer { actor: self.self_id, key, id: None });
     }
 
     /// Like [`Ctx::set_timer`], but returns a handle that can later be
     /// passed to [`Ctx::cancel_timer`]. Used for watchdogs that are armed
     /// per outstanding chunk and disarmed when the result arrives.
     pub fn set_cancellable_timer(&mut self, delay: SimTime, key: u64) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
-        self.commands.push(Command::Timer { delay, key, id: Some(id) });
+        let id = TimerId(self.core.next_timer_id);
+        self.core.next_timer_id += 1;
+        let at = self.core.now.saturating_add(delay);
+        self.core.push_event(at, EventKind::Timer { actor: self.self_id, key, id: Some(id) });
         id
     }
 
@@ -225,7 +330,9 @@ impl<M> Ctx<'_, M> {
     /// Cancelling a timer that already fired (or was already cancelled) is
     /// a no-op — ids are never reused, so no later timer can be affected.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer { id });
+        let core = &mut *self.core;
+        core.cancelled.insert(id.0);
+        core.stats.max_cancelled = core.stats.max_cancelled.max(core.cancelled.peak);
     }
 
     /// Fail-stops `victim` at the current instant.
@@ -234,16 +341,18 @@ impl<M> Ctx<'_, M> {
     /// run) but it receives no further callbacks: queued and future
     /// deliveries and timers addressed to it become dead letters, counted
     /// in [`EngineStats::dead_letters`]. Killing an already-dead actor is
-    /// a no-op; an actor may kill itself.
+    /// a no-op; an actor may kill itself (its current callback still runs
+    /// to the end).
     pub fn kill(&mut self, victim: ActorId) {
-        assert!(victim < self.num_actors, "kill of unknown actor {victim}");
-        self.commands.push(Command::Kill { victim });
+        assert!(victim < self.core.dead.len(), "kill of unknown actor {victim}");
+        self.core.tracer.emit(self.core.now.as_secs_f64(), TraceKind::ActorKilled { victim });
+        self.core.dead[victim] = true;
     }
 
     /// Halts the simulation after the current callback returns; queued
     /// events are discarded.
     pub fn stop(&mut self) {
-        self.commands.push(Command::Stop);
+        self.core.stop = true;
     }
 }
 
@@ -270,21 +379,15 @@ pub struct EngineStats {
 }
 
 /// The discrete-event engine: owns actors and the event queue.
-pub struct Engine<M> {
-    actors: Vec<Box<dyn Actor<M>>>,
-    dead: Vec<bool>,
-    /// Pending events keyed by [`event_key`]; the payload is the slab slot
-    /// of the event's [`EventKind`], so only 24-byte nodes move in sifts.
-    heap: QuadHeap<u32>,
-    slab: EventSlab<M>,
-    now: SimTime,
-    seq: u64,
-    next_timer_id: u64,
-    cancelled: CancelSet,
-    interceptor: Option<Box<dyn Interceptor>>,
-    tracer: Tracer,
-    commands: Vec<Command<M>>,
-    stats: EngineStats,
+///
+/// `A` is the actor type. The default, `Box<dyn Actor<M>>`, holds actors
+/// of any types ([`Engine::new`], [`Engine::add_actor`]); a simulator whose
+/// actors fit one type (such as an `enum` over its roles) names it and
+/// builds the engine with [`Engine::with_capacity`] and [`Engine::spawn`],
+/// so each callback is a direct, inlinable call instead of a vtable one.
+pub struct Engine<M, A = Box<dyn Actor<M>>> {
+    actors: Vec<A>,
+    core: Core<M>,
 }
 
 impl<M> Default for Engine<M> {
@@ -294,28 +397,44 @@ impl<M> Default for Engine<M> {
 }
 
 impl<M> Engine<M> {
-    /// Creates an empty engine at time zero.
+    /// Creates an empty engine at time zero, for boxed actors.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Registers a boxed actor, returning its id (ids are dense, start at
+    /// 0).
+    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
+        self.spawn(actor)
+    }
+}
+
+impl<M, A: Actor<M>> Engine<M, A> {
+    /// Creates an empty engine at time zero with room for `actors` actors.
+    pub fn with_capacity(actors: usize) -> Self {
         Engine {
-            actors: Vec::new(),
-            dead: Vec::new(),
-            heap: QuadHeap::new(),
-            slab: EventSlab::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            next_timer_id: 0,
-            cancelled: CancelSet::default(),
-            interceptor: None,
-            tracer: Tracer::disabled(),
-            commands: Vec::new(),
-            stats: EngineStats::default(),
+            actors: Vec::with_capacity(actors),
+            core: Core {
+                dead: Vec::with_capacity(actors),
+                heap: QuadHeap::new(),
+                slab: EventSlab::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+                next_timer_id: 0,
+                cancelled: CancelSet::default(),
+                interceptor: None,
+                tracer: Tracer::disabled(),
+                stats: EngineStats::default(),
+                head_consumed: false,
+                stop: false,
+            },
         }
     }
 
     /// Registers an actor, returning its id (ids are dense, start at 0).
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
+    pub fn spawn(&mut self, actor: A) -> ActorId {
         self.actors.push(actor);
-        self.dead.push(false);
+        self.core.dead.push(false);
         self.actors.len() - 1
     }
 
@@ -330,7 +449,7 @@ impl<M> Engine<M> {
     /// [`Verdict::Deliver`]) and the event stream is byte-identical to an
     /// engine built before this hook existed.
     pub fn set_interceptor(&mut self, interceptor: Box<dyn Interceptor>) {
-        self.interceptor = Some(interceptor);
+        self.core.interceptor = Some(interceptor);
     }
 
     /// Attaches a trace sink through its [`Tracer`] handle.
@@ -341,258 +460,94 @@ impl<M> Engine<M> {
     /// untraced runs are bit-identical to an engine built before this hook
     /// existed.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    #[inline]
-    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.slab.insert(kind);
-        self.heap.push(event_key(time, seq), slot);
-        self.stats.max_queue = self.stats.max_queue.max(self.heap.len());
-    }
-
-    fn drain_commands(&mut self, issuer: ActorId) -> bool {
-        if self.commands.is_empty() {
-            return false;
-        }
-        if self.interceptor.is_some() {
-            return self.drain_commands_intercepted(issuer);
-        }
-        // No interceptor: every send is delivered as scheduled, so the loop
-        // does no metadata work and no verdict dispatch at all.
-        let mut stop = false;
-        // Swap out to appease the borrow checker without reallocating.
-        let mut cmds = std::mem::take(&mut self.commands);
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Send { to, delay, msg } => {
-                    let at = self.now.saturating_add(delay);
-                    self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: self.now.as_secs_f64(),
-                        kind: TraceKind::MsgSent {
-                            from: issuer,
-                            to,
-                            deliver_at: at.as_secs_f64(),
-                            seq: self.seq,
-                        },
-                    });
-                    self.push_event(at, EventKind::Deliver { from: issuer, to, msg });
-                }
-                Command::Timer { delay, key, id } => {
-                    let at = self.now.saturating_add(delay);
-                    self.push_event(at, EventKind::Timer { actor: issuer, key, id });
-                }
-                Command::CancelTimer { id } => {
-                    self.cancelled.insert(id.0);
-                    self.stats.max_cancelled = self.stats.max_cancelled.max(self.cancelled.peak);
-                }
-                Command::Kill { victim } => {
-                    self.tracer.emit(self.now.as_secs_f64(), TraceKind::ActorKilled { victim });
-                    self.dead[victim] = true;
-                }
-                Command::Stop => stop = true,
-            }
-        }
-        self.commands = cmds;
-        stop
-    }
-
-    fn drain_commands_intercepted(&mut self, issuer: ActorId) -> bool {
-        let mut stop = false;
-        let mut cmds = std::mem::take(&mut self.commands);
-        let mut interceptor = self.interceptor.take();
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Send { to, delay, msg } => {
-                    let at = self.now.saturating_add(delay);
-                    let verdict = match interceptor.as_mut() {
-                        Some(hook) => hook.intercept(&DeliveryMeta {
-                            from: issuer,
-                            to,
-                            sent_at: self.now,
-                            deliver_at: at,
-                            seq: self.seq,
-                        }),
-                        None => Verdict::Deliver,
-                    };
-                    match verdict {
-                        Verdict::Deliver => {
-                            self.tracer.emit_with(|| dls_trace::TraceEvent {
-                                at: self.now.as_secs_f64(),
-                                kind: TraceKind::MsgSent {
-                                    from: issuer,
-                                    to,
-                                    deliver_at: at.as_secs_f64(),
-                                    seq: self.seq,
-                                },
-                            });
-                            self.push_event(at, EventKind::Deliver { from: issuer, to, msg });
-                        }
-                        Verdict::Drop => {
-                            self.tracer.emit(
-                                self.now.as_secs_f64(),
-                                TraceKind::MsgDropped { from: issuer, to },
-                            );
-                            self.stats.dropped_sends += 1;
-                        }
-                        Verdict::Delay(extra) => {
-                            self.tracer.emit(
-                                self.now.as_secs_f64(),
-                                TraceKind::MsgDelayed {
-                                    from: issuer,
-                                    to,
-                                    extra: extra.as_secs_f64(),
-                                },
-                            );
-                            self.stats.delayed_sends += 1;
-                            let late = at.saturating_add(extra);
-                            self.push_event(late, EventKind::Deliver { from: issuer, to, msg });
-                        }
-                    }
-                }
-                Command::Timer { delay, key, id } => {
-                    let at = self.now.saturating_add(delay);
-                    self.push_event(at, EventKind::Timer { actor: issuer, key, id });
-                }
-                Command::CancelTimer { id } => {
-                    self.cancelled.insert(id.0);
-                    self.stats.max_cancelled = self.stats.max_cancelled.max(self.cancelled.peak);
-                }
-                Command::Kill { victim } => {
-                    self.tracer.emit(self.now.as_secs_f64(), TraceKind::ActorKilled { victim });
-                    self.dead[victim] = true;
-                }
-                Command::Stop => stop = true,
-            }
-        }
-        self.commands = cmds;
-        self.interceptor = interceptor;
-        stop
+        self.core.tracer = tracer;
     }
 
     /// Runs the simulation to completion (empty queue or [`Ctx::stop`]).
     ///
-    /// Returns the final statistics. The engine can be inspected but not
-    /// re-run afterwards.
-    pub fn run(mut self) -> (Vec<Box<dyn Actor<M>>>, EngineStats) {
-        let num_actors = self.actors.len();
+    /// Returns the actors and the final statistics.
+    ///
+    /// Each dispatched event costs one queue sift: the head is peeked, not
+    /// popped, and the callback's first push replaces it in place. The
+    /// queue therefore passes through the same contents, in the same
+    /// order, as a pop-then-push loop.
+    pub fn run(self) -> (Vec<A>, EngineStats) {
+        let Engine { mut actors, mut core } = self;
         // Reserve for the common steady state (one in-flight event per actor
         // plus slack) so the first ramp-up does not reallocate repeatedly.
-        let cap = 2 * num_actors + 16;
-        self.heap.reserve(cap);
-        self.slab.reserve(cap);
-        self.commands.reserve(16);
+        let cap = 2 * actors.len() + 16;
+        core.heap.reserve(cap);
+        core.slab.reserve(cap);
         // Start phase: give every actor a chance to seed the queue.
-        for id in 0..num_actors {
-            let mut commands = std::mem::take(&mut self.commands);
-            let mut tid = self.next_timer_id;
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    self_id: id,
-                    num_actors,
-                    commands: &mut commands,
-                    next_timer_id: &mut tid,
-                };
-                self.actors[id].on_start(&mut ctx);
-            }
-            self.commands = commands;
-            self.next_timer_id = tid;
-            if self.drain_commands(id) {
-                self.stats.stopped = true;
-                self.stats.end_time = self.now;
-                return (self.actors, self.stats);
+        for (id, actor) in actors.iter_mut().enumerate() {
+            actor.on_start(&mut Ctx { core: &mut core, self_id: id });
+            if core.stop {
+                core.stats.stopped = true;
+                core.stats.end_time = core.now;
+                return (actors, core.stats);
             }
         }
 
-        while let Some((key, slot)) = self.heap.pop() {
+        while let Some((key, slot)) = core.heap.peek() {
             let time = SimTime::from_nanos((key >> 64) as u64);
-            debug_assert!(time >= self.now, "time must be monotone");
-            let kind = self.slab.take(slot);
-            // Cancelled timers and traffic to killed actors are skipped
+            debug_assert!(time >= core.now, "time must be monotone");
+            let kind = core.slab.take(slot);
+            // Cancelled timers and traffic to killed actors are popped
             // without advancing the clock or the event counter — a fault-free
             // plan leaves both sets empty, so that path is untouched. The
             // `is_empty` check keeps the common no-cancellation case free of
             // any per-timer lookup.
-            match &kind {
+            let dead_target = match &kind {
                 EventKind::Timer { id: Some(id), .. }
-                    if !self.cancelled.is_empty() && self.cancelled.remove(id.0) =>
+                    if !core.cancelled.is_empty() && core.cancelled.remove(id.0) =>
                 {
+                    core.heap.pop();
                     continue;
                 }
-                EventKind::Timer { actor, .. } if self.dead[*actor] => {
-                    self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: time.as_secs_f64(),
-                        kind: TraceKind::DeadLetter { to: *actor },
-                    });
-                    self.stats.dead_letters += 1;
-                    continue;
-                }
-                EventKind::Deliver { to, .. } if self.dead[*to] => {
-                    self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: time.as_secs_f64(),
-                        kind: TraceKind::DeadLetter { to: *to },
-                    });
-                    self.stats.dead_letters += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            self.now = time;
-            self.stats.events += 1;
-            let actor_id = match kind {
-                EventKind::Deliver { from, to, msg } => {
-                    self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: self.now.as_secs_f64(),
-                        kind: TraceKind::MsgDelivered { from, to },
-                    });
-                    let mut commands = std::mem::take(&mut self.commands);
-                    let mut tid = self.next_timer_id;
-                    {
-                        let mut ctx = Ctx {
-                            now: self.now,
-                            self_id: to,
-                            num_actors,
-                            commands: &mut commands,
-                            next_timer_id: &mut tid,
-                        };
-                        self.actors[to].on_message(from, msg, &mut ctx);
-                    }
-                    self.commands = commands;
-                    self.next_timer_id = tid;
-                    to
-                }
-                EventKind::Timer { actor, key, id: _ } => {
-                    self.tracer.emit_with(|| dls_trace::TraceEvent {
-                        at: self.now.as_secs_f64(),
-                        kind: TraceKind::TimerFired { actor, key },
-                    });
-                    let mut commands = std::mem::take(&mut self.commands);
-                    let mut tid = self.next_timer_id;
-                    {
-                        let mut ctx = Ctx {
-                            now: self.now,
-                            self_id: actor,
-                            num_actors,
-                            commands: &mut commands,
-                            next_timer_id: &mut tid,
-                        };
-                        self.actors[actor].on_timer(key, &mut ctx);
-                    }
-                    self.commands = commands;
-                    self.next_timer_id = tid;
-                    actor
+                EventKind::Timer { actor: to, .. } | EventKind::Deliver { to, .. } => {
+                    core.dead[*to].then_some(*to)
                 }
             };
-            if self.drain_commands(actor_id) {
-                self.stats.stopped = true;
+            if let Some(to) = dead_target {
+                core.tracer.emit_with(|| dls_trace::TraceEvent {
+                    at: time.as_secs_f64(),
+                    kind: TraceKind::DeadLetter { to },
+                });
+                core.stats.dead_letters += 1;
+                core.heap.pop();
+                continue;
+            }
+            core.now = time;
+            core.stats.events += 1;
+            core.head_consumed = true;
+            match kind {
+                EventKind::Deliver { from, to, msg } => {
+                    core.tracer.emit_with(|| dls_trace::TraceEvent {
+                        at: time.as_secs_f64(),
+                        kind: TraceKind::MsgDelivered { from, to },
+                    });
+                    actors[to].on_message(from, msg, &mut Ctx { core: &mut core, self_id: to });
+                }
+                EventKind::Timer { actor, key, id: _ } => {
+                    core.tracer.emit_with(|| dls_trace::TraceEvent {
+                        at: time.as_secs_f64(),
+                        kind: TraceKind::TimerFired { actor, key },
+                    });
+                    actors[actor].on_timer(key, &mut Ctx { core: &mut core, self_id: actor });
+                }
+            }
+            if core.head_consumed {
+                // The callback pushed nothing: retire the head now.
+                core.head_consumed = false;
+                core.heap.pop();
+            }
+            if core.stop {
+                core.stats.stopped = true;
                 break;
             }
         }
-        self.stats.end_time = self.now;
-        (self.actors, self.stats)
+        core.stats.end_time = core.now;
+        (actors, core.stats)
     }
 }
 
@@ -887,28 +842,11 @@ mod tests {
         }
     }
 
+    /// A send with no interceptor installed must be indistinguishable from
+    /// one under a pass-through hook — identical stats *and* an identical
+    /// trace stream (same events, same order, same seq numbers).
     #[test]
     fn pass_through_interceptor_is_invisible() {
-        let run = |hook: bool| {
-            let lat = SimTime::from_nanos(123);
-            let mut eng = Engine::new();
-            eng.add_actor(Box::new(Pinger { peer: 1, rounds: 50, latency: lat, done_at: None }));
-            eng.add_actor(Box::new(Pinger { peer: 0, rounds: 50, latency: lat, done_at: None }));
-            if hook {
-                eng.set_interceptor(Box::new(PassThrough));
-            }
-            let (_, stats) = eng.run();
-            stats
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// The dedicated no-interceptor drain loop must be indistinguishable
-    /// from the intercepted loop under a pass-through hook — identical
-    /// stats *and* an identical trace stream (same events, same order,
-    /// same seq numbers).
-    #[test]
-    fn no_interceptor_fast_path_is_bit_identical() {
         let run = |hook: bool| {
             let lat = SimTime::from_nanos(123);
             let (tracer, recorder) = Tracer::ring(8192);

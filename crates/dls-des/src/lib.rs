@@ -20,6 +20,14 @@
 //!   ([`QuadHeap`]) over 24-byte `Copy` nodes ordered by a single `u128`,
 //!   `time_ns << 64 | seq`; event payloads live in a slab and the node
 //!   carries only the slot index. Sibling selection is branch-free.
+//! * **One sift per event.** A callback's [`Ctx`] borrows the queue, so
+//!   every send and timer is queued the moment it is issued, and the
+//!   event being dispatched stays at the root until the callback's first
+//!   push overwrites it ([`QuadHeap::replace_top`]) — the same queue, in
+//!   the same order, as popping it first.
+//! * **Boxed or typed actors.** [`Engine<M>`] holds `Box<dyn Actor<M>>`;
+//!   `Engine<M, A>` holds one actor type `A` (say, an `enum` over a
+//!   simulator's roles) and dispatches without a vtable.
 //! * **Chunk-level granularity.** Actors schedule one event per message or
 //!   completion, never per task, keeping the event count proportional to the
 //!   number of scheduling operations (important at n = 524,288 × 1,000 runs).

@@ -471,15 +471,16 @@ impl Actor<Msg> for Master {
         o.attempts += 1;
         if o.attempts <= max_attempts {
             // Re-request: resend the identical assignment and re-arm the
-            // watchdog with an exponentially stretched budget.
+            // watchdog with an exponentially stretched budget. The retry is
+            // traced before the send, whose engine events follow it.
+            let (w, attempt) = (o.worker, o.attempts);
+            self.tracer
+                .emit(now.as_secs_f64(), TraceKind::MasterRetry { worker: w, id: key, attempt });
             let msg = Msg::Work { id: key, count: o.job.count, work_secs: o.job.work_secs };
             ctx.send(o.worker + 1, queueing.saturating_add(comm), msg);
             let stretched = o.base_timeout * backoff.powi(o.attempts as i32);
             let delay = queueing.saturating_add(SimTime::from_secs_f64(stretched));
             o.timer = ctx.set_cancellable_timer(delay, key);
-            let (w, attempt) = (o.worker, o.attempts);
-            self.tracer
-                .emit(now.as_secs_f64(), TraceKind::MasterRetry { worker: w, id: key, attempt });
             self.stats.borrow_mut().faults.master_retries += 1;
             return;
         }
@@ -693,5 +694,46 @@ impl Actor<Msg> for FaultInjector {
         let (worker, _) = self.schedule[key as usize];
         self.tracer.emit(ctx.now().as_secs_f64(), TraceKind::WorkerFailStop { worker });
         ctx.kill(worker + 1);
+    }
+}
+
+/// Every actor of one simulation, as one type: the engine dispatches a
+/// `match` instead of a vtable call per event. The one master is boxed so
+/// the enum, and the engine's actor `Vec`, are sized for a worker.
+pub enum SimActor {
+    /// Actor 0.
+    Master(Box<Master>),
+    /// Worker `w` is actor `w + 1`.
+    Worker(Worker),
+    /// The last actor, present only when the plan has fail-stops.
+    Injector(FaultInjector),
+}
+
+impl Actor<Msg> for SimActor {
+    #[inline]
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        match self {
+            SimActor::Master(a) => a.on_start(ctx),
+            SimActor::Worker(a) => a.on_start(ctx),
+            SimActor::Injector(a) => a.on_start(ctx),
+        }
+    }
+
+    #[inline]
+    fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        match self {
+            SimActor::Master(a) => a.on_message(from, msg, ctx),
+            SimActor::Worker(a) => a.on_message(from, msg, ctx),
+            SimActor::Injector(a) => a.on_message(from, msg, ctx),
+        }
+    }
+
+    #[inline]
+    fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, Msg>) {
+        match self {
+            SimActor::Master(a) => a.on_timer(key, ctx),
+            SimActor::Worker(a) => a.on_timer(key, ctx),
+            SimActor::Injector(a) => a.on_timer(key, ctx),
+        }
     }
 }

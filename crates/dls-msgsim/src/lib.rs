@@ -53,7 +53,7 @@ pub use actors::ChunkRecord;
 pub use outcome::{FaultStats, SimOutcome};
 pub use spec::{MessageSizes, Recovery, SimSpec};
 
-use actors::{FaultInjector, Master, SharedStats, Worker};
+use actors::{FaultInjector, Master, Msg, SharedStats, SimActor, Worker};
 use dls_core::{ChunkScheduler, SetupError};
 use dls_des::Engine;
 use dls_telemetry::Telemetry;
@@ -136,13 +136,13 @@ fn simulate_core(
     if spec.record_chunks {
         stats.borrow_mut().chunk_trace = Some(Vec::new());
     }
-    let mut engine = Engine::new();
+    let mut engine = Engine::<Msg, SimActor>::with_capacity(p + 2);
     engine.set_tracer(tracer.clone());
     // Actor 0 is the master; workers are 1..=p on platform hosts 0..p.
     let master = Master::new(scheduler, tasks.clone(), spec, Rc::clone(&stats), tracer.clone());
-    engine.add_actor(Box::new(master));
+    engine.spawn(SimActor::Master(Box::new(master)));
     for w in 0..p {
-        engine.add_actor(Box::new(Worker::new(w, spec, Rc::clone(&stats), tracer.clone())));
+        engine.spawn(SimActor::Worker(Worker::new(w, spec, Rc::clone(&stats), tracer.clone())));
     }
     // Fault machinery is attached only for the features the plan actually
     // uses, so a FaultPlan::none() run is byte-identical to the legacy path.
@@ -151,7 +151,8 @@ fn simulate_core(
         engine.set_interceptor(Box::new(plan.link_faults(|w| w + 1)));
     }
     if !plan.fail_stops.is_empty() {
-        engine.add_actor(Box::new(FaultInjector::new(plan.fail_stop_schedule(), tracer.clone())));
+        let injector = FaultInjector::new(plan.fail_stop_schedule(), tracer.clone());
+        engine.spawn(SimActor::Injector(injector));
     }
     let (_actors, engine_stats) = engine.run();
 

@@ -890,7 +890,12 @@ fn count_valid_entries(dir: &Path) -> u64 {
 /// inconsistent plan — or one with an unknown field — as an invalid spec,
 /// mirroring [`faults::load_plan`].
 pub fn load_host_plan(path: &str) -> Result<HostFaultPlan, ReproError> {
-    crate::spec::load_json_plan(path, "host fault plan", HostFaultPlan::validate)
+    crate::spec::load_json_plan(
+        path,
+        "host fault plan",
+        &HostFaultPlan::default(),
+        HostFaultPlan::validate,
+    )
 }
 
 /// The campaign identity every attempt (reference, crash, resume) shares —

@@ -117,8 +117,17 @@ pub fn default_scenarios(n: u64, p: usize) -> Vec<FaultScenario> {
 /// An unreadable file classifies as I/O, an undecodable or inconsistent
 /// plan — or one with an unknown field — as an invalid spec, each with
 /// its own exit code (see [`crate::spec::load_json_plan`]).
+///
+/// Fields are checked inside each `fail_stops`, `partitions` and
+/// `latency_spikes` entry too, so a typo there is refused rather than
+/// silently ignored.
 pub fn load_plan(path: &str) -> Result<FaultPlan, ReproError> {
-    crate::spec::load_json_plan(path, "fault plan", FaultPlan::validate)
+    // One entry per list, so each entry type's fields are known.
+    let template = FaultPlan::none()
+        .with_fail_stop(0, 0.0)
+        .with_partition(0, 0.0, 1.0)
+        .with_latency_spike(0, 0.0, 1.0, 1.0);
+    crate::spec::load_json_plan(path, "fault plan", &template, FaultPlan::validate)
 }
 
 /// One (technique, scenario) cell of the sweep.
@@ -437,5 +446,54 @@ mod tests {
         assert!(msg.contains("unknown field `loss`"), "names the bad field: {msg}");
         assert!(msg.contains("loss_probability"), "lists the known set: {msg}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `json` as a plan file and loads it.
+    fn load_plan_text(name: &str, json: &str) -> Result<FaultPlan, ReproError> {
+        let dir = std::env::temp_dir().join(format!("dls-repro-nested-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, json).unwrap();
+        let result = load_plan(path.to_str().unwrap());
+        let _ = std::fs::remove_file(&path);
+        result
+    }
+
+    /// Asserts `json` is refused as an invalid spec naming `bad` in `entry`.
+    fn assert_nested_typo(name: &str, json: &str, entry: &str, bad: &str, known: &str) {
+        let err = load_plan_text(name, json).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_INVALID_SPEC);
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{entry}: unknown field `{bad}`")), "{msg}");
+        assert!(msg.contains(known), "lists the entry's known set: {msg}");
+    }
+
+    #[test]
+    fn load_plan_rejects_unknown_fields_in_fail_stops() {
+        let json = r#"{"fail_stops": [{"worker": 0, "at": 1.0}, {"wroker": 1, "at": 2.0}]}"#;
+        assert_nested_typo("fail.json", json, "fail_stops[1]", "wroker", "worker, at");
+    }
+
+    #[test]
+    fn load_plan_rejects_unknown_fields_in_partitions() {
+        let json = r#"{"partitions": [{"worker": 0, "from": 1.0, "to": 2.0}]}"#;
+        assert_nested_typo("part.json", json, "partitions[0]", "to", "worker, from, until");
+    }
+
+    #[test]
+    fn load_plan_rejects_unknown_fields_in_latency_spikes() {
+        let json =
+            r#"{"latency_spikes": [{"worker": 0, "from": 1.0, "until": 2.0, "extra": 0.5}]}"#;
+        assert_nested_typo("spike.json", json, "latency_spikes[0]", "extra", "extra_secs");
+    }
+
+    #[test]
+    fn load_plan_accepts_well_formed_nested_entries() {
+        let plan = FaultPlan::none()
+            .with_fail_stop(1, 2.0)
+            .with_partition(0, 1.0, 2.0)
+            .with_latency_spike(1, 0.5, 1.5, 0.25);
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(load_plan_text("ok.json", &json).unwrap(), plan);
     }
 }

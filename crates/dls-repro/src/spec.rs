@@ -104,27 +104,50 @@ pub fn reject_unknown_fields(value: &Value, known: &[&str]) -> Result<(), String
     }
 }
 
+/// [`reject_unknown_fields`] against the fields of `template`, then the
+/// same check inside every array field whose template holds an object:
+/// each entry against the template's first entry. The error names the
+/// entry, e.g. ``fail_stops[1]: unknown field `wroker` (known: worker, at)``.
+fn reject_unknown_fields_in(value: &Value, template: &Value) -> Result<(), String> {
+    let fields = template.as_object().unwrap_or_default();
+    let known: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    reject_unknown_fields(value, &known)?;
+    for (field, entries) in value.as_object().unwrap_or_default() {
+        let entry_template = fields
+            .iter()
+            .find(|(k, _)| k == field)
+            .and_then(|(_, t)| t.as_array()?.first())
+            .filter(|t| t.as_object().is_some());
+        let Some(entry_template) = entry_template else { continue };
+        for (i, entry) in entries.as_array().unwrap_or_default().iter().enumerate() {
+            reject_unknown_fields_in(entry, entry_template)
+                .map_err(|e| format!("{field}[{i}]: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
 /// Loads the JSON plan file at `path` strictly: an unreadable file is an
-/// I/O error (exit 3); undecodable JSON, a top-level field `T` does not
-/// have, or a plan `validate` refuses is an invalid spec (exit 4). The
-/// known fields are read off `T::default()`'s JSON form, so they cannot
-/// drift from the struct.
+/// I/O error (exit 3); undecodable JSON, a field `T` does not have, or a
+/// plan `validate` refuses is an invalid spec (exit 4). The known fields
+/// are read off `template`'s JSON form, so they cannot drift from the
+/// structs: the top-level fields, and for each list the fields of the
+/// template's first entry (give the template one entry per list whose
+/// entries are objects).
 pub fn load_json_plan<T, E>(
     path: &str,
     what: &str,
+    template: &T,
     validate: impl Fn(&T) -> Result<(), E>,
 ) -> Result<T, ReproError>
 where
-    T: Default + Serialize + for<'de> Deserialize<'de>,
+    T: Serialize + for<'de> Deserialize<'de>,
     E: std::fmt::Display,
 {
     let text = std::fs::read_to_string(path).map_err(|e| ReproError::io(format!("{path}: {e}")))?;
     let invalid = |e: String| ReproError::invalid_spec(format!("{path}: invalid {what}: {e}"));
     let value: Value = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
-    let template = T::default().to_value();
-    let known: Vec<&str> =
-        template.as_object().unwrap_or_default().iter().map(|(k, _)| k.as_str()).collect();
-    reject_unknown_fields(&value, &known).map_err(invalid)?;
+    reject_unknown_fields_in(&value, &template.to_value()).map_err(invalid)?;
     let plan = T::from_value(&value).map_err(|e| invalid(e.to_string()))?;
     validate(&plan).map_err(|e| ReproError::invalid_spec(format!("{path}: {e}")))?;
     Ok(plan)

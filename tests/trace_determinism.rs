@@ -4,8 +4,11 @@
 //!
 //! The first property is the tentpole guarantee of the observability
 //! layer — figures produced with `--trace` are the *same* figures. The
-//! golden file pins both the exporter's JSON shape and the traced event
-//! stream of a tiny deterministic run; regenerate it deliberately with
+//! golden files pin the exporter's JSON shape and the traced event streams
+//! of tiny deterministic runs: the Hagerup replica's Chrome export, and
+//! msgsim's full engine-plus-actor stream with and without faults (the
+//! order in which actor and engine events interleave is part of what they
+//! pin). Regenerate them deliberately with
 //! `BLESS_GOLDEN=1 cargo test -p dls-suite --test trace_determinism`.
 
 use dls_core::Technique;
@@ -15,7 +18,7 @@ use dls_metrics::OverheadModel;
 use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
-use dls_trace::{chrome::chrome_trace_json, Tracer};
+use dls_trace::{chrome::chrome_trace_json, TraceEvent, Tracer};
 use dls_workload::Workload;
 
 fn fig_spec(technique: Technique, n: u64, p: usize) -> SimSpec {
@@ -117,12 +120,71 @@ fn chrome_export_of_tiny_tss_run_matches_golden() {
         &Telemetry::disabled(),
     );
     let json = chrome_trace_json(&recorder.borrow().to_vec(), 2, "golden-tss-2pe");
+    assert_matches_golden("chrome_tss_2pe.trace.json", &json);
+}
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_tss_2pe.trace.json");
+/// Compares `text` with `tests/golden/<name>`, rewriting the file first
+/// when `BLESS_GOLDEN` is set.
+fn assert_matches_golden(name: &str, text: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::write(path, &json).unwrap();
+        std::fs::write(&path, text).unwrap();
     }
-    let golden = std::fs::read_to_string(path)
+    let golden = std::fs::read_to_string(&path)
         .expect("golden file missing: run once with BLESS_GOLDEN=1 to create it");
-    assert_eq!(json, golden, "Chrome exporter output changed; bless deliberately if intended");
+    assert_eq!(text, golden, "{name}: trace stream changed; bless deliberately if intended");
+}
+
+/// Runs `spec` on the realization of `seed` with a recording tracer and
+/// returns every event, one `at kind` line each. Debug formatting keeps
+/// every field, including message seq numbers, at full precision.
+fn msgsim_stream(spec: &SimSpec, seed: u64) -> (Vec<TraceEvent>, String) {
+    let tasks = spec.workload.generate(seed);
+    let (tracer, recorder) = Tracer::ring(1 << 16);
+    simulate_with_tasks(spec, &tasks, &tracer, &Telemetry::disabled()).unwrap();
+    let rec = recorder.borrow();
+    assert_eq!(rec.evicted(), 0, "the golden stream must be complete");
+    let events = rec.to_vec();
+    let text = events.iter().map(|e| format!("{:?} {:?}\n", e.at, e.kind)).collect();
+    (events, text)
+}
+
+#[test]
+fn msgsim_fault_free_stream_matches_golden() {
+    // 3 workers, 24 half-second tasks on the figures' 1 ns link: every
+    // chunk's request, work message and completion timer.
+    let workload = Workload::constant(24, 0.5);
+    let platform = Platform::homogeneous_star("pe", 3, 1.0, LinkSpec::negligible());
+    let spec = SimSpec::new(Technique::Fac2, workload, platform)
+        .with_overhead(OverheadModel::InDynamics { h: 0.25 });
+    let (_, text) = msgsim_stream(&spec, 1);
+    assert_matches_golden("msgsim_fault_free.trace.txt", &text);
+}
+
+#[test]
+fn msgsim_recovery_stream_matches_golden() {
+    // One plan with every fault kind: a fail-stop, lossy links, a
+    // partition and a latency spike. The stream must reach each recovery
+    // and engine fault hook, so the golden pins their interleaving.
+    let workload = Workload::constant(48, 1.0);
+    let platform = Platform::homogeneous_star("pe", 4, 1.0, LinkSpec::negligible());
+    let plan = FaultPlan::none()
+        .with_seed(11)
+        .with_fail_stop(1, 3.0)
+        .with_loss(0.1)
+        .with_partition(2, 2.0, 6.0)
+        .with_latency_spike(3, 1.0, 4.0, 0.5);
+    let spec = SimSpec::new(Technique::SS, workload, platform).with_faults(plan);
+    let (events, text) = msgsim_stream(&spec, 1);
+    for label in [
+        "master_retry",
+        "worker_retry",
+        "msg_dropped",
+        "msg_delayed",
+        "dead_letter",
+        "actor_killed",
+    ] {
+        assert!(events.iter().any(|e| e.kind.label() == label), "scenario never reaches {label}");
+    }
+    assert_matches_golden("msgsim_recovery.trace.txt", &text);
 }
