@@ -11,9 +11,9 @@
 //! 2. **Lockstep batching** — `BatchDirectSimulator::run_batch` over B
 //!    seeds against B scalar `DirectSimulator::run` calls on the same
 //!    realizations, at the fig5 (n=1k, p=8) and fig6 (n=8k, p=64) cell
-//!    shapes. This is the microbench half of the ≥3× campaign-cell
-//!    acceptance A/B (the `repro bench` cells `fig5_batch` and
-//!    `fig6_batch` are the end-to-end half).
+//!    shapes. On a real campaign the same kernel is perfbench's
+//!    `hagerup.batch_s`, which `.github/paired_gate.py` gates parent vs
+//!    change.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dls_core::{LoopSetup, Technique};

@@ -1,16 +1,20 @@
 //! Hot-path microbenches for the slab-indexed event queue.
 //!
-//! The PR-5 queue overhaul keeps the binary heap holding small `Copy`
-//! nodes while event payloads live in a slab. These benches pin the two
-//! costs that refactor targets: push/pop at realistic pending-population
-//! depths (a campaign holds roughly one pending event per PE, so 1k and
-//! 16k bracket the paper grid and a far larger deployment), and the pure
+//! The queue keeps small `Copy` heap nodes while event payloads live in a
+//! slab. These benches pin three costs: push/pop at realistic
+//! pending-population depths (a campaign holds roughly one pending event
+//! per PE, so 1k and 16k bracket the paper grid and a far larger
+//! deployment), the set/cancel path of cancellable timers, and the pure
 //! chunk-stream computation of the techniques whose decisions feed those
 //! events.
+//!
+//! The cancel path gets its own group because no perfbench workload
+//! reaches it: only msgsim's fault-tolerant master arms cancellable
+//! timers, and the benchmark's campaigns run fault-free.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dls_core::{LoopSetup, Technique};
-use dls_des::{Actor, ActorId, Ctx, Engine, SimTime};
+use dls_des::{Actor, ActorId, Ctx, Engine, SimTime, TimerId};
 use std::time::Duration;
 
 /// Holds the pending-event population at a constant depth: `on_start`
@@ -61,6 +65,68 @@ fn queue_depth(c: &mut Criterion) {
     g.finish();
 }
 
+/// Timers armed per churn cycle; all but the earliest are cancelled.
+const CHURN_BATCH: u64 = 8;
+
+/// Each cycle arms [`CHURN_BATCH`] cancellable timers and immediately
+/// cancels all but the earliest, whose firing starts the next cycle. This
+/// isolates the set/cancel path (slab reuse plus tombstone bookkeeping)
+/// from any simulation logic.
+struct ChurnActor {
+    cycles_left: u32,
+    /// Reused across cycles so the storm measures the engine, not `Vec`
+    /// growth in the actor.
+    doomed: Vec<TimerId>,
+}
+
+impl ChurnActor {
+    fn step(&mut self, ctx: &mut Ctx<'_, ()>) {
+        if self.cycles_left == 0 {
+            ctx.stop();
+            return;
+        }
+        self.cycles_left -= 1;
+        self.doomed.clear();
+        for k in 0..CHURN_BATCH {
+            let id = ctx.set_cancellable_timer(SimTime::from_nanos(10 + k), k);
+            if k > 0 {
+                self.doomed.push(id);
+            }
+        }
+        for &id in &self.doomed {
+            ctx.cancel_timer(id);
+        }
+    }
+}
+
+impl Actor<()> for ChurnActor {
+    fn on_message(&mut self, _from: ActorId, _m: (), _ctx: &mut Ctx<'_, ()>) {}
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        self.step(ctx);
+    }
+
+    fn on_timer(&mut self, _key: u64, ctx: &mut Ctx<'_, ()>) {
+        self.step(ctx);
+    }
+}
+
+fn cancel_churn(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cancel_churn");
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+    let cycles = 512u32;
+    g.throughput(Throughput::Elements(cycles as u64 * CHURN_BATCH));
+    g.bench_function(BenchmarkId::new("set_cancel", CHURN_BATCH), |b| {
+        b.iter(|| {
+            let mut eng = Engine::new();
+            eng.add_actor(Box::new(ChurnActor { cycles_left: cycles, doomed: Vec::new() }));
+            let (_, stats) = eng.run();
+            stats.events
+        })
+    });
+    g.finish();
+}
+
 fn chunk_stream(c: &mut Criterion) {
     let setup = LoopSetup::new(100_000, 16).with_moments(1.0, 1.0).with_overhead(0.5);
     let mut g = c.benchmark_group("hotpath_chunk_stream");
@@ -87,5 +153,5 @@ fn chunk_stream(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, queue_depth, chunk_stream);
+criterion_group!(benches, queue_depth, cancel_churn, chunk_stream);
 criterion_main!(benches);

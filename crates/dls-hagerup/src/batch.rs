@@ -55,9 +55,8 @@ use dls_workload::TaskTimes;
 /// p = 256 and 2.7–3.1× at p = 1024. The crossover sits near p = 256, so
 /// this cutoff is conservative: lockstep would still win at p = 128 (no
 /// paper cell uses it), is about even at p = 256 and loses clearly at
-/// p = 1024. The paper's batched bench cells are p = 8 (fig5) and p = 64
-/// (fig6); fig7/fig8 campaigns (p ≥ 256) keep their scalar performance
-/// profile.
+/// p = 1024. Of the paper's PE counts, p = 2, 8 and 64 run batched; the
+/// p ≥ 256 cells of every figure keep their scalar performance profile.
 pub const LOCKSTEP_MAX_P: usize = 64;
 
 /// Simulates B seeds of one campaign cell in lockstep (see module docs).

@@ -400,7 +400,7 @@ pub fn analyze_dir(dir: &Path) -> Result<CampaignReport, ReproError> {
             continue;
         }
         // Only files that parse as a non-empty Snapshot are telemetry;
-        // other JSON in the directory (bench files, specs) is not ours.
+        // other JSON in the directory (specs, plans) is not ours.
         if let Ok(snap) = Snapshot::from_json(&read(dir, n)?) {
             if !snap.is_empty() {
                 snapshots.push((n.clone(), snap));

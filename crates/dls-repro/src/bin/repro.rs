@@ -12,23 +12,21 @@
 //! repro faults [--fault-plan F.json] # robustness under injected faults
 //! repro trace TSS [--out DIR]        # chunk-lifecycle trace of one run
 //! repro chaos fig5 --quick           # crash-point exhaustion harness
-//! repro bench --quick --out B.json   # timed standardized campaigns
-//! repro bench --compare A.json B.json  # regression gate between two files
 //! repro all  [--runs N]              # everything, in paper order
 //! ```
 //!
-//! Options: `--runs N` (default 1000), `--threads N` (default: all cores),
-//! `--seed S`, `--csv DIR` (write CSV files next to the printed tables),
-//! `--pes a,b,c` (override the PE sweep for fig5–fig8), `--resume DIR`
-//! (checkpoint completed runs into a journal and skip them on rerun).
+//! Options: `--runs N` (default 1000 for the figures), `--threads N`
+//! (default: all cores), `--seed S`, `--csv DIR` (write CSV files next to
+//! the printed tables), `--pes a,b,c` (override the PE sweep for
+//! fig5–fig8), `--resume DIR` (checkpoint completed runs into a journal and
+//! skip them on rerun).
 //!
 //! Failures exit with a classified code (see [`dls_repro::error`]): 2 for
-//! usage errors, 3 for host I/O, 4 for invalid specs, 5 for a bench
-//! regression, 6 for a campaign that completed with degraded secondary
-//! artifacts, 130 after a graceful Ctrl-C.
+//! usage errors, 3 for host I/O, 4 for invalid specs, 5 for a failed
+//! agreement or completion check, 6 for a campaign that completed with
+//! degraded secondary artifacts, 130 after a graceful Ctrl-C.
 
 use dls_repro::artifacts::{ArtifactSink, ArtifactTier};
-use dls_repro::bench;
 use dls_repro::cli::{parse_options, Options};
 use dls_repro::error::ReproError;
 use dls_repro::hagerup_exp::{self, HagerupConfig};
@@ -366,11 +364,9 @@ fn write_csv(
 fn cmd_list() {
     let rows: Vec<Vec<String>> = registry::experiments()
         .iter()
-        .map(|e| {
-            vec![e.id.into(), e.artifact.into(), e.section.into(), e.summary.into(), e.bench.into()]
-        })
+        .map(|e| vec![e.id.into(), e.artifact.into(), e.section.into(), e.summary.into()])
         .collect();
-    println!("{}", report::format_table(&["id", "artifact", "section", "summary", "bench"], &rows));
+    println!("{}", report::format_table(&["id", "artifact", "section", "summary"], &rows));
 }
 
 fn cmd_table2() {
@@ -449,7 +445,7 @@ fn cmd_tss(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproError
 fn cmd_hagerup(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
     let n = hagerup_exp::figure_n(fig)
         .ok_or_else(|| ReproError::usage(format!("unknown figure `{fig}`")))?;
-    let mut cfg = HagerupConfig::paper(n, o.runs);
+    let mut cfg = HagerupConfig::paper(n, o.runs.unwrap_or(1000));
     cfg.threads = o.threads;
     if let Some(s) = o.seed {
         cfg.seed = s;
@@ -508,7 +504,7 @@ fn cmd_hagerup(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproE
 }
 
 fn cmd_fig9(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
-    let mut cfg = OutlierConfig::paper(o.runs);
+    let mut cfg = OutlierConfig::paper(o.runs.unwrap_or(1000));
     cfg.threads = o.threads;
     if let Some(s) = o.seed {
         cfg.seed = s;
@@ -566,7 +562,7 @@ fn cmd_spec(o: &Options) -> Result<(), ReproError> {
             workload: Workload::exponential(n, 1.0)?,
             techniques: Technique::hagerup_set().to_vec(),
             platform: Platform::homogeneous_star("pe", 1024, 1.0, LinkSpec::negligible()),
-            runs: o.runs,
+            runs: o.runs.unwrap_or(1000),
             measured: MeasuredValue::AverageWastedTime,
             overhead: OverheadSpec::PostHocTotal { h: 0.5 },
             seed: o.seed.unwrap_or(0x20170529 ^ n),
@@ -578,7 +574,7 @@ fn cmd_spec(o: &Options) -> Result<(), ReproError> {
         workload: Workload::exponential(524_288, 1.0)?,
         techniques: vec![Technique::Fac],
         platform: Platform::homogeneous_star("pe", 2, 1.0, LinkSpec::negligible()),
-        runs: o.runs,
+        runs: o.runs.unwrap_or(1000),
         measured: MeasuredValue::PerRunWastedTime,
         overhead: OverheadSpec::PostHocTotal { h: 0.5 },
         seed: o.seed.unwrap_or(0xF169),
@@ -594,8 +590,8 @@ fn cmd_spec(o: &Options) -> Result<(), ReproError> {
 fn cmd_sweep(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
     use dls_repro::sweep::{run_sweep_resilient, winners, SweepConfig};
     let mut cfg = SweepConfig::default();
-    if o.runs != 1000 {
-        cfg.runs = o.runs;
+    if let Some(runs) = o.runs {
+        cfg.runs = runs;
     }
     if let Some(p) = &o.pes {
         cfg.pes = p.clone();
@@ -641,8 +637,8 @@ fn cmd_sweep(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
 fn cmd_faults(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
     use dls_repro::faults::{self, FaultScenario, FaultSweepConfig};
     let mut cfg = FaultSweepConfig::default();
-    if o.runs != 1000 {
-        cfg.runs = o.runs;
+    if let Some(runs) = o.runs {
+        cfg.runs = runs;
     }
     if let Some(p) = &o.pes {
         let &[p] = p.as_slice() else {
@@ -707,9 +703,7 @@ fn cmd_chaos(target: &str, o: &Options) -> Result<(), ReproError> {
     let target: ChaosTarget = target.parse().map_err(ReproError::usage)?;
     let mut cfg = ChaosConfig::new(target);
     cfg.quick = o.quick;
-    if o.runs != 1000 {
-        cfg.runs = Some(o.runs);
-    }
+    cfg.runs = o.runs;
     cfg.seed = o.seed;
     if let Some(path) = &o.host_fault_plan {
         cfg.plan = Some(chaos::load_host_plan(path)?);
@@ -824,128 +818,11 @@ fn cmd_chaos_serve(cfg: &dls_repro::chaos::ChaosConfig) -> Result<(), ReproError
     Ok(())
 }
 
-fn cmd_bench(o: &Options) -> Result<(), ReproError> {
-    // `--validate FILE`: schema-check an existing bench file and stop.
-    if let Some(path) = &o.validate {
-        let file = bench::load(path).map_err(ReproError::invalid_spec)?;
-        bench::validate(&file).map_err(ReproError::invalid_spec)?;
-        println!(
-            "{path}: valid {} file (tag `{}`, {} entries, {} reps)",
-            bench::SCHEMA,
-            file.tag,
-            file.entries.len(),
-            file.reps
-        );
-        return Ok(());
-    }
-    // `--compare BASELINE CURRENT`: regression gate between two files.
-    if let Some((baseline_path, current_path)) = &o.compare {
-        let mut baseline = bench::load_for_compare(baseline_path, "baseline")?;
-        let mut current = bench::load_for_compare(current_path, "current")?;
-        if let Some(ids) = &o.entries {
-            for id in ids {
-                if !baseline.entries.iter().any(|e| &e.id == id) {
-                    return Err(ReproError::usage(format!(
-                        "--entries: `{id}` is not in the baseline `{baseline_path}` \
-                         (it has: {})",
-                        baseline
-                            .entries
-                            .iter()
-                            .map(|e| e.id.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )));
-                }
-            }
-            baseline.entries.retain(|e| ids.contains(&e.id));
-            current.entries.retain(|e| ids.contains(&e.id));
-        }
-        let cmp = bench::compare(&baseline, &current, o.tolerance_pct);
-        println!("bench compare: `{baseline_path}` (baseline) vs `{current_path}` (current)");
-        println!("{}", bench::comparison_report(&cmp));
-        if !cmp.is_ok() {
-            if o.warn_only {
-                eprintln!("warning: regressions detected (ignored: --warn-only)");
-                return Ok(());
-            }
-            return Err(ReproError::Regression(format!(
-                "{} entry(ies) regressed beyond {:.1} % or went missing",
-                cmp.regressions().len() + cmp.missing.len(),
-                cmp.tolerance_pct
-            )));
-        }
-        return Ok(());
-    }
-    // Default: run the suite and write a BENCH_<tag>.json.
-    let mut cfg = bench::BenchConfig::new(o.quick);
-    cfg.threads = o.threads;
-    if let Some(r) = o.reps {
-        cfg.reps = r;
-    }
-    if let Some(t) = &o.tag {
-        cfg.tag = t.clone();
-    }
-    if let Some(s) = o.seed {
-        cfg.seed = s;
-    }
-    let mut cases = bench::suite();
-    if let Some(ids) = &o.entries {
-        let known: Vec<&str> = cases.iter().map(|c| c.id).collect();
-        for id in ids {
-            if !known.contains(&id.as_str()) {
-                return Err(ReproError::usage(format!(
-                    "--entries: unknown bench entry `{id}` (known: {})",
-                    known.join(", ")
-                )));
-            }
-        }
-        cases.retain(|c| ids.iter().any(|i| i == c.id));
-    }
-    // The entry subset is part of the journal identity: a resume with a
-    // different subset must not replay the other invocation's cells.
-    let entries_fp = o.entries.as_ref().map(|ids| ids.join(",")).unwrap_or_else(|| "all".into());
-    let ctx = exec_context(
-        "bench",
-        format!("quick={} reps={} seed={:#x} entries={entries_fp}", cfg.quick, cfg.reps, cfg.seed),
-        cfg.seed,
-        o,
-    )?;
-    eprintln!(
-        "bench: {} suite, {} reps, {} threads — running...",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.reps,
-        cfg.threads
-    );
-    let file = bench::run_bench_resilient(&cfg, cases, &ctx)?;
-    report_resilience(&ctx);
-    let headers = ["case", "runs/rep", "median[s]", "p10[s]", "p90[s]", "runs/s", "sim events"];
-    let body: Vec<Vec<String>> = file
-        .entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.id.clone(),
-                e.runs_per_rep.to_string(),
-                format!("{:.4}", e.wall_s_median),
-                format!("{:.4}", e.wall_s_p10),
-                format!("{:.4}", e.wall_s_p90),
-                format!("{:.1}", e.runs_per_sec),
-                e.sim_events.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", report::format_table(&headers, &body));
-    let path = o.out_dir.clone().unwrap_or_else(|| format!("BENCH_{}.json", file.tag));
-    bench::save(&file, &path)?;
-    println!("wrote {path} (git {}, host {} cpus)", file.git_rev, file.host.logical_cpus);
-    Ok(())
-}
-
 fn cmd_verify(o: &Options) -> Result<(), ReproError> {
     use dls_repro::verify::{require_agreement, run_verification, verdict, VerifyConfig};
     let mut cfg = VerifyConfig::default();
-    if o.runs != 1000 {
-        cfg.runs = o.runs;
+    if let Some(runs) = o.runs {
+        cfg.runs = runs;
     }
     if let Some(s) = o.seed {
         cfg.seed = s;
@@ -986,7 +863,7 @@ fn cmd_verify(o: &Options) -> Result<(), ReproError> {
 }
 
 /// Commands that support `--resume DIR` (their campaigns are journaled).
-const RESUMABLE: &[&str] = &["fig5", "fig6", "fig7", "fig8", "sweep", "faults", "bench"];
+const RESUMABLE: &[&str] = &["fig5", "fig6", "fig7", "fig8", "sweep", "faults"];
 
 /// `repro serve`: run the campaign service until interrupted (exit 130)
 /// or until `--max-requests` connections were handled (exit 0).
@@ -1038,7 +915,7 @@ fn cmd_report(dir: &str, sink: &ArtifactSink) -> Result<(), ReproError> {
 }
 
 fn usage() -> String {
-    "usage: repro <list|table2|fig3|fig3a|fig4|fig4a|fig5|fig6|fig7|fig8|fig9|spec|verify|sweep|faults|trace|report|bench|serve|all> \
+    "usage: repro <list|table2|fig3|fig3a|fig4|fig4a|fig5|fig6|fig7|fig8|fig9|spec|verify|sweep|faults|trace|report|serve|all> \
      [--runs N] [--threads N] [--seed S] [--csv DIR] [--pes a,b,c] \
      [--techniques SS,FAC2,BOLD] [--fault-plan FILE] [--trace DIR]\n\
      fig3a/fig4a: rerun figures 3/4 with the BBN GP-1000 contention model\n\
@@ -1060,11 +937,6 @@ fn usage() -> String {
                   answers 504) [--read-timeout-ms MS] [--write-timeout-ms MS]\n\
                   [--max-connections N] [--host-fault-plan FILE]; corrupt\n\
                   cache entries quarantine to CACHE/quarantine/ on load\n\
-     bench:       timed standardized campaigns -> BENCH_<tag>.json\n\
-                  [--quick] [--reps N] [--tag T] [--out FILE]\n\
-                  [--entries a,b] (subset of suite cells, run and compare)\n\
-                  [--compare BASELINE CURRENT [--tolerance PCT] [--warn-only]]\n\
-                  [--validate FILE]\n\
      --telemetry / --telemetry-json FILE on fig5-fig8/faults/trace print or\n\
                   dump the host-side metrics registry snapshot;\n\
                   --telemetry-prom FILE dumps it in Prometheus text format\n\
@@ -1073,7 +945,7 @@ fn usage() -> String {
                   and enables progress heartbeats on stderr\n\
      --trace DIR on fig5-fig8/sweep/faults additionally records one\n\
                   representative run of the campaign\n\
-     --resume DIR on fig5-fig8/sweep/faults/bench journals completed runs\n\
+     --resume DIR on fig5-fig8/sweep/faults journals completed runs\n\
                   into DIR/journal.jsonl; rerunning the same command with\n\
                   the same --resume DIR replays them (bit-identical) instead\n\
                   of re-executing — resume after Ctrl-C or a crash\n\
@@ -1089,7 +961,7 @@ fn usage() -> String {
                   corrupt entries the quarantine must absorb, and pins the\n\
                   504 deadline path\n\
      exit codes:  0 ok / quarantined-but-completed; 2 usage; 3 host I/O;\n\
-                  4 invalid spec; 5 regression gate; 6 completed with\n\
+                  4 invalid spec; 5 failed check; 6 completed with\n\
                   degraded secondary artifacts; 130 interrupted"
         .into()
 }
@@ -1137,7 +1009,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
         "trace" => cmd_trace(target.as_deref().unwrap_or_default(), &opts),
         "chaos" => cmd_chaos(target.as_deref().unwrap_or_default(), &opts),
         "report" => cmd_report(target.as_deref().unwrap_or_default(), &sink),
-        "bench" => cmd_bench(&opts),
         "serve" => cmd_serve(&opts, &sink),
         "all" => {
             cmd_list();

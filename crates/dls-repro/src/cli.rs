@@ -6,8 +6,9 @@ use dls_core::Technique;
 /// Parsed command-line options shared by all `repro` subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Runs per configuration (Figures 5–9).
-    pub runs: u32,
+    /// Runs per configuration; each command applies its own default when
+    /// absent (1000 for Figures 5–9 and `spec`).
+    pub runs: Option<u32>,
     /// Campaign worker threads.
     pub threads: usize,
     /// Campaign seed override.
@@ -37,28 +38,10 @@ pub struct Options {
     /// Write structured JSONL log events to this path (fig5–fig8, sweep,
     /// faults, serve); also enables progress heartbeats on stderr.
     pub log_file: Option<String>,
-    /// Use the reduced bench suite sizes (`bench` subcommand).
+    /// Use the reduced campaign sizes (`chaos` subcommand).
     pub quick: bool,
-    /// Timed repetitions per bench entry (`bench`; default 3 quick/5 full).
-    pub reps: Option<u32>,
-    /// Tag written into the bench file name and metadata (`bench`).
-    pub tag: Option<String>,
-    /// Compare two bench files instead of running (`bench`): (baseline,
-    /// current).
-    pub compare: Option<(String, String)>,
-    /// Regression tolerance band for `--compare`, percent.
-    pub tolerance_pct: f64,
-    /// Report regressions but exit successfully (`bench --compare`).
-    pub warn_only: bool,
-    /// Validate a bench file's schema instead of running (`bench`).
-    pub validate: Option<String>,
-    /// Restrict `bench` to these suite entry ids, both when running and
-    /// when comparing (CI's bench smoke gates only the low-noise engine
-    /// cells this way).
-    pub entries: Option<Vec<String>>,
     /// Checkpoint directory: completed runs are journaled there and a
-    /// rerun with the same options skips them (fig5–fig8, sweep, faults,
-    /// bench).
+    /// rerun with the same options skips them (fig5–fig8, sweep, faults).
     pub resume: Option<String>,
     /// Test hook: inject a cooperative cancellation after this many newly
     /// executed runs, simulating a mid-campaign kill deterministically.
@@ -94,7 +77,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            runs: 1000,
+            runs: None,
             threads: crate::runner::default_threads(),
             seed: None,
             csv_dir: None,
@@ -109,13 +92,6 @@ impl Default for Options {
             telemetry_prom: None,
             log_file: None,
             quick: false,
-            reps: None,
-            tag: None,
-            compare: None,
-            tolerance_pct: crate::bench::DEFAULT_TOLERANCE_PCT,
-            warn_only: false,
-            validate: None,
-            entries: None,
             resume: None,
             cancel_after: None,
             addr: None,
@@ -140,7 +116,9 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
         match a.as_str() {
-            "--runs" => o.runs = value("--runs")?.parse().map_err(|e| format!("--runs: {e}"))?,
+            "--runs" => {
+                o.runs = Some(value("--runs")?.parse().map_err(|e| format!("--runs: {e}"))?)
+            }
             "--threads" => {
                 o.threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
             }
@@ -167,37 +145,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--telemetry-prom" => o.telemetry_prom = Some(value("--telemetry-prom")?),
             "--log" => o.log_file = Some(value("--log")?),
             "--quick" => o.quick = true,
-            "--reps" => {
-                o.reps = Some(value("--reps")?.parse().map_err(|e| format!("--reps: {e}"))?)
-            }
-            "--tag" => o.tag = Some(value("--tag")?),
-            "--compare" => {
-                let baseline = value("--compare")?;
-                let current = value("--compare (second file)")?;
-                o.compare = Some((baseline, current));
-            }
-            "--tolerance" => {
-                o.tolerance_pct =
-                    value("--tolerance")?.parse().map_err(|e| format!("--tolerance: {e}"))?;
-                if !(o.tolerance_pct.is_finite() && o.tolerance_pct >= 0.0) {
-                    return Err("--tolerance must be a non-negative percentage".into());
-                }
-            }
-            "--warn-only" => o.warn_only = true,
-            "--validate" => o.validate = Some(value("--validate")?),
-            "--entries" => {
-                let list = value("--entries")?;
-                let ids: Vec<String> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(Into::into)
-                    .collect();
-                if ids.is_empty() {
-                    return Err("--entries requires at least one entry id".into());
-                }
-                o.entries = Some(ids);
-            }
             "--resume" => o.resume = Some(value("--resume")?),
             "--cancel-after" => {
                 o.cancel_after = Some(
@@ -276,7 +223,7 @@ mod tests {
     #[test]
     fn defaults() {
         let o = parse_options(&[]).unwrap();
-        assert_eq!(o.runs, 1000);
+        assert_eq!(o.runs, None);
         assert!(o.seed.is_none() && o.pes.is_none() && o.techniques.is_none());
     }
 
@@ -287,7 +234,7 @@ mod tests {
              --fault-plan plan.json --out traces --trace tdir",
         ))
         .unwrap();
-        assert_eq!(o.runs, 50);
+        assert_eq!(o.runs, Some(50));
         assert_eq!(o.threads, 2);
         assert_eq!(o.seed, Some(9));
         assert_eq!(o.csv_dir.as_deref(), Some("out"));
@@ -310,19 +257,19 @@ mod tests {
         assert!(parse_options(&args("--techniques TSS(695,1)")).is_err());
     }
 
+    /// `--runs 1000` is an explicit value like any other: commands whose
+    /// own default differs (sweep, faults, verify, chaos) must see it.
     #[test]
-    fn telemetry_and_bench_options() {
-        let o = parse_options(&args(
-            "--telemetry --telemetry-json tel.json --quick --reps 7 --tag pr3 \
-             --tolerance 10 --warn-only --validate B.json",
-        ))
-        .unwrap();
-        assert!(o.telemetry && o.quick && o.warn_only);
+    fn explicit_runs_is_distinguished_from_absent() {
+        assert_eq!(parse_options(&[]).unwrap().runs, None);
+        assert_eq!(parse_options(&args("--runs 1000")).unwrap().runs, Some(1000));
+    }
+
+    #[test]
+    fn telemetry_and_quick_options() {
+        let o = parse_options(&args("--telemetry --telemetry-json tel.json --quick")).unwrap();
+        assert!(o.telemetry && o.quick);
         assert_eq!(o.telemetry_json.as_deref(), Some("tel.json"));
-        assert_eq!(o.reps, Some(7));
-        assert_eq!(o.tag.as_deref(), Some("pr3"));
-        assert_eq!(o.tolerance_pct, 10.0);
-        assert_eq!(o.validate.as_deref(), Some("B.json"));
     }
 
     #[test]
@@ -332,29 +279,6 @@ mod tests {
         assert_eq!(o.log_file.as_deref(), Some("run.log.jsonl"));
         assert!(parse_options(&args("--log")).unwrap_err().contains("requires a value"));
         assert!(parse_options(&args("--telemetry-prom")).unwrap_err().contains("requires"));
-    }
-
-    #[test]
-    fn entries_filter_parses_and_rejects_empty() {
-        let o = parse_options(&args("--entries engine_churn,engine_fanout")).unwrap();
-        assert_eq!(o.entries, Some(vec!["engine_churn".to_string(), "engine_fanout".to_string()]));
-        assert!(parse_options(&args("--entries ,")).unwrap_err().contains("at least one"));
-        assert!(parse_options(&args("--entries")).unwrap_err().contains("requires a value"));
-    }
-
-    #[test]
-    fn compare_takes_two_files() {
-        let o = parse_options(&args("--compare A.json B.json")).unwrap();
-        assert_eq!(o.compare, Some(("A.json".into(), "B.json".into())));
-        let err = parse_options(&args("--compare A.json")).unwrap_err();
-        assert!(err.contains("second file"));
-    }
-
-    #[test]
-    fn bad_tolerance_is_rejected() {
-        assert!(parse_options(&args("--tolerance -5")).is_err());
-        assert!(parse_options(&args("--tolerance nan")).is_err());
-        assert!(parse_options(&args("--tolerance x")).unwrap_err().contains("--tolerance"));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Every `repro` failure falls into one of a handful of classes a wrapping
 //! script (CI, a sweep driver, a user's Makefile) wants to distinguish:
 //! bad invocation, host I/O trouble, an invalid experiment specification, a
-//! benchmark regression gate firing, or a graceful interrupt. [`ReproError`]
-//! names those classes and [`ReproError::exit_code`] maps each to a stable
-//! exit code, so `repro bench --compare` failing its gate (exit 5) is
-//! scriptably different from a typo'd flag (exit 2) or a full disk (exit 3).
+//! correctness gate firing, or a graceful interrupt. [`ReproError`] names
+//! those classes and [`ReproError::exit_code`] maps each to a stable exit
+//! code, so `repro verify` finding the simulators in disagreement (exit 5)
+//! is scriptably different from a typo'd flag (exit 2) or a full disk
+//! (exit 3). Exit 5 is also what `.github/paired_gate.py` returns when the
+//! paired perfbench comparison finds a performance regression.
 
 use crate::runner::QuarantinedRun;
 use dls_core::SetupError;
@@ -19,9 +21,10 @@ pub const EXIT_IO: u8 = 3;
 /// Exit code for invalid experiment specifications (bad technique
 /// parameters, malformed spec/fault-plan JSON, impossible platform).
 pub const EXIT_INVALID_SPEC: u8 = 4;
-/// Exit code for a failed `bench --compare` regression gate, and for a
-/// campaign that cannot complete (a fault run that lost tasks, a
-/// simulation run that panicked where no run may be dropped).
+/// Exit code for a failed correctness gate (`repro verify` disagreement,
+/// a `repro chaos` divergence), and for a campaign that cannot complete
+/// (a fault run that lost tasks, a simulation run that panicked where no
+/// run may be dropped).
 pub const EXIT_REGRESSION: u8 = 5;
 /// Exit code for a campaign that completed with degraded secondary
 /// artifacts (a trace or telemetry dump could not be written; the primary
@@ -38,12 +41,14 @@ pub enum ReproError {
     /// to a different campaign. The CLI prints usage after these.
     Usage(String),
     /// A host-side I/O operation failed after the bounded retry policy
-    /// gave up (artifact write, journal flush, baseline read).
+    /// gave up (artifact write, journal flush, plan read).
     Io(String),
     /// The experiment specification cannot be simulated: invalid technique
     /// parameters, malformed JSON, or an inconsistent platform.
     InvalidSpec(String),
-    /// The `bench --compare` regression gate fired.
+    /// A correctness gate fired: the simulators disagree (`verify`), an
+    /// interrupted campaign did not resume byte-identically (`chaos`), or
+    /// fault runs did not complete every task (`faults`).
     Regression(String),
     /// A simulation run panicked in a campaign whose output is indexed by
     /// run (Figure 9's per-run series), so it cannot be quarantined and

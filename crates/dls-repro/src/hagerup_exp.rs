@@ -291,141 +291,6 @@ pub fn run_figure_resilient(
     Ok(rows)
 }
 
-/// Campaign parameters for a **direct-only** cell: the Hagerup replica
-/// alone, no msgsim. This is the workload shape the lockstep batch
-/// simulator accelerates end to end (per-run cost is workload generation
-/// plus direct simulation, nothing else), and what `repro bench`'s
-/// `fig5_batch` / `fig6_batch` entries measure.
-#[derive(Debug, Clone)]
-pub struct DirectCampaignConfig {
-    /// Task count `n`.
-    pub n: u64,
-    /// PE count `p`.
-    pub p: usize,
-    /// Independent runs.
-    pub runs: u32,
-    /// Scheduling overhead `h`, seconds (post-hoc accounting, as in the
-    /// figure campaigns).
-    pub h: f64,
-    /// Mean task time µ, seconds (σ = µ, exponential).
-    pub mean: f64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Worker threads.
-    pub threads: usize,
-    /// Techniques to measure (default: the time-oblivious members of the
-    /// paper's eight — the set the lockstep kernel covers).
-    pub techniques: Vec<Technique>,
-    /// Lockstep batch width; `1` forces the scalar path.
-    pub batch_width: usize,
-}
-
-impl DirectCampaignConfig {
-    /// Figure-style defaults (h = 0.5 s, µ = 1 s) for one `(n, p)` cell.
-    pub fn new(n: u64, p: usize, runs: u32) -> Self {
-        DirectCampaignConfig {
-            n,
-            p,
-            runs,
-            h: 0.5,
-            mean: 1.0,
-            seed: 0x20170529 ^ n ^ (p as u64),
-            threads: crate::runner::default_threads(),
-            techniques: Technique::hagerup_set()
-                .iter()
-                .copied()
-                .filter(Technique::is_time_oblivious)
-                .collect(),
-            batch_width: batch_width_for(n),
-        }
-    }
-}
-
-/// Aggregated result for one technique of a direct-only campaign.
-#[derive(Debug, Clone)]
-pub struct DirectRow {
-    /// Technique name.
-    pub technique: String,
-    /// Sample mean of the average wasted time over completed runs.
-    pub mean_wasted: f64,
-    /// Full statistics of the completed runs.
-    pub stats: SummaryStats,
-}
-
-/// Runs a direct-only campaign: every run generates one realization and
-/// evaluates every configured technique on the Hagerup replica, batched
-/// `cfg.batch_width` seeds at a time through [`BatchDirectSimulator`].
-/// The journal records one `Vec<f64>` of per-technique wasted times per
-/// run (cell label `direct n=<n> p=<p>`), so `--resume` replays per run
-/// regardless of batch width, and the resulting rows are bit-identical
-/// for any width (the batch simulator's hard guarantee).
-pub fn run_direct_campaign_resilient(
-    cfg: &DirectCampaignConfig,
-    telemetry: &Telemetry,
-    ctx: &ExecContext,
-) -> Result<Vec<DirectRow>, ReproError> {
-    let overhead = OverheadModel::PostHocTotal { h: cfg.h };
-    let workload = Workload::exponential(cfg.n, cfg.mean)
-        .map_err(|_| SetupError::BadMoment("exponential mean must be > 0"))?;
-    let sim = BatchDirectSimulator::new(cfg.p, overhead);
-    let mut setups = Vec::with_capacity(cfg.techniques.len());
-    for &technique in &cfg.techniques {
-        let setup = dls_core::LoopSetup::new(cfg.n, cfg.p)
-            .with_moments(cfg.mean, cfg.mean)
-            .with_overhead(cfg.h);
-        // No SimSpec here: `build` validates the setup and the technique.
-        technique.build(&setup)?;
-        setups.push(setup);
-    }
-
-    let per_run: Vec<Option<Vec<f64>>> = run_campaign_resilient_batched(
-        cfg.runs,
-        cfg.seed,
-        cfg.threads,
-        cfg.batch_width.max(1),
-        telemetry,
-        ctx,
-        &format!("direct n={} p={}", cfg.n, cfg.p),
-        Vec::<Option<TaskTimes>>::new,
-        |items, scratch: &mut Vec<Option<TaskTimes>>| {
-            let b = items.len();
-            if scratch.len() < b {
-                scratch.resize_with(b, || None);
-            }
-            for (lane, &(_, run_seed)) in items.iter().enumerate() {
-                workload.generate_into(run_seed, &mut scratch[lane]);
-            }
-            let batch: Vec<TaskTimes> = scratch[..b]
-                .iter()
-                .map(|slot| slot.clone().expect("generate_into fills slots"))
-                .collect();
-            let mut wasted = vec![vec![0.0f64; cfg.techniques.len()]; b];
-            for ((ti, &technique), setup) in cfg.techniques.iter().enumerate().zip(&setups) {
-                let outcomes = sim
-                    .run_batch_metered(technique, setup, &batch, telemetry)
-                    .expect("validated setup cannot fail");
-                for (lane, outcome) in outcomes.iter().enumerate() {
-                    wasted[lane][ti] = outcome.average_wasted(overhead);
-                }
-            }
-            wasted
-        },
-    )?;
-
-    Ok(cfg
-        .techniques
-        .iter()
-        .enumerate()
-        .map(|(ti, &technique)| {
-            let mut stats = SummaryStats::new();
-            for run in per_run.iter().flatten() {
-                stats.push(run[ti]);
-            }
-            DirectRow { technique: technique.name().to_string(), mean_wasted: stats.mean(), stats }
-        })
-        .collect())
-}
-
 /// Maximum absolute relative discrepancy over all rows, excluding the
 /// FAC/2-PE heavy-tail outlier the paper also excludes (§IV-B4).
 pub fn max_relative_discrepancy_excluding_outlier(rows: &[WastedRow]) -> f64 {
@@ -590,34 +455,5 @@ mod tests {
                 assert_eq!(a.relative_pct.to_bits(), b.relative_pct.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn direct_campaign_rows_bit_identical_across_batch_widths() {
-        let mut cfg = DirectCampaignConfig::new(512, 8, 24);
-        cfg.threads = 1;
-        cfg.batch_width = 1;
-        let scalar =
-            run_direct_campaign_resilient(&cfg, &Telemetry::disabled(), &ExecContext::transient())
-                .unwrap();
-        cfg.batch_width = 16;
-        cfg.threads = 2;
-        let batched =
-            run_direct_campaign_resilient(&cfg, &Telemetry::disabled(), &ExecContext::transient())
-                .unwrap();
-        assert_eq!(scalar.len(), batched.len());
-        assert_eq!(scalar.len(), 7, "time-oblivious members of the paper's eight");
-        for (a, b) in scalar.iter().zip(&batched) {
-            assert_eq!(a.technique, b.technique);
-            assert_eq!(a.mean_wasted.to_bits(), b.mean_wasted.to_bits(), "{}", a.technique);
-        }
-    }
-
-    #[test]
-    fn direct_campaign_defaults_cover_the_lockstep_set() {
-        let cfg = DirectCampaignConfig::new(1024, 8, 10);
-        assert!(cfg.techniques.iter().all(Technique::is_time_oblivious));
-        assert_eq!(cfg.techniques.len(), 7, "the paper's eight minus BOLD");
-        assert_eq!(cfg.batch_width, 32);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`atomic_write`] — write-to-tmp, fsync, rename. A crash mid-write
 //!   leaves either the old artifact or the new one on disk, never a torn
-//!   half of each. Every artifact the harness emits (CSV, bench JSON,
+//!   half of each. Every artifact the harness emits (CSV, specs,
 //!   trace exports, telemetry dumps, the journal itself) goes through it.
 //! * [`with_io_retries`] — the bounded retry policy for transient host
 //!   I/O failures (NFS hiccups, `EINTR`-style flakes): a few attempts with

@@ -20,7 +20,6 @@
 
 pub mod analyze;
 pub mod artifacts;
-pub mod bench;
 pub mod chaos;
 pub mod cli;
 pub mod error;

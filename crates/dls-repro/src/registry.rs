@@ -12,8 +12,6 @@ pub struct RegistryEntry {
     pub section: &'static str,
     /// One-line description of the workload/parameters.
     pub summary: &'static str,
-    /// The `repro bench` cell timing its campaign, if any.
-    pub bench: &'static str,
 }
 
 /// All reproducible artifacts, in paper order.
@@ -24,56 +22,48 @@ pub fn experiments() -> Vec<RegistryEntry> {
             artifact: "Table II",
             section: "III",
             summary: "Required parameters per DLS technique",
-            bench: "(unit-tested, dls-core)",
         },
         RegistryEntry {
             id: "fig3",
             artifact: "Figure 3 (a-b)",
             section: "IV-A",
             summary: "TSS exp. 1: speedup, n=100,000, constant 110 µs, p<=80",
-            bench: "tss_panel",
         },
         RegistryEntry {
             id: "fig4",
             artifact: "Figure 4 (a-b)",
             section: "IV-A",
             summary: "TSS exp. 2: speedup, n=10,000, constant 2 ms, p<=80",
-            bench: "-",
         },
         RegistryEntry {
             id: "fig5",
             artifact: "Figure 5 (a-d)",
             section: "IV-B1",
             summary: "Wasted time, n=1,024, exp(µ=1s), h=0.5s, p={2,8,64,256,1024}",
-            bench: "fig5_cell",
         },
         RegistryEntry {
             id: "fig6",
             artifact: "Figure 6 (a-d)",
             section: "IV-B2",
             summary: "Wasted time, n=8,192, same parameters",
-            bench: "fig6_cell",
         },
         RegistryEntry {
             id: "fig7",
             artifact: "Figure 7 (a-d)",
             section: "IV-B3",
             summary: "Wasted time, n=65,536, same parameters",
-            bench: "fig7_cell",
         },
         RegistryEntry {
             id: "fig8",
             artifact: "Figure 8 (a-d)",
             section: "IV-B4",
             summary: "Wasted time, n=524,288, same parameters",
-            bench: "fig8_cell",
         },
         RegistryEntry {
             id: "fig9",
             artifact: "Figure 9",
             section: "IV-B4",
             summary: "Per-run wasted time, FAC, p=2, n=524,288, 1,000 runs",
-            bench: "-",
         },
     ]
 }
@@ -106,6 +96,6 @@ mod tests {
     fn find_by_id() {
         assert!(find("fig5").is_some());
         assert!(find("nope").is_none());
-        assert_eq!(find("fig5").unwrap().bench, "fig5_cell");
+        assert_eq!(find("fig5").unwrap().artifact, "Figure 5 (a-d)");
     }
 }

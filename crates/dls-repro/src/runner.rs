@@ -8,7 +8,7 @@
 //! campaign seed via [`dls_rng::seed_stream`], making every individual run
 //! reproducible regardless of the thread interleaving, the batch width, or
 //! an interrupt-and-resume in between. Every experiment (figures, sweeps,
-//! fault sweeps, Figure 9, the bench cells, the server) is a closure over
+//! fault sweeps, Figure 9, the server) is a closure over
 //! it; the unjournaled case is an [`ExecContext::transient`] context.
 
 use crate::error::ReproError;

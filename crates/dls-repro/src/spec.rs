@@ -8,8 +8,9 @@
 //! and deployment files.
 //!
 //! The strict-input helpers ([`reject_unknown_fields`], [`load_json_plan`])
-//! check fault plans, host fault plans and `POST /run` bodies, so a typo'd
-//! key is refused instead of silently running with the field's default.
+//! check experiment specs, fault plans, host fault plans and `POST /run`
+//! bodies, so a typo'd key is refused instead of silently running with the
+//! field's default.
 
 use crate::error::ReproError;
 use dls_core::Technique;
@@ -87,9 +88,16 @@ impl ExperimentSpec {
             .unwrap_or_else(|e| format!("{{\"error\":\"spec serialization failed: {e}\"}}"))
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON strictly: a field the spec does not have, at
+    /// the top level or inside any nested object or list entry (the
+    /// workload, the platform's hosts, a technique's parameters), is an
+    /// error naming it. The decoded spec is its own template, so the known
+    /// fields are exactly the ones it serializes.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let value: Value = serde_json::from_str(s)?;
+        let spec = Self::from_value(&value)?;
+        reject_unknown_fields_in(&value, &spec.to_value()).map_err(serde_json::Error::custom)?;
+        Ok(spec)
     }
 }
 
@@ -105,23 +113,32 @@ pub fn reject_unknown_fields(value: &Value, known: &[&str]) -> Result<(), String
 }
 
 /// [`reject_unknown_fields`] against the fields of `template`, then the
-/// same check inside every array field whose template holds an object:
-/// each entry against the template's first entry. The error names the
-/// entry, e.g. ``fail_stops[1]: unknown field `wroker` (known: worker, at)``.
+/// same check inside every field whose template holds an object, and
+/// inside every entry of a list field: entry `i` against the template's
+/// entry `i`, or its first entry when the template list is shorter. The
+/// error names where the field sits, e.g.
+/// ``fail_stops[1]: unknown field `wroker` (known: worker, at)`` or
+/// ``platform.hosts[0]: unknown field `sped` (known: ...)``.
 fn reject_unknown_fields_in(value: &Value, template: &Value) -> Result<(), String> {
-    let fields = template.as_object().unwrap_or_default();
+    check_fields_at("", value, template)
+}
+
+fn check_fields_at(path: &str, value: &Value, template: &Value) -> Result<(), String> {
+    let Some(fields) = template.as_object() else { return Ok(()) };
     let known: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    reject_unknown_fields(value, &known)?;
-    for (field, entries) in value.as_object().unwrap_or_default() {
-        let entry_template = fields
-            .iter()
-            .find(|(k, _)| k == field)
-            .and_then(|(_, t)| t.as_array()?.first())
-            .filter(|t| t.as_object().is_some());
-        let Some(entry_template) = entry_template else { continue };
-        for (i, entry) in entries.as_array().unwrap_or_default().iter().enumerate() {
-            reject_unknown_fields_in(entry, entry_template)
-                .map_err(|e| format!("{field}[{i}]: {e}"))?;
+    let at = |e: String| if path.is_empty() { e } else { format!("{path}: {e}") };
+    reject_unknown_fields(value, &known).map_err(at)?;
+    for (field, inner) in value.as_object().unwrap_or_default() {
+        let Some(inner_template) = serde::object_get(fields, field) else { continue };
+        let here = if path.is_empty() { field.clone() } else { format!("{path}.{field}") };
+        match (inner.as_array(), inner_template.as_array()) {
+            (Some(entries), Some(entry_templates)) => {
+                for (i, entry) in entries.iter().enumerate() {
+                    let Some(t) = entry_templates.get(i).or(entry_templates.first()) else { break };
+                    check_fields_at(&format!("{here}[{i}]"), entry, t)?;
+                }
+            }
+            _ => check_fields_at(&here, inner, inner_template)?,
         }
     }
     Ok(())
@@ -196,6 +213,44 @@ mod tests {
         assert_eq!(d.in_sim_h(), 0.25);
         let n: dls_metrics::OverheadModel = OverheadSpec::None.into();
         assert_eq!(n.post_hoc_addition(100), 0.0);
+    }
+
+    /// Every spec `repro spec` wrote still loads under the strict check.
+    #[test]
+    fn committed_specs_load_strictly() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut loaded = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = ExperimentSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(ExperimentSpec::from_json(&spec.to_json()).unwrap(), spec);
+            loaded += 1;
+        }
+        assert_eq!(loaded, 7, "specs/fig3.json .. specs/fig9.json");
+    }
+
+    /// A typo'd field is an error naming it and where it sits, at the top
+    /// level and inside the nested workload and platform objects.
+    #[test]
+    fn unknown_fields_are_rejected_at_every_depth() {
+        let json = sample().to_json();
+        let cases = [
+            ("\"seed\":", "\"sed\": 1,\n  \"seed\":", "unknown field `sed`"),
+            (
+                "\"mean\":",
+                "\"meen\": 1.0, \"mean\":",
+                "workload.model.Exponential: unknown field `meen`",
+            ),
+            ("\"speed\":", "\"sped\": 1.0, \"speed\":", "platform.hosts[0]: unknown field `sped`"),
+        ];
+        for (anchor, typo, expected) in cases {
+            let bad = json.replacen(anchor, typo, 1);
+            assert_ne!(bad, json, "anchor {anchor} not found");
+            let err = ExperimentSpec::from_json(&bad).unwrap_err().to_string();
+            assert!(err.contains(expected), "{err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `dls-trace` observes the *simulated* (virtual-time) world; this crate
 //! observes the *host-side* execution cost of running those simulations —
-//! the quantity the `repro bench` perf harness tracks PR-over-PR. It
+//! the quantity perfbench's traced runs split per layer and the paired
+//! parent-vs-change gate (`.github/paired_gate.py`) compares. It
 //! follows the same zero-cost-when-disabled pattern as `dls_trace::Tracer`:
 //!
 //! * [`Telemetry`] — the cheap, cloneable, `Send + Sync` handle threaded
