@@ -140,18 +140,6 @@ pub enum IoOp {
 }
 
 impl IoOp {
-    /// Every operation kind: an atomic write's pipeline order, then the
-    /// append that opens a journal flush.
-    pub const ALL: [IoOp; 7] = [
-        IoOp::Create,
-        IoOp::Write,
-        IoOp::Fsync,
-        IoOp::Rename,
-        IoOp::DirSync,
-        IoOp::Remove,
-        IoOp::Append,
-    ];
-
     /// Lower-case operation name for error messages.
     pub fn name(self) -> &'static str {
         match self {

@@ -438,11 +438,6 @@ impl<M, A: Actor<M>> Engine<M, A> {
         self.actors.len() - 1
     }
 
-    /// Number of registered actors.
-    pub fn num_actors(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Installs the delivery interceptor consulted for every send.
     ///
     /// Without one, every message is delivered (the verdict is always

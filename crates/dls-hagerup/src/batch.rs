@@ -80,11 +80,6 @@ impl BatchDirectSimulator {
         BatchDirectSimulator { inner: DirectSimulator::with_speeds(speeds, overhead) }
     }
 
-    /// Wraps an existing scalar simulator configuration.
-    pub fn from_scalar(inner: DirectSimulator) -> Self {
-        BatchDirectSimulator { inner }
-    }
-
     /// Number of PEs.
     pub fn p(&self) -> usize {
         self.inner.p

@@ -29,9 +29,7 @@ mod wasted;
 pub use compare::{ks_test, welch_t_test, TestResult};
 pub use fairness::{cov, jain_fairness, max_mean_imbalance, percent_imbalance};
 pub use robustness::{flexibility, makespan_degradation, wasted_work_fraction};
-pub use stats::{
-    mean_below_threshold, percentile, sort_ascending, trimmed_mean, Histogram, SummaryStats,
-};
+pub use stats::{mean_below_threshold, percentile, sort_ascending, trimmed_mean, SummaryStats};
 pub use trace_metrics::{breakdown_csv, chunk_size_series, pe_breakdowns, PeBreakdown};
 pub use tzen_ni::{LoopMetrics, ResourceSplit};
 pub use wasted::{average_wasted_time, wasted_times, OverheadModel, RunCost};

@@ -9,9 +9,7 @@
 //! interpolated garbage, `trimmed_mean` panicked mid-sort, and
 //! `mean_below_threshold` silently treated NaN as above-threshold. A
 //! campaign that produces a NaN wasted time is a bug upstream and must
-//! surface, not skew a figure. [`Histogram`] instead counts NaN
-//! observations separately (see [`Histogram::nan`]), because histograms
-//! are also used on raw, unvalidated streams.
+//! surface, not skew a figure.
 
 /// Online mean/variance accumulator (Welford), plus min/max.
 ///
@@ -194,74 +192,6 @@ pub fn trimmed_mean(xs: &[f64], trim_frac: f64) -> Option<f64> {
     Some(kept.iter().sum::<f64>() / kept.len() as f64)
 }
 
-/// A fixed-width histogram over `[lo, hi)` with out-of-range counters.
-///
-/// NaN observations are counted in their own [`Histogram::nan`] bucket:
-/// NaN fails both range guards, and the bucket-index cast `(NaN / w) as
-/// usize` evaluates to 0, so NaN used to be silently counted as the
-/// *lowest* bin — exactly the kind of misclassification that skews a
-/// wasted-time distribution plot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    /// Reciprocal bucket width, precomputed once — `record` is called per
-    /// campaign run, the division does not belong in that loop.
-    inv_width: f64,
-    buckets: Vec<u64>,
-    below: u64,
-    above: u64,
-    nan: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo && buckets > 0, "invalid histogram spec");
-        let inv_width = buckets as f64 / (hi - lo);
-        Histogram { lo, hi, inv_width, buckets: vec![0; buckets], below: 0, above: 0, nan: 0 }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x.is_nan() {
-            self.nan += 1;
-        } else if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let idx = (((x - self.lo) * self.inv_width) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations at or above the range end.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// NaN observations (never assigned to a bin).
-    pub fn nan(&self) -> u64 {
-        self.nan
-    }
-
-    /// Total recorded observations, NaN included.
-    pub fn total(&self) -> u64 {
-        self.below + self.above + self.nan + self.buckets.iter().sum::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,30 +284,6 @@ mod tests {
         let m = trimmed_mean(&xs, 0.1).unwrap();
         assert!((m - 10.0).abs() < 1e-12);
         assert_eq!(trimmed_mean(&[], 0.1), None);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 50.0] {
-            h.record(x);
-        }
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.above(), 2);
-        assert_eq!(h.buckets(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_counts_nan_separately() {
-        // Regression: NaN fails both range guards and `(NaN/w) as usize`
-        // is 0, so NaN used to inflate the first bucket.
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(f64::NAN);
-        h.record(5.0);
-        assert_eq!(h.nan(), 1);
-        assert_eq!(h.buckets(), &[0, 0, 1, 0, 0], "NaN must not land in bucket 0");
-        assert_eq!(h.total(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! PE's time splits into useful execution, scheduling overhead and idling.
 
 use dls_trace::timeline::busy_intervals;
-use dls_trace::{TraceEvent, TraceKind};
+use dls_trace::TraceEvent;
 
 /// How one PE spent a run (all values in virtual seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,18 +88,13 @@ pub fn breakdown_csv(breakdowns: &[PeBreakdown]) -> String {
 /// distinguishes the techniques (GSS's geometric decrease, TSS's linear
 /// one, SS's flat line at 1).
 pub fn chunk_size_series(events: &[TraceEvent]) -> Vec<(f64, u64)> {
-    events
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            TraceKind::ChunkAssigned { count, .. } => Some((ev.at, count)),
-            _ => None,
-        })
-        .collect()
+    events.iter().filter_map(TraceEvent::chunk_assignment).map(|c| (c.at, c.count)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls_trace::TraceKind;
 
     fn started(at: f64, worker: usize, id: u64, count: u64, exec: f64) -> TraceEvent {
         TraceEvent { at, kind: TraceKind::ChunkStarted { worker, id, count, exec_secs: exec } }

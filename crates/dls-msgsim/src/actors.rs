@@ -48,19 +48,6 @@ pub struct Completion {
     pub elapsed: f64,
 }
 
-/// One assignment record in the optional chunk trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkRecord {
-    /// Virtual time at which the master assigned the chunk, seconds.
-    pub assigned_at: f64,
-    /// Receiving worker index.
-    pub worker: usize,
-    /// First task index of the chunk.
-    pub start: u64,
-    /// Number of tasks in the chunk.
-    pub count: u64,
-}
-
 /// Statistics shared between actors and collected after the run.
 #[derive(Debug)]
 pub struct SharedStats {
@@ -74,8 +61,6 @@ pub struct SharedStats {
     pub assigned_tasks: u64,
     /// Time the last chunk execution finished (the makespan), seconds.
     pub last_finish: f64,
-    /// Chunk trace (populated only when the spec requests it).
-    pub chunk_trace: Option<Vec<ChunkRecord>>,
     /// Fault and recovery counters (engine-level fields are filled in by
     /// the driver after the run).
     pub faults: FaultStats,
@@ -90,7 +75,6 @@ impl SharedStats {
             chunks_per_worker: vec![0; p],
             assigned_tasks: 0,
             last_finish: 0.0,
-            chunk_trace: None,
             faults: FaultStats::default(),
         }
     }
@@ -273,7 +257,7 @@ impl Master {
 
     /// Pulls the next fresh chunk from the scheduler, if any, updating the
     /// assignment statistics exactly as the legacy path does.
-    fn fresh_chunk(&mut self, worker: usize, now: SimTime) -> Option<ChunkJob> {
+    fn fresh_chunk(&mut self, worker: usize) -> Option<ChunkJob> {
         let count = self.scheduler.borrow_mut().next_chunk(worker);
         if count == 0 {
             return None;
@@ -286,14 +270,11 @@ impl Master {
         s.chunks += 1;
         s.chunks_per_worker[worker] += 1;
         s.assigned_tasks += count;
-        if let Some(trace) = &mut s.chunk_trace {
-            trace.push(ChunkRecord { assigned_at: now.as_secs_f64(), worker, start, count });
-        }
         Some(ChunkJob { start, count, work_secs })
     }
 
-    /// Counts a reassignment and records it in the chunk trace (the same
-    /// task range appears a second time, under the surviving worker).
+    /// Counts a reassignment and traces it (the same task range appears a
+    /// second time, under the surviving worker).
     fn note_reassignment(&self, worker: usize, job: &ChunkJob, now: SimTime) {
         self.tracer.emit(
             now.as_secs_f64(),
@@ -302,14 +283,6 @@ impl Master {
         let mut s = self.stats.borrow_mut();
         s.faults.reassigned_chunks += 1;
         s.faults.reassigned_tasks += job.count;
-        if let Some(trace) = &mut s.chunk_trace {
-            trace.push(ChunkRecord {
-                assigned_at: now.as_secs_f64(),
-                worker,
-                start: job.start,
-                count: job.count,
-            });
-        }
     }
 
     /// Sends Finalize to `worker` (actor `worker + 1`).
@@ -346,14 +319,6 @@ impl Master {
             s.chunks += 1;
             s.chunks_per_worker[worker] += 1;
             s.assigned_tasks += count;
-            if let Some(trace) = &mut s.chunk_trace {
-                trace.push(ChunkRecord {
-                    assigned_at: ctx.now().as_secs_f64(),
-                    worker,
-                    start: (end - count as usize) as u64,
-                    count,
-                });
-            }
         }
         self.tracer.emit(
             ctx.now().as_secs_f64(),
@@ -419,7 +384,7 @@ impl Master {
             return;
         }
 
-        if let Some(job) = self.fresh_chunk(worker, ctx.now()) {
+        if let Some(job) = self.fresh_chunk(worker) {
             self.dispatch(worker, job, queueing, ctx);
             return;
         }

@@ -49,7 +49,6 @@ mod actors;
 mod outcome;
 mod spec;
 
-pub use actors::ChunkRecord;
 pub use outcome::{FaultStats, SimOutcome};
 pub use spec::{MessageSizes, Recovery, SimSpec};
 
@@ -133,9 +132,6 @@ fn simulate_core(
     let plan = &spec.faults;
 
     let stats = Rc::new(RefCell::new(SharedStats::new(p)));
-    if spec.record_chunks {
-        stats.borrow_mut().chunk_trace = Some(Vec::new());
-    }
     let mut engine = Engine::<Msg, SimActor>::with_capacity(p + 2);
     engine.set_tracer(tracer.clone());
     // Actor 0 is the master; workers are 1..=p on platform hosts 0..p.
@@ -184,7 +180,6 @@ fn simulate_core(
         serial_time: tasks.total(),
         events: engine_stats.events,
         overhead: spec.overhead,
-        chunk_trace: s.chunk_trace.take(),
         faults,
     })
 }
@@ -377,9 +372,13 @@ mod tests {
 
     #[test]
     fn chunk_trace_records_every_assignment() {
-        let sp = spec(Technique::Fac2, 1000, 4).with_chunk_trace();
-        let out = simulate(&sp, 0).unwrap();
-        let trace = out.chunk_trace.as_ref().expect("trace requested");
+        let sp = spec(Technique::Fac2, 1000, 4);
+        let (tracer, chunks) = Tracer::chunks();
+        let out =
+            simulate_with_tasks(&sp, &sp.workload.generate(0), &tracer, &Telemetry::disabled())
+                .unwrap();
+        let chunks = chunks.borrow();
+        let trace = chunks.chunks();
         assert_eq!(trace.len() as u64, out.chunks);
         // Chunks cover [0, n) contiguously in assignment order.
         let mut next = 0u64;
@@ -390,11 +389,11 @@ mod tests {
         }
         assert_eq!(next, 1000);
         // Assignment times are non-decreasing (master processes in order).
-        assert!(trace.windows(2).all(|w| w[0].assigned_at <= w[1].assigned_at));
+        assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
         // First batch of FAC2 on 4 workers: 4 chunks of 125.
         assert!(trace[..4].iter().all(|r| r.count == 125));
-        // Trace absent unless requested.
-        assert!(simulate(&spec(Technique::Fac2, 100, 2), 0).unwrap().chunk_trace.is_none());
+        // Recording the trace leaves the run unchanged.
+        assert_eq!(out.makespan.to_bits(), simulate(&sp, 0).unwrap().makespan.to_bits());
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct SimOutcome {
     pub events: u64,
     /// The overhead model the run was configured with.
     pub overhead: OverheadModel,
-    /// Per-chunk assignment trace (when the spec enabled recording).
-    pub chunk_trace: Option<Vec<crate::ChunkRecord>>,
     /// Fault-injection and recovery counters (all zero when fault-free).
     pub faults: FaultStats,
 }
@@ -145,7 +143,6 @@ mod tests {
             serial_time: 18.0,
             events: 100,
             overhead: OverheadModel::PostHocTotal { h: 0.5 },
-            chunk_trace: None,
             faults: FaultStats::default(),
         }
     }

@@ -69,8 +69,6 @@ pub struct SimSpec {
     pub overhead: OverheadModel,
     /// Control-message sizes.
     pub messages: MessageSizes,
-    /// Record every chunk assignment in [`crate::SimOutcome::chunk_trace`].
-    pub record_chunks: bool,
     /// Master-side service time per scheduling request, seconds.
     ///
     /// Zero models SimGrid-MSG's instantaneous master (the paper's
@@ -96,7 +94,6 @@ impl SimSpec {
             platform,
             overhead: OverheadModel::None,
             messages: MessageSizes::default(),
-            record_chunks: false,
             master_service: 0.0,
             faults: FaultPlan::none(),
             recovery: Recovery::default(),
@@ -107,18 +104,6 @@ impl SimSpec {
     /// master and workers into fault-tolerant mode.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the recovery-protocol tuning (builder style).
-    pub fn with_recovery(mut self, recovery: Recovery) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Enables per-chunk trace recording (builder style).
-    pub fn with_chunk_trace(mut self) -> Self {
-        self.record_chunks = true;
         self
     }
 

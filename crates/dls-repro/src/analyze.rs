@@ -18,6 +18,11 @@
 //! * **Telemetry / Quarantine / Logs** — snapshot counters, quarantined
 //!   runs and structured-log level counts.
 //!
+//! The journal is read through `journal::read_journal`, the reader
+//! `--resume` uses, so the report counts exactly the records a resume
+//! would replay; a record line that fails its integrity check is counted
+//! as quarantined, never read.
+//!
 //! Every input is optional — each section states what it found, so the CI
 //! `report-smoke` job can grep every heading in [`SECTIONS`]
 //! unconditionally — but present-and-malformed inputs are typed
@@ -25,7 +30,7 @@
 //! a log line that stops parsing as the documented JSONL schema is a bug.
 
 use crate::error::ReproError;
-use crate::journal;
+use crate::journal::{self, JournalMeta};
 use dls_telemetry::Snapshot;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -86,13 +91,10 @@ impl CellStat {
 
 #[derive(Debug, Default)]
 struct JournalInfo {
-    command: String,
-    fingerprint: String,
-    seed: Option<u64>,
-    git_rev: String,
+    meta: JournalMeta,
     cells: BTreeMap<String, CellStat>,
     records: usize,
-    torn_lines: usize,
+    quarantined: usize,
 }
 
 /// Per-trace-label statistics derived from the exported CSVs.
@@ -148,46 +150,15 @@ fn mean_msgsim(value: &Value) -> Option<f64> {
     Some(sum / pairs.len() as f64)
 }
 
-fn parse_journal(name: &str, text: &str) -> Result<JournalInfo, ReproError> {
-    let mut info = JournalInfo::default();
-    let mut lines = text.lines().enumerate();
-    let Some((_, first)) = lines.by_ref().find(|(_, l)| !l.trim().is_empty()) else {
-        return Ok(info); // empty journal: a campaign that never recorded
-    };
-    let header: Value = serde_json::from_str(first)
-        .map_err(|e| ReproError::invalid_spec(format!("{name}: unreadable journal header: {e}")))?;
-    let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != journal::SCHEMA {
-        return Err(ReproError::invalid_spec(format!(
-            "{name}: journal schema `{schema}` is not `{}`",
-            journal::SCHEMA
-        )));
-    }
-    let field = |k: &str| header.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
-    info.command = field("command");
-    info.fingerprint = field("fingerprint");
-    info.git_rev = field("git_rev");
-    info.seed = header.get("seed").and_then(|v| match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    });
-    let body: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
-    for (pos, &(lineno, line)) in body.iter().enumerate() {
-        let record = serde_json::from_str::<Value>(line).ok().and_then(|v| {
-            let key = v.get("key")?.as_str()?.to_string();
-            let value = v.get("value")?.clone();
-            Some((key, value))
-        });
-        let Some((key, value)) = record else {
-            if pos == body.len() - 1 {
-                info.torn_lines += 1; // torn tail from a crash: data, not corruption
-                continue;
-            }
-            return Err(ReproError::invalid_spec(format!(
-                "{name}: undecodable journal record on line {}",
-                lineno + 1
-            )));
-        };
+/// Summarizes a journal (`None` if empty) through `journal::read_journal`,
+/// the reader `--resume` uses: a line that fails its check is only counted.
+fn parse_journal(name: &str, bytes: &[u8]) -> Result<Option<JournalInfo>, ReproError> {
+    let file = journal::read_journal(bytes)
+        .map_err(|e| ReproError::invalid_spec(format!("{name}: {e}")))?;
+    let Some(file) = file else { return Ok(None) };
+    let mut info =
+        JournalInfo { meta: file.meta, quarantined: file.quarantined.len(), ..Default::default() };
+    for (key, value, _) in file.records {
         // Keys look like `n=1024 p=8#<cell seed hex>:<run>`.
         let cell = key.rsplit_once('#').map_or(key.as_str(), |(c, _)| c).to_string();
         let stat = info.cells.entry(cell).or_default();
@@ -198,7 +169,7 @@ fn parse_journal(name: &str, text: &str) -> Result<JournalInfo, ReproError> {
             stat.msgsim_runs += 1;
         }
     }
-    Ok(info)
+    Ok(Some(info))
 }
 
 /// Splits one CSV data row into `f64` fields, failing loudly.
@@ -373,7 +344,10 @@ pub fn analyze_dir(dir: &Path) -> Result<CampaignReport, ReproError> {
 
     // --- journal -------------------------------------------------------
     let journal_info = if names.iter().any(|n| n == journal::JOURNAL_FILE) {
-        Some(parse_journal(journal::JOURNAL_FILE, &read(dir, journal::JOURNAL_FILE)?)?)
+        let path = dir.join(journal::JOURNAL_FILE);
+        let bytes =
+            std::fs::read(&path).map_err(|e| ReproError::io(format!("{}: {e}", path.display())))?;
+        parse_journal(journal::JOURNAL_FILE, &bytes)?
     } else {
         None
     };
@@ -446,19 +420,19 @@ fn render(
     let (runs, cells) = match &journal_info {
         Some(j) => {
             md.push_str(&format!(
-                "* command: `{}`\n* fingerprint: `{}`\n* seed: {}\n* build: {}\n\
+                "* command: `{}`\n* fingerprint: `{}`\n* seed: {:#x}\n* build: {}\n\
                  * journaled runs: {} across {} cell(s)\n",
-                j.command,
-                j.fingerprint,
-                j.seed.map_or("?".into(), |s| format!("{s:#x}")),
-                j.git_rev,
+                j.meta.command,
+                j.meta.fingerprint,
+                j.meta.seed,
+                j.meta.git_rev,
                 j.records,
                 j.cells.len(),
             ));
-            if j.torn_lines > 0 {
+            if j.quarantined > 0 {
                 md.push_str(&format!(
-                    "* torn trailing record(s) dropped: {} (crash mid-flush)\n",
-                    j.torn_lines
+                    "* record(s) quarantined (failed their integrity check): {}\n",
+                    j.quarantined
                 ));
             }
             row("campaign", "journal", "runs", j.records.to_string());
@@ -466,7 +440,7 @@ fn render(
             (j.records, j.cells.len())
         }
         None => {
-            md.push_str("no journal found\n");
+            md.push_str("no journal (or an empty one) found\n");
             (0, 0)
         }
     };
@@ -647,13 +621,17 @@ mod tests {
         std::fs::write(dir.join(name), text).unwrap();
     }
 
-    const JOURNAL: &str = concat!(
-        "{\"schema\":\"dls-journal/1\",\"command\":\"fig5\",\"fingerprint\":\"f\",",
-        "\"seed\":7,\"git_rev\":\"abc\"}\n",
-        "{\"key\":\"n=1024 p=2#0000000000000001:0\",\"value\":[{\"msgsim\":2.0,\"replica\":1.9}]}\n",
-        "{\"key\":\"n=1024 p=2#0000000000000001:1\",\"value\":[{\"msgsim\":4.0,\"replica\":3.9}]}\n",
-        "{\"key\":\"n=1024 p=4#0000000000000002:0\",\"value\":[{\"msgsim\":1.0,\"replica\":1.1}]}\n",
-    );
+    /// A three-record `fig5` journal, sealed through the record codec.
+    fn journal_text() -> String {
+        [
+            r#"{"schema":"dls-journal/2","command":"fig5","fingerprint":"f","seed":7,"git_rev":"abc"}"#,
+            r#"{"key":"n=1024 p=2#0000000000000001:0","value":[{"msgsim":2.0,"replica":1.9}]}"#,
+            r#"{"key":"n=1024 p=2#0000000000000001:1","value":[{"msgsim":4.0,"replica":3.9}]}"#,
+            r#"{"key":"n=1024 p=4#0000000000000002:0","value":[{"msgsim":1.0,"replica":1.1}]}"#,
+        ]
+        .map(crate::record::seal)
+        .concat()
+    }
 
     const LOG: &str = concat!(
         "{\"seq\":0,\"t_ms\":1,\"level\":\"info\",\"target\":\"campaign\",\"msg\":\"cell start\",",
@@ -666,7 +644,7 @@ mod tests {
     );
 
     fn populate(dir: &Path) {
-        write(dir, "journal.jsonl", JOURNAL);
+        write(dir, "journal.jsonl", &journal_text());
         write(dir, "campaign.log.jsonl", LOG);
         write(
             dir,
@@ -739,23 +717,29 @@ mod tests {
     #[test]
     fn wrong_journal_schema_is_rejected() {
         let dir = tmp_dir("badschema");
-        write(&dir, "journal.jsonl", "{\"schema\":\"dls-journal/9\"}\n");
+        write(&dir, "journal.jsonl", &crate::record::seal(r#"{"schema":"dls-journal/9"}"#));
         let err = analyze_dir(&dir).unwrap_err();
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("dls-journal/9"));
     }
 
     #[test]
-    fn empty_directory_is_an_error_and_torn_tails_are_tolerated() {
+    fn empty_directory_is_an_error_and_failed_records_are_quarantined() {
         let dir = tmp_dir("empty");
         assert_eq!(analyze_dir(&dir).unwrap_err().exit_code(), 4);
         // A torn trailing journal line (crash mid-flush) is survivable data.
         write(
             &dir,
             "journal.jsonl",
-            &(JOURNAL.to_string() + "{\"key\":\"n=1024 p=4#0000000000000002:1\",\"val"),
+            &(journal_text() + "{\"key\":\"n=1024 p=4#0000000000000002:1\",\"val"),
         );
         let report = analyze_dir(&dir).unwrap();
-        assert!(report.markdown.contains("torn trailing record(s) dropped: 1"));
+        assert!(report.markdown.contains("quarantined (failed their integrity check): 1"));
+        assert!(report.summary().contains("3 journaled run(s)"));
+        // So is a changed digit mid-file: that run is not counted.
+        write(&dir, "journal.jsonl", &journal_text().replacen("4.0", "5.0", 1));
+        let report = analyze_dir(&dir).unwrap();
+        assert!(report.markdown.contains("quarantined (failed their integrity check): 1"));
+        assert!(report.summary().contains("2 journaled run(s)"));
     }
 }

@@ -119,7 +119,8 @@ fn exec_context(
 }
 
 /// Prints the post-campaign resilience summary: quarantined (panicked)
-/// runs, and the journal's replayed/recorded counts when one is active.
+/// runs, and the journal's replayed/recorded/quarantined counts when one
+/// is active.
 fn report_resilience(ctx: &ExecContext) {
     let quarantined = ctx.quarantined();
     if !quarantined.is_empty() {
@@ -134,12 +135,16 @@ fn report_resilience(ctx: &ExecContext) {
     }
     if let Some(j) = ctx.journal() {
         let s = j.stats();
+        let quarantined = match s.quarantined {
+            0 => String::new(),
+            q => format!(", {q} record(s) quarantined"),
+        };
         println!(
-            "journal: {} run(s) replayed, {} newly recorded, {} byte(s) written -> {}",
+            "journal: {} run(s) replayed, {} newly recorded, {} byte(s) written -> {}{quarantined}",
             s.resumed,
             s.recorded,
             s.bytes_written,
-            j.path().display()
+            j.path().display(),
         );
     }
 }
@@ -294,8 +299,7 @@ fn engine_summary(snap: &Snapshot) -> String {
 
 /// Writes one recorded run's artifacts and prints where they went.
 fn emit_trace(a: &dls_repro::trace::TraceArtifacts, dir: &str) -> Result<(), ReproError> {
-    let paths = dls_repro::trace::write_artifacts(a, std::path::Path::new(dir))
-        .map_err(|e| ReproError::io(format!("{dir}: {e}")))?;
+    let paths = dls_repro::trace::write_artifacts(a, std::path::Path::new(dir))?;
     for p in &paths {
         println!("wrote {}", p.display());
     }

@@ -874,7 +874,8 @@ fn serve_reference_body(cfg: &ChaosConfig, seed: u64) -> Result<String, ReproErr
     Ok(report::format_csv(&headers, &body))
 }
 
-/// Valid `dls-cache/1` entries in `dir` (the self-heal check).
+/// Entries in `dir` that [`load_entry`](crate::server::cache::load_entry) accepts (the
+/// self-heal check).
 fn count_valid_entries(dir: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     entries

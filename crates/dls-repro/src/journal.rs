@@ -1,80 +1,71 @@
 //! Checkpoint journal and crash-consistent file I/O.
 //!
 //! The paper's verdicts rest on campaigns of up to a thousand seeded runs
-//! per grid cell; losing a half-finished sweep to an OOM kill or a Ctrl-C
-//! used to mean starting over. This module makes every long-running entry
-//! point restartable:
+//! per grid cell. This module makes every long-running entry point
+//! restartable:
 //!
-//! * [`atomic_write`] — write-to-tmp, fsync, rename. A crash mid-write
-//!   leaves either the old artifact or the new one on disk, never a torn
-//!   half of each. Every artifact the harness emits (CSV, specs,
-//!   trace exports, telemetry dumps, the journal itself) goes through it.
-//! * [`with_io_retries`] — the bounded retry policy for transient host
-//!   I/O failures (NFS hiccups, `EINTR`-style flakes): a few attempts with
-//!   a short exponential backoff, then the error propagates.
-//! * [`Journal`] — a schema-versioned (`dls-journal/1`), append-only
-//!   record of completed runs, keyed by campaign cell and run index and
-//!   stored as JSONL. `repro … --resume DIR` loads it, skips every
-//!   journaled run, and — because run results are serialized losslessly
-//!   (shortest-round-trip `f64`) — produces results bit-identical to an
-//!   uninterrupted run (pinned by `tests/resume_determinism.rs`).
+//! * [`write_artifact`] — write-to-tmp, fsync, rename, under the standard
+//!   retry policy: a crash mid-write leaves the old artifact or the new
+//!   one, never a torn half. Every artifact the harness emits goes through
+//!   [`atomic_write_with`], the journal's rewrites included.
+//! * [`Journal`] — an append-only record of completed runs (`dls-journal/2`)
+//!   keyed by campaign cell and run index. `--resume DIR` replays every
+//!   journaled run bit-identically (shortest-round-trip `f64`; pinned by
+//!   `tests/resume_determinism.rs`) and executes only the rest.
 //!
-//! The journal file is a header line followed by one JSONL record per line,
-//! in record order. Each record is serialized once, when it is recorded,
-//! and a flush appends only the lines recorded since the previous flush:
-//! one `write_all` then `sync_all` on the file opened for append, so a
-//! campaign's journaling costs O(records), not O(records²). The whole file
-//! is rewritten through [`atomic_write`] only to create or heal it:
+//! The file is a header line followed by one record line per run, every
+//! line sealed by the [`record`] codec the result cache also uses. On open
+//! (`read_journal`), a header that fails its check or names another
+//! campaign is refused (a usage error); a record line that fails its check
+//! or its decode — a torn tail, a flipped bit, wherever it is — is counted
+//! in [`JournalStats::quarantined`], reported on stderr and dropped, so its
+//! run re-executes. A value is replayed only if its bytes are the recorded
+//! ones.
+//!
+//! Each record is serialized once, and a flush appends only the lines
+//! recorded since the previous flush (one `write_all` + `sync_all`), so
+//! journaling costs O(records). The whole file is rewritten only to create
+//! or heal it:
 //!
 //! 1. the first flush of a fresh journal (it writes the header);
-//! 2. the first flush after [`Journal::open`] loaded a file holding
-//!    anything but this session's header and whole record lines — a torn
-//!    tail, a last line without its `\n`, a blank or duplicate line, or a
-//!    header from another build;
+//! 2. the first flush after [`Journal::open`] loaded anything but this
+//!    session's header and whole valid record lines — a quarantined line, a
+//!    last line without its `\n`, a blank or duplicate line, or a header
+//!    from another build;
 //! 3. any failed append, torn partial writes included, redone under the
 //!    journal's [`RetryPolicy`]; until a rewrite succeeds every flush
 //!    stays a rewrite, since the file may end in stray bytes.
 //!
-//! The final bytes are therefore the same whichever path wrote them and
-//! whatever the flush cadence: header plus every record line in record
-//! order — what a rewrite emits, and what a chain of appends builds. A
-//! crash mid-append leaves previously flushed lines intact plus at most a
-//! torn tail, which the next [`Journal::open`] drops (the run simply
-//! re-executes) before case 2 rewrites the file clean.
+//! Either path leaves the same bytes — header plus every record line in
+//! record order — whatever the flush cadence.
 
 use crate::error::ReproError;
+use crate::record;
 use dls_chaos::{HostIo, RealIo, RetryPolicy};
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Schema tag of the journal header line; bump on breaking layout changes.
-pub const SCHEMA: &str = "dls-journal/1";
+pub const SCHEMA: &str = "dls-journal/2";
 
 /// File name of the journal inside a `--resume` directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// Attempts made by [`with_io_retries`] before giving up.
-pub const IO_RETRY_ATTEMPTS: u32 = 3;
-
 /// Completed runs buffered between automatic journal flushes.
 pub const FLUSH_EVERY: usize = 64;
 
-/// Writes `contents` to `path` crash-consistently: the bytes go to a
-/// uniquely named `<path>.tmp.<pid>.<counter>` first, are fsync'd, and the
-/// tmp file is renamed over the destination (atomic on POSIX filesystems).
-/// The parent directory is fsync'd afterwards so the rename itself
-/// survives a power cut.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    atomic_write_with(&RealIo, path, contents)
-}
-
-/// [`atomic_write`] over an injectable [`HostIo`] — the seam the chaos
-/// harness uses to fault every boundary of the write sequence. On *any*
-/// error the tmp file is removed (best-effort), so a failed create, write,
-/// fsync or rename cannot leak stale tmp files into the artifact directory.
+/// Writes `contents` to `path` crash-consistently through `io`: the bytes
+/// go to a uniquely named `<path>.tmp.<pid>.<counter>` first, are fsync'd,
+/// and the tmp file is renamed over the destination (atomic on POSIX
+/// filesystems). The parent directory is fsync'd afterwards so the rename
+/// itself survives a power cut. On *any* error the tmp file is removed
+/// (best-effort), so a failed create, write, fsync or rename cannot leak
+/// stale tmp files into the artifact directory. `io` is the seam the chaos
+/// harness uses to fault every boundary of the write sequence.
 pub fn atomic_write_with(io: &dyn HostIo, path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
     let res = (|| {
@@ -112,20 +103,9 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Runs `op` up to `attempts` times under the standard backoff
-/// ([`RetryPolicy::standard`], 10 ms · 2^i with deterministic jitter).
-/// Permanent errors — `NotFound`, `PermissionDenied`, malformed input,
-/// `ENOSPC` — bail immediately instead of burning the backoff budget on a
-/// failure that retrying cannot fix (see [`dls_chaos::is_permanent`]).
-pub fn with_io_retries<T>(
-    attempts: u32,
-    op: impl FnMut() -> std::io::Result<T>,
-) -> std::io::Result<T> {
-    RetryPolicy::standard().with_attempts(attempts).run(op)
-}
-
-/// [`atomic_write`] under the standard retry policy, with the path in the
-/// error message — the one-call artifact writer the CLI paths use.
+/// [`atomic_write_with`] over the real filesystem under the standard retry
+/// policy, with the path in the error message — the one-call artifact
+/// writer the CLI paths use.
 pub fn write_artifact(path: &Path, contents: &[u8]) -> Result<(), ReproError> {
     write_artifact_with(&RealIo, RetryPolicy::standard(), path, contents)
 }
@@ -152,7 +132,7 @@ pub fn write_artifact_with(
 /// content-address the result cache keys on: a campaign result is a pure
 /// function of those three components, so carrying them all here lets the
 /// journal header and the cache share one identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalMeta {
     /// Subcommand that owns the journal (`fig5`, `sweep`, `faults`, …).
     pub command: String,
@@ -215,13 +195,15 @@ pub struct JournalStats {
     pub recorded: u64,
     /// Successful flushes to disk.
     pub flushes: u64,
-    /// Torn/undecodable trailing lines dropped at open time.
-    pub torn_lines: u64,
+    /// Record lines dropped at open time because they failed their check
+    /// or their decode; their runs re-execute.
+    pub quarantined: u64,
     /// Bytes this session's successful flushes handed to the host: the
     /// appended lines, or the whole file for a rewrite.
     pub bytes_written: u64,
 }
 
+#[derive(Default)]
 struct JournalState {
     /// Journaled value per run key (first write wins; keys never repeat in
     /// normal operation).
@@ -240,6 +222,8 @@ struct JournalState {
     /// final [`Journal::flush`] so a campaign is not torn down mid-run by
     /// a transient disk error.
     sticky_error: Option<ReproError>,
+    /// Quarantined lines not yet credited to a campaign's telemetry.
+    unreported_quarantined: u64,
     stats: JournalStats,
 }
 
@@ -285,10 +269,11 @@ pub fn run_key(cell: &str, cell_seed: u64, run: u32) -> String {
 impl Journal {
     /// Opens (resuming) or creates the journal in `dir`.
     ///
-    /// An existing journal must carry the current [`SCHEMA`] and match
-    /// `meta`; a future schema or a different campaign is rejected with an
-    /// actionable [`ReproError::Usage`]. A torn trailing line — the
-    /// signature of a crash between flushes — is dropped, not an error.
+    /// An existing journal's header must pass its check, carry the current
+    /// [`SCHEMA`] and match `meta`; anything else is rejected with an
+    /// actionable [`ReproError::Usage`]. A record line that fails its
+    /// check — a torn tail from a crash between flushes, a flipped bit —
+    /// is quarantined (see the module docs), not an error.
     pub fn open(dir: &Path, meta: &JournalMeta) -> Result<Journal, ReproError> {
         Journal::open_with_io(dir, meta, Arc::new(RealIo), RetryPolicy::standard())
     }
@@ -307,17 +292,8 @@ impl Journal {
         std::fs::create_dir_all(dir)
             .map_err(|e| ReproError::io(format!("{}: {e}", dir.display())))?;
         let path = dir.join(JOURNAL_FILE);
-        let mut header = header_line(meta);
-        header.push('\n');
-        let mut state = JournalState {
-            index: HashMap::new(),
-            body: Vec::new(),
-            persisted: 0,
-            rewrite: true,
-            dirty: 0,
-            sticky_error: None,
-            stats: JournalStats::default(),
-        };
+        let header = header_line(meta);
+        let mut state = JournalState { rewrite: true, ..JournalState::default() };
         match std::fs::read(&path) {
             Ok(bytes) => {
                 load_existing(&path, &bytes, meta, &mut state)?;
@@ -388,7 +364,7 @@ impl Journal {
     }
 
     /// Puts every record on disk: appends the lines recorded since the last
-    /// flush, or rewrites the whole file via [`atomic_write`] under the
+    /// flush, or rewrites the whole file via [`atomic_write_with`] under the
     /// retry policy when the module docs' rewrite cases apply. A clean
     /// journal with nothing new performs no I/O. Returns the first error
     /// any earlier automatic flush swallowed, so persistent I/O trouble is
@@ -407,6 +383,13 @@ impl Journal {
     /// Records already present when the journal was opened.
     pub fn resumed(&self) -> u64 {
         self.stats().resumed
+    }
+
+    /// [`JournalStats::quarantined`] on the first call and 0 after, so a
+    /// campaign of many cells credits `journal.records_quarantined` once.
+    pub(crate) fn take_unreported_quarantined(&self) -> u64 {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::take(&mut state.unreported_quarantined)
     }
 
     fn flush_locked(&self, state: &mut JournalState) {
@@ -448,138 +431,135 @@ impl Journal {
     }
 }
 
-/// The JSONL line, `\n` included, journaling `value` under `key`.
+/// The sealed line, `\n` included, journaling `value` under `key`.
 fn record_line(key: &str, value: &Value) -> String {
     let line = Value::Object(vec![
         ("key".into(), Value::String(key.to_string())),
         ("value".into(), value.clone()),
     ]);
-    serde_json::to_string(&line).expect("journal line serialization") + "\n"
+    record::seal(&serde_json::to_string(&line).expect("journal line serialization"))
 }
 
+/// The sealed header line, `\n` included: the schema, then `meta`.
 fn header_line(meta: &JournalMeta) -> String {
-    let header = Value::Object(vec![
-        ("schema".into(), Value::String(SCHEMA.into())),
-        ("command".into(), Value::String(meta.command.clone())),
-        ("fingerprint".into(), Value::String(meta.fingerprint.clone())),
-        ("seed".into(), Value::U64(meta.seed)),
-        ("git_rev".into(), Value::String(meta.git_rev.clone())),
-    ]);
-    serde_json::to_string(&header).expect("journal header serialization")
+    let Value::Object(mut fields) = meta.to_value() else { unreachable!("a struct is an object") };
+    fields.insert(0, ("schema".into(), Value::String(SCHEMA.into())));
+    record::seal(&serde_json::to_string(&Value::Object(fields)).expect("journal header"))
 }
 
-/// Loads the records of an existing journal file into `state`, validating
-/// the header against `meta`. Each loaded record's line goes into
-/// `state.body` as read, so the body equals the file's record bytes
-/// exactly when the file holds nothing else (no torn tail, blank or
-/// duplicate line). Works on bytes, so a tail torn inside a multi-byte
-/// character is just another torn line.
+/// A journal file as read back through the record codec: the one reader
+/// behind [`Journal::open`] and `repro report`.
+pub(crate) struct JournalFile<'a> {
+    /// The campaign the header names.
+    pub meta: JournalMeta,
+    /// Key, value and line (sans `\n`) of each record that passed, in order.
+    pub records: Vec<(String, Value, &'a [u8])>,
+    /// 1-based numbers of the record lines that failed their check or decode.
+    pub quarantined: Vec<usize>,
+}
+
+/// Reads the bytes of a journal file; `Ok(None)` for an empty file. A
+/// header that fails its check, names another schema or lacks a campaign
+/// field is an `Err` describing why. Works on bytes, so a tail torn inside
+/// a multi-byte character is just another line that fails its check.
+pub(crate) fn read_journal(bytes: &[u8]) -> Result<Option<JournalFile<'_>>, String> {
+    let mut lines = bytes.split(|&b| b == b'\n').enumerate().filter(|(_, l)| !is_blank(l));
+    let Some((_, first)) = lines.next() else {
+        return Ok(None); // empty file: a fresh journal
+    };
+    let schema_error = |schema: &str| {
+        format!(
+            "journal schema `{schema}` is not `{SCHEMA}` (written by a different repro version)"
+        )
+    };
+    let Some(header) = record::decode(first) else {
+        // The last unsealed layout's header is bare JSON opening with its schema.
+        return Err(if first.starts_with(br#"{"schema":"dls-journal/1""#) {
+            schema_error("dls-journal/1")
+        } else {
+            "unreadable journal header (it fails its integrity check)".into()
+        });
+    };
+    let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
+    if schema != SCHEMA {
+        return Err(schema_error(schema));
+    }
+    let meta = JournalMeta::from_value(&header).map_err(|e| format!("journal header: {e}"))?;
+    let mut file = JournalFile { meta, records: Vec::new(), quarantined: Vec::new() };
+    for (i, line) in lines {
+        match record::decode(line).and_then(into_record) {
+            Some((key, value)) => file.records.push((key, value, line)),
+            None => file.quarantined.push(i + 1),
+        }
+    }
+    Ok(Some(file))
+}
+
+fn is_blank(line: &[u8]) -> bool {
+    line.iter().all(u8::is_ascii_whitespace)
+}
+
+/// Moves the key and value out of a decoded record line, which holds
+/// exactly those two fields in that order (see [`record_line`]).
+fn into_record(line: Value) -> Option<(String, Value)> {
+    let Value::Object(mut fields) = line else { return None };
+    let (value, key) = (fields.pop()?, fields.pop()?);
+    match (key, value, fields.is_empty()) {
+        ((k, Value::String(key)), (v, value), true) if k == "key" && v == "value" => {
+            Some((key, value))
+        }
+        _ => None,
+    }
+}
+
+/// Loads an existing journal file into `state`: refuses a header that
+/// fails [`read_journal`] or names another campaign, warns once per
+/// quarantined line, and keeps the first record per key. Each kept line
+/// goes into `state.body` as read, so the body equals the file's record
+/// bytes exactly when the file holds nothing else.
 fn load_existing(
     path: &Path,
     bytes: &[u8],
     meta: &JournalMeta,
     state: &mut JournalState,
 ) -> Result<(), ReproError> {
-    let is_blank = |line: &[u8]| line.iter().all(u8::is_ascii_whitespace);
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    if lines.last().is_some_and(|l| l.is_empty()) {
-        lines.pop(); // the terminator of the last line, not a line
-    }
-    let Some((&first, body)) = lines.split_first().filter(|(first, _)| !is_blank(first)) else {
-        return Ok(()); // empty file: treat as a fresh journal
+    let refuse = |why: String| {
+        ReproError::usage(format!("{}: {why} — pass a fresh --resume directory", path.display()))
     };
-    let header: Value = std::str::from_utf8(first)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
-        .map_err(|e| {
-            ReproError::usage(format!(
-                "{}: unreadable journal header ({e}) — pass a fresh --resume directory",
-                path.display()
-            ))
-        })?;
-    let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != SCHEMA {
-        return Err(ReproError::usage(format!(
-            "{}: journal schema `{schema}` is not `{SCHEMA}`{} — regenerate the journal \
-             with this version or pass a fresh --resume directory",
-            path.display(),
-            if schema.starts_with("dls-journal/") {
-                " (written by a different repro version)"
-            } else {
-                ""
-            },
-        )));
-    }
-    let command = header.get("command").and_then(Value::as_str).unwrap_or("");
-    let fingerprint = header.get("fingerprint").and_then(Value::as_str).unwrap_or("");
-    // Pre-PR-7 journals have no structural seed field; for them the seed is
-    // still embedded in the fingerprint text, so only check when present.
-    let seed = header.get("seed").and_then(|v| match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    });
-    if command != meta.command
-        || fingerprint != meta.fingerprint
-        || seed.is_some_and(|s| s != meta.seed)
+    let Some(file) = read_journal(bytes).map_err(refuse)? else {
+        return Ok(());
+    };
+    let found = &file.meta;
+    let show = |m: &JournalMeta| format!("`{}` [{}] seed={:#x}", m.command, m.fingerprint, m.seed);
+    if (&found.command, &found.fingerprint, found.seed)
+        != (&meta.command, &meta.fingerprint, meta.seed)
     {
-        return Err(ReproError::usage(format!(
-            "{}: journal belongs to `{command}` [{fingerprint}]{} but this invocation is \
-             `{}` [{}] seed={:#x} — resume with the original options or pass a fresh \
-             --resume directory",
-            path.display(),
-            seed.map(|s| format!(" seed={s:#x}")).unwrap_or_default(),
-            meta.command,
-            meta.fingerprint,
-            meta.seed,
-        )));
+        let why =
+            format!("journal belongs to {} but this invocation is {}", show(found), show(meta));
+        return Err(refuse(why + " (resume with the original options)"));
     }
     // A different build can still replay the journal bit-exactly (records
     // are data, not code), so a git-rev mismatch is a warning, not an error.
-    if let Some(rev) = header.get("git_rev").and_then(Value::as_str) {
-        if rev != meta.git_rev {
-            eprintln!(
-                "warning: {}: journal was written by build {rev}, this build is {} — \
-                 resuming anyway (journaled records replay bit-exactly)",
-                path.display(),
-                meta.git_rev,
-            );
-        }
+    if found.git_rev != meta.git_rev {
+        eprintln!(
+            "warning: {}: journal was written by build {}, this build is {} — resuming \
+             anyway (journaled records replay bit-exactly)",
+            path.display(),
+            found.git_rev,
+            meta.git_rev,
+        );
     }
-    for (i, line) in body.iter().enumerate() {
-        if is_blank(line) {
-            continue;
-        }
-        let record = std::str::from_utf8(line)
-            .ok()
-            .and_then(|text| serde_json::from_str::<Value>(text).ok())
-            .and_then(|v| {
-                let key = v.get("key")?.as_str()?.to_string();
-                let value = v.get("value")?.clone();
-                Some((key, value))
-            });
-        match record {
-            Some((key, value)) => {
-                if !state.index.contains_key(&key) {
-                    state.body.extend_from_slice(line);
-                    state.body.push(b'\n');
-                    state.index.insert(key, value);
-                    state.stats.resumed += 1;
-                }
-            }
-            None if i == body.len() - 1 => {
-                // A torn trailing line: the previous process crashed
-                // mid-flush of a non-atomic writer, or the file was
-                // truncated. Drop it; the run will simply re-execute.
-                state.stats.torn_lines += 1;
-            }
-            None => {
-                return Err(ReproError::usage(format!(
-                    "{}: undecodable journal record on line {} — the journal is corrupt; \
-                     pass a fresh --resume directory",
-                    path.display(),
-                    i + 2,
-                )));
-            }
+    for line in &file.quarantined {
+        eprintln!("warning: {}: line {line} fails its check; its run re-executes", path.display());
+    }
+    state.stats.quarantined = file.quarantined.len() as u64;
+    state.unreported_quarantined = state.stats.quarantined;
+    for (key, value, line) in file.records {
+        if let Entry::Vacant(slot) = state.index.entry(key) {
+            slot.insert(value);
+            state.body.extend_from_slice(line);
+            state.body.push(b'\n');
+            state.stats.resumed += 1;
         }
     }
     Ok(())
@@ -588,7 +568,6 @@ fn load_existing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dls-journal-{tag}-{}", std::process::id()));
@@ -614,8 +593,8 @@ mod tests {
     fn atomic_write_replaces_and_leaves_no_tmp() {
         let dir = tmp_dir("aw");
         let path = dir.join("artifact.csv");
-        atomic_write(&path, b"old").unwrap();
-        atomic_write(&path, b"new contents").unwrap();
+        atomic_write_with(&RealIo, &path, b"old").unwrap();
+        atomic_write_with(&RealIo, &path, b"new contents").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "new contents");
         assert_eq!(lingering_tmp_files(&dir), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -645,7 +624,7 @@ mod tests {
                 let path = &path;
                 scope.spawn(move || {
                     for _ in 0..25 {
-                        atomic_write(path, body.as_bytes()).unwrap();
+                        atomic_write_with(&RealIo, path, body.as_bytes()).unwrap();
                     }
                 });
             }
@@ -675,42 +654,6 @@ mod tests {
             assert!(!path.exists(), "destination must stay absent after {op:?} failure");
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn io_retries_recover_from_transient_failures() {
-        let failures = AtomicU32::new(2);
-        let out = with_io_retries(3, || {
-            if failures.fetch_sub(1, Ordering::Relaxed) > 0 {
-                Err(std::io::Error::other("transient"))
-            } else {
-                Ok(42)
-            }
-        })
-        .unwrap();
-        assert_eq!(out, 42);
-
-        let err = with_io_retries(2, || -> std::io::Result<()> {
-            Err(std::io::Error::other("persistent"))
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("persistent"));
-    }
-
-    #[test]
-    fn io_retries_bail_immediately_on_permanent_errors() {
-        let attempts = AtomicU32::new(0);
-        let err = with_io_retries(5, || -> std::io::Result<()> {
-            attempts.fetch_add(1, Ordering::Relaxed);
-            Err(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"))
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-        assert_eq!(
-            attempts.load(Ordering::Relaxed),
-            1,
-            "NotFound is permanent: no backoff budget may be spent on it"
-        );
     }
 
     #[test]
@@ -763,18 +706,35 @@ mod tests {
     }
 
     #[test]
-    fn pre_pr7_headers_without_seed_still_resume() {
-        // A journal written before the seed/git_rev fields existed must
-        // stay resumable: the seed check only applies when present.
-        let dir = tmp_dir("old-hdr");
-        let path = dir.join(JOURNAL_FILE);
+    fn a_v1_journal_is_refused_as_a_different_version() {
+        // Unsealed lines from before the record codec: the header names
+        // its schema, and the refusal says which.
+        let dir = tmp_dir("v1");
         std::fs::write(
-            &path,
+            dir.join(JOURNAL_FILE),
             "{\"schema\":\"dls-journal/1\",\"command\":\"fig5\",\
-             \"fingerprint\":\"n=1024 runs=8\"}\n",
+             \"fingerprint\":\"n=1024 runs=8\",\"seed\":7,\"git_rev\":\"abc\"}\n\
+             {\"key\":\"c#0000000000000001:0\",\"value\":1}\n",
         )
         .unwrap();
-        Journal::open(&dir, &meta()).unwrap();
+        let err = Journal::open(&dir, &meta()).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_USAGE);
+        assert!(err.to_string().contains("`dls-journal/1`"), "{err}");
+        assert!(err.to_string().contains("different repro version"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_header_that_fails_its_check_is_refused() {
+        let dir = tmp_dir("bad-hdr");
+        Journal::open(&dir, &meta()).unwrap().flush().unwrap();
+        let path = dir.join(JOURNAL_FILE);
+        let tampered = std::fs::read_to_string(&path).unwrap().replace("fig5", "fig6");
+        std::fs::write(&path, tampered).unwrap();
+        let other = JournalMeta::new("fig6", "n=1024 runs=8", 7);
+        let err = Journal::open(&dir, &other).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_USAGE);
+        assert!(err.to_string().contains("integrity check"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -818,11 +778,8 @@ mod tests {
     fn future_schema_is_rejected_with_an_upgrade_hint() {
         let dir = tmp_dir("fs");
         let path = dir.join(JOURNAL_FILE);
-        std::fs::write(
-            &path,
-            "{\"schema\":\"dls-journal/9\",\"command\":\"fig5\",\"fingerprint\":\"x\"}\n",
-        )
-        .unwrap();
+        let header = r#"{"schema":"dls-journal/9","command":"fig5","fingerprint":"x"}"#;
+        std::fs::write(&path, record::seal(header)).unwrap();
         let err = Journal::open(&dir, &meta()).unwrap_err();
         assert!(err.is_usage());
         assert!(err.to_string().contains("dls-journal/9"));
@@ -831,12 +788,13 @@ mod tests {
     }
 
     #[test]
-    fn torn_trailing_line_is_dropped_mid_file_corruption_is_not() {
+    fn torn_and_corrupt_lines_are_quarantined_wherever_they_are() {
         let dir = tmp_dir("torn");
         {
             let j = Journal::open(&dir, &meta()).unwrap();
-            j.record(run_key("c", 1, 0), Value::U64(10));
-            j.record(run_key("c", 1, 1), Value::U64(11));
+            for run in 0..3 {
+                j.record(run_key("c", 1, run), Value::U64(10 + u64::from(run)));
+            }
             j.flush().unwrap();
         }
         // Tear the last line, as a crash between flushes would.
@@ -844,17 +802,23 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 8]).unwrap();
         let j = Journal::open(&dir, &meta()).unwrap();
-        assert_eq!(j.resumed(), 1);
-        assert_eq!(j.stats().torn_lines, 1);
-        assert!(j.lookup(&run_key("c", 1, 0)).is_some());
-        assert!(j.lookup(&run_key("c", 1, 1)).is_none());
+        assert_eq!(j.resumed(), 2);
+        assert_eq!(j.stats().quarantined, 1);
+        assert!(j.lookup(&run_key("c", 1, 1)).is_some());
+        assert!(j.lookup(&run_key("c", 1, 2)).is_none());
 
-        // Corruption in the middle is a hard error, not silent data loss.
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        lines[1] = "{garbage".into();
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-        let err = Journal::open(&dir, &meta()).unwrap_err();
-        assert!(err.to_string().contains("corrupt"));
+        // A changed digit in the middle is quarantined the same way: its
+        // run re-executes instead of replaying a wrong value.
+        std::fs::write(&path, text.replacen("\"value\":11", "\"value\":12", 1)).unwrap();
+        let j = Journal::open(&dir, &meta()).unwrap();
+        assert_eq!((j.resumed(), j.stats().quarantined), (2, 1));
+        assert_eq!(j.lookup(&run_key("c", 1, 1)), None);
+        assert_eq!(j.lookup(&run_key("c", 1, 2)), Some(Value::U64(12)));
+        // The first flush heals the file: the re-executed run lands at the end.
+        j.record(run_key("c", 1, 1), Value::U64(11));
+        j.flush().unwrap();
+        let j = Journal::open(&dir, &meta()).unwrap();
+        assert_eq!((j.resumed(), j.stats().quarantined), (3, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

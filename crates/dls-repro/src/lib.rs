@@ -28,6 +28,7 @@ pub mod hagerup_exp;
 pub mod journal;
 pub mod outlier;
 pub mod plot;
+pub mod record;
 pub mod reference;
 pub mod registry;
 pub mod report;

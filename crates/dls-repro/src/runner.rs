@@ -260,11 +260,6 @@ impl ExecContext {
         self.journal.as_ref()
     }
 
-    /// A handle to this context's cancellation flag.
-    pub fn cancel_flag(&self) -> CancelFlag {
-        self.cancel.clone()
-    }
-
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
@@ -411,8 +406,10 @@ pub fn batch_width_for(n: u64) -> usize {
 /// `campaign.runs_quarantined` count runs; `campaign.run_wall_s` times
 /// every run executed on its own and `campaign.batch_wall_s` every
 /// lockstep block; `journal.runs_skipped` / `journal.runs_recorded` count
-/// replays and checkpoints, and `journal.bytes_written` the journal bytes
-/// the cell's flushes (automatic and final) handed to the host.
+/// replays and checkpoints, `journal.bytes_written` the journal bytes the
+/// cell's flushes (automatic and final) handed to the host, and
+/// `journal.records_quarantined` (when non-zero, credited by the first
+/// cell) the journal lines dropped at open time.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_resilient_batched<T, S, G, F>(
     runs: u32,
@@ -433,6 +430,9 @@ where
     let batch_width = batch_width.max(1);
     let seeds: Vec<u64> = seed_stream(campaign_seed).take(runs as usize).collect();
     let bytes_before = ctx.journal().map(|j| j.stats().bytes_written);
+    if let Some(q) = ctx.journal().map(Journal::take_unreported_quarantined).filter(|&q| q > 0) {
+        telemetry.counter_add("journal.records_quarantined", q);
+    }
     // The cell's closing flush, crediting `journal.bytes_written`.
     let final_flush = || {
         let flushed = ctx.flush();
@@ -1001,14 +1001,16 @@ mod tests {
             let snap = tel.snapshot();
             assert_eq!(snap.counter("journal.runs_skipped"), Some(resumed));
             assert_eq!(snap.counter("campaign.runs_started"), Some(40 - resumed));
+            assert_eq!(snap.counter("journal.records_quarantined"), None, "a clean journal");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
     #[test]
     fn pre_cancelled_context_flushes_and_interrupts_immediately() {
-        let ctx = ExecContext::transient();
-        ctx.cancel_flag().cancel();
+        let flag = CancelFlag::new();
+        flag.cancel();
+        let ctx = ExecContext::transient().with_cancel_flag(flag);
         let executed = AtomicU64::new(0);
         let err = scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c", |_, s| {
             executed.fetch_add(1, Ordering::Relaxed);

@@ -14,20 +14,21 @@
 //! Concurrent requests for one key are **coalesced**: the first becomes
 //! the *leader* and computes; the rest wait on the leader's flight and are
 //! answered from the fresh entry, so N identical submissions cost one
-//! computation. File names are a 128-bit FNV-1a hash of the key, the full
-//! key is stored inside the entry and verified on load, and the body
-//! carries its own 128-bit checksum — so a hash collision, a renamed file,
-//! a torn write or a bit-flipped disk can at worst miss, never serve the
-//! wrong bytes.
+//! computation. An entry file is one line `{schema, key, body}` sealed by
+//! the [`record`] codec — the journal's format and integrity rule — named
+//! by the codec's [`key_stem`] of the key, which is verified on load: a
+//! hash collision, a renamed file, a torn write or a bit-flipped disk can
+//! at worst miss, never serve the wrong bytes.
 //!
-//! **Quarantine:** an unreadable, wrong-schema, wrong-key or
-//! checksum-mismatched entry found during the warm load is *moved* into
+//! **Quarantine:** an entry that fails its seal, names another schema or
+//! does not match its file name, found during the warm load, is *moved* into
 //! `dir/quarantine/` — never deleted, so the evidence survives for
 //! forensics — counted (`serve.cache_quarantined`), and the key simply
 //! misses: the next request recomputes and rewrites a good entry. A
 //! corrupt disk degrades to a cold start, not a wrong answer or a crash.
 
 use crate::artifacts::{ArtifactSink, ArtifactTier};
+use crate::record::{self, key_stem};
 use dls_chaos::{HostIo, RealIo, RetryPolicy};
 use serde::Value;
 use std::collections::HashMap;
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Schema tag of on-disk cache entries; bump on breaking layout changes.
-pub const SCHEMA: &str = "dls-cache/1";
+pub const SCHEMA: &str = "dls-cache/2";
 
 /// Subdirectory corrupt entries are moved into (never deleted).
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -82,32 +83,6 @@ pub struct ResultCache {
     state: Mutex<CacheState>,
 }
 
-/// 64-bit FNV-1a with a parameterizable offset basis, so two passes give
-/// 128 independent bits for the file name.
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = basis;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-const BASIS_A: u64 = 0xCBF2_9CE4_8422_2325; // standard FNV offset basis
-const BASIS_B: u64 = 0x9E37_79B9_7F4A_7C15; // golden-ratio variant
-
-/// Stable file stem for `key`: 32 hex chars of double FNV-1a.
-fn key_stem(key: &str) -> String {
-    format!("{:016x}{:016x}", fnv1a64(key.as_bytes(), BASIS_A), fnv1a64(key.as_bytes(), BASIS_B))
-}
-
-/// Body integrity checksum stored inside every entry: the same 128-bit
-/// double FNV-1a, over the body bytes.
-fn body_checksum(body: &str) -> String {
-    key_stem(body)
-}
-
 impl ResultCache {
     /// Opens the cache over `dir` with real host I/O and the standard
     /// retry policy; see [`ResultCache::open_with_io`].
@@ -117,8 +92,8 @@ impl ResultCache {
 
     /// Opens the cache over `dir`, creating it if needed and loading every
     /// valid persisted entry (warm restart). An entry that fails any
-    /// integrity check — unreadable, wrong schema, wrong key-to-name hash,
-    /// body checksum mismatch — is quarantined into
+    /// integrity check — unreadable, a failed seal, wrong schema, wrong
+    /// key-to-name digest — is quarantined into
     /// [`QUARANTINE_DIR`] and
     /// counted; the key misses and recomputes. Persistence writes go
     /// through `io` under `retry` (the chaos-injection seam).
@@ -237,14 +212,8 @@ impl ResultCache {
     /// and wakes every coalesced waiter.
     pub fn complete(&self, key: &str, body: String) -> Arc<String> {
         let body = Arc::new(body);
-        let persisted = Value::Object(vec![
-            ("schema".into(), Value::String(SCHEMA.into())),
-            ("key".into(), Value::String(key.to_string())),
-            ("checksum".into(), Value::String(body_checksum(&body))),
-            ("body".into(), Value::String((*body).clone())),
-        ]);
         let path = self.dir.join(format!("{}.json", key_stem(key)));
-        let rendered = serde_json::to_string(&persisted).expect("cache entry serialization");
+        let rendered = entry_line(key, &body);
         // Secondary tier: a persistence failure degrades the warm-restart
         // guarantee, never the response — the entry still serves from
         // memory for the server's lifetime.
@@ -287,24 +256,28 @@ impl ResultCache {
     }
 }
 
-/// Parses one persisted entry, returning `(key, body)` if it passes every
-/// integrity check of the current schema.
+/// The sealed entry line persisted for `key`.
+fn entry_line(key: &str, body: &str) -> String {
+    let entry = Value::Object(vec![
+        ("schema".into(), Value::String(SCHEMA.into())),
+        ("key".into(), Value::String(key.to_string())),
+        ("body".into(), Value::String(body.to_string())),
+    ]);
+    record::seal(&serde_json::to_string(&entry).expect("cache entry serialization"))
+}
+
+/// Reads one persisted entry, returning `(key, body)` if it unseals, names
+/// the current schema, and sits under its key's file name.
 pub(crate) fn load_entry(path: &Path) -> Option<(String, String)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let value: Value = serde_json::from_str(&text).ok()?;
+    let value = record::decode(&std::fs::read(path).ok()?)?;
     if value.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
         return None;
     }
     let key = value.get("key").and_then(Value::as_str)?.to_string();
     let body = value.get("body").and_then(Value::as_str)?.to_string();
-    // The file name is a hash of the key; verify so a renamed or colliding
-    // file cannot answer for a different campaign.
+    // The file name is the digest of the key; verify so a renamed or
+    // colliding file cannot answer for a different campaign.
     if path.file_stem().and_then(|s| s.to_str()) != Some(&key_stem(&key)) {
-        return None;
-    }
-    // The stored checksum must match the body: a bit flip or a torn tail
-    // that still parses as JSON is caught here, not served.
-    if value.get("checksum").and_then(Value::as_str) != Some(&body_checksum(&body)) {
         return None;
     }
     Some((key, body))
@@ -362,14 +335,8 @@ mod tests {
         std::fs::write(dir.join("notes.json"), "{\"schema\":\"other\"}").unwrap();
         std::fs::write(dir.join("junk.json"), "not json at all").unwrap();
         // A valid entry under the *wrong* file name must not load: the
-        // name-is-hash-of-key invariant is what makes collisions safe.
-        let forged = Value::Object(vec![
-            ("schema".into(), Value::String(SCHEMA.into())),
-            ("key".into(), Value::String("stolen".into())),
-            ("checksum".into(), Value::String(body_checksum("x"))),
-            ("body".into(), Value::String("x".into())),
-        ]);
-        std::fs::write(dir.join("0000.json"), serde_json::to_string(&forged).unwrap()).unwrap();
+        // name-is-digest-of-key invariant is what makes collisions safe.
+        std::fs::write(dir.join("0000.json"), entry_line("stolen", "x")).unwrap();
         let cache = ResultCache::open(&dir).unwrap();
         assert!(cache.is_empty(), "no foreign file may load");
         assert_eq!(cache.quarantined(), 3);
@@ -391,8 +358,8 @@ mod tests {
             assert!(matches!(cache.begin(key), Begin::Lead));
             cache.complete(key, "a,b\n1,2\n".into());
         }
-        // Flip the body inside the persisted entry, leaving the checksum
-        // stale — a simulated bit-flipped disk.
+        // Flip the body inside the persisted entry, leaving the seal's
+        // digest stale — a simulated bit-flipped disk.
         let path = dir.join(format!("{}.json", key_stem(key)));
         let tampered = std::fs::read_to_string(&path).unwrap().replace("1,2", "9,9");
         std::fs::write(&path, tampered).unwrap();
@@ -410,19 +377,37 @@ mod tests {
     }
 
     #[test]
-    fn entry_without_checksum_is_quarantined() {
-        let dir = tmp_dir("nochecksum");
+    fn unsealed_v1_entry_is_quarantined() {
+        // The pre-codec layout: bare JSON with a separate checksum field.
+        let dir = tmp_dir("v1");
         std::fs::create_dir_all(&dir).unwrap();
         let key = "legacy key";
         let legacy = Value::Object(vec![
-            ("schema".into(), Value::String(SCHEMA.into())),
+            ("schema".into(), Value::String("dls-cache/1".into())),
             ("key".into(), Value::String(key.into())),
+            ("checksum".into(), Value::String(key_stem("old bytes"))),
             ("body".into(), Value::String("old bytes".into())),
         ]);
         let path = dir.join(format!("{}.json", key_stem(key)));
         std::fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
         let cache = ResultCache::open(&dir).unwrap();
         assert!(cache.is_empty(), "unverifiable entry must not serve");
+        assert_eq!(cache.quarantined(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sealed_entry_of_another_schema_is_quarantined() {
+        let dir = tmp_dir("schema");
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = "future key";
+        // A correctly sealed entry that names another schema: only the
+        // schema check can refuse it.
+        let payload = format!(r#"{{"schema":"dls-cache/9","key":"{key}","body":"x"}}"#);
+        std::fs::write(dir.join(format!("{}.json", key_stem(key))), record::seal(&payload))
+            .unwrap();
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(cache.is_empty());
         assert_eq!(cache.quarantined(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -479,14 +464,5 @@ mod tests {
         // The failure is not cached: the next request leads again.
         assert!(matches!(cache.begin("k"), Begin::Lead));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn key_stems_are_stable_and_distinct() {
-        let a = key_stem("command=fig5 seed=0x1");
-        let b = key_stem("command=fig5 seed=0x2");
-        assert_eq!(a.len(), 32);
-        assert_ne!(a, b);
-        assert_eq!(a, key_stem("command=fig5 seed=0x1"), "stable across calls");
     }
 }

@@ -976,11 +976,15 @@ mod tests {
             }),
             Some(4)
         );
-        assert_eq!(shed_response(1).status, 429);
+        let shed = shed_response(1);
+        assert_eq!(shed.status, 429);
+        assert!(String::from_utf8_lossy(&shed.body).contains(r#""class":"shed""#));
         let deadline = deadline_response("expired", 3);
         assert_eq!(deadline.status, 504);
         assert!(deadline.headers.iter().any(|(n, v)| *n == "Retry-After" && v == "3"));
-        assert_eq!(overloaded_response(1).status, 503);
+        let overloaded = overloaded_response(1);
+        assert_eq!(overloaded.status, 503);
+        assert!(String::from_utf8_lossy(&overloaded.body).contains(r#""class":"overloaded""#));
     }
 
     fn test_shared(tag: &str, workers: usize, queue: usize) -> Shared {

@@ -17,8 +17,10 @@
 //! as the untraced ones, and `tests/trace_determinism.rs` pins that the
 //! outcome stays bit-identical with the tracer enabled.
 
+use crate::error::ReproError;
 use crate::faults::{self, FaultSweepConfig};
 use crate::hagerup_exp::{self, HagerupConfig};
+use crate::journal::write_artifact;
 use crate::runner::cell_seed;
 use crate::sweep::{self, SweepConfig};
 use dls_core::{SetupError, Technique};
@@ -219,15 +221,15 @@ pub fn trace_fault_cell(cfg: &FaultSweepConfig) -> Result<TraceArtifacts, SetupE
 }
 
 /// Writes the four export files into `dir` (created if missing) and
-/// returns their paths.
-pub fn write_artifacts(a: &TraceArtifacts, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
+/// returns their paths. Each goes through [`write_artifact`]: crash-
+/// consistent, so an interrupt mid-export never leaves a torn half-written
+/// trace file behind, and retried like every other artifact.
+pub fn write_artifacts(a: &TraceArtifacts, dir: &Path) -> Result<Vec<PathBuf>, ReproError> {
+    std::fs::create_dir_all(dir).map_err(|e| ReproError::io(format!("{}: {e}", dir.display())))?;
     let mut paths = Vec::new();
-    let mut emit = |suffix: &str, contents: String| -> std::io::Result<()> {
+    let mut emit = |suffix: &str, contents: String| -> Result<(), ReproError> {
         let path = dir.join(format!("{}.{suffix}", a.label));
-        // Crash-consistent: an interrupt mid-export never leaves a torn
-        // half-written trace file behind.
-        crate::journal::atomic_write(&path, contents.as_bytes())?;
+        write_artifact(&path, contents.as_bytes())?;
         paths.push(path);
         Ok(())
     };

@@ -15,8 +15,9 @@ use dls_metrics::{OverheadModel, SummaryStats};
 use dls_msgsim::{simulate_with_tasks, SimSpec};
 use dls_platform::{LinkSpec, Platform};
 use dls_telemetry::Telemetry;
-use dls_trace::Tracer;
-use dls_workload::Workload;
+use dls_trace::{ChunkRecorder, Tracer};
+use dls_workload::{TaskTimes, Workload};
+use std::cell::RefCell;
 
 /// One verification cell: a technique over a (n, p) grid point.
 #[derive(Debug, Clone)]
@@ -31,7 +32,8 @@ pub struct VerifyRow {
     pub max_makespan_dev_pct: f64,
     /// Max relative wasted-time deviation over the runs, percent.
     pub max_wasted_dev_pct: f64,
-    /// Whether chunk counts matched exactly in every run.
+    /// Whether the chunk streams — `(worker, start, count)` of every
+    /// assignment, in assignment order — matched exactly in every run.
     pub chunks_identical: bool,
 }
 
@@ -73,29 +75,18 @@ pub fn run_verification(cfg: &VerifyConfig) -> Result<Vec<VerifyRow>, SetupError
             let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
             let direct = DirectSimulator::new(p, overhead);
             for technique in Technique::hagerup_set() {
+                let spec = SimSpec::new(technique, workload.clone(), platform.clone())
+                    .with_overhead(overhead);
                 let mut mk_dev = SummaryStats::new();
                 let mut wt_dev = SummaryStats::new();
                 let mut chunks_identical = true;
                 for run in 0..cfg.runs {
                     let tasks = workload.generate(cfg.seed ^ (run as u64) << 17 ^ n);
-                    let spec = SimSpec::new(technique, workload.clone(), platform.clone())
-                        .with_overhead(overhead);
-                    let setup = spec.loop_setup();
-                    let msg = simulate_with_tasks(
-                        &spec,
-                        &tasks,
-                        &Tracer::disabled(),
-                        &Telemetry::disabled(),
-                    )?;
-                    let rep = direct.run(technique, &setup, &tasks)?;
-                    let mdev =
-                        100.0 * (msg.makespan - rep.makespan).abs() / rep.makespan.max(1e-12);
-                    let mw = msg.average_wasted();
-                    let rw = rep.average_wasted(overhead);
-                    let wdev = 100.0 * (mw - rw).abs() / rw.max(1e-12);
+                    let (mdev, wdev, [msg_chunks, rep_chunks]) =
+                        compare_run(&spec, &direct, &tasks)?;
                     mk_dev.push(mdev);
                     wt_dev.push(wdev);
-                    chunks_identical &= msg.chunks == rep.chunks;
+                    chunks_identical &= msg_chunks == rep_chunks;
                 }
                 rows.push(VerifyRow {
                     technique: technique.name().to_string(),
@@ -109,6 +100,32 @@ pub fn run_verification(cfg: &VerifyConfig) -> Result<Vec<VerifyRow>, SetupError
         }
     }
     Ok(rows)
+}
+
+/// `(worker, start, count)` of every chunk assignment a simulator traced,
+/// in assignment order.
+type ChunkStream = Vec<(usize, u64, u64)>;
+
+/// Both simulators on one shared realization: the makespan and
+/// wasted-time deviations (percent) and the two chunk streams.
+fn compare_run(
+    spec: &SimSpec,
+    direct: &DirectSimulator,
+    tasks: &TaskTimes,
+) -> Result<(f64, f64, [ChunkStream; 2]), SetupError> {
+    let off = Telemetry::disabled();
+    let (msg_tracer, msg_chunks) = Tracer::chunks();
+    let (rep_tracer, rep_chunks) = Tracer::chunks();
+    let msg = simulate_with_tasks(spec, tasks, &msg_tracer, &off)?;
+    let mut scheduler = spec.technique.build(&spec.loop_setup())?;
+    let rep = direct.run_with_ref(&mut *scheduler, tasks, &rep_tracer, &off);
+    let mdev = 100.0 * (msg.makespan - rep.makespan).abs() / rep.makespan.max(1e-12);
+    let rw = rep.average_wasted(spec.overhead);
+    let wdev = 100.0 * (msg.average_wasted() - rw).abs() / rw.max(1e-12);
+    let stream = |rec: &RefCell<ChunkRecorder>| -> ChunkStream {
+        rec.borrow().chunks().iter().map(|c| (c.worker, c.start, c.count)).collect()
+    };
+    Ok((mdev, wdev, [stream(&msg_chunks), stream(&rep_chunks)]))
 }
 
 /// The precision of the verification table's deviation columns, percent
@@ -157,7 +174,36 @@ mod tests {
         assert_eq!(rows.len(), 2 * 8);
         let (worst, chunks_ok) = verdict(&rows);
         assert!(worst < 0.1, "worst deviation {worst}%");
-        assert!(chunks_ok, "chunk counts must match for non-adaptive techniques");
+        assert!(chunks_ok, "chunk streams must match for non-adaptive techniques");
+    }
+
+    #[test]
+    fn equal_chunk_counts_with_different_streams_fail_the_check() {
+        let overhead = OverheadModel::PostHocTotal { h: 0.5 };
+        let platform = Platform::homogeneous_star("pe", 4, 1.0, LinkSpec::negligible());
+        let spec =
+            SimSpec::new(Technique::Fac2, Workload::exponential(256, 1.0).unwrap(), platform)
+                .with_overhead(overhead);
+        let direct = DirectSimulator::new(4, overhead);
+        let (mdev, wdev, [msg, mut rep]) =
+            compare_run(&spec, &direct, &spec.workload.generate(3)).unwrap();
+        assert_eq!(msg, rep, "the real streams agree");
+        // Hand the first two chunks to each other's worker: the chunk
+        // counts still match, the streams no longer do.
+        let (a, b) = (rep[0].0, rep[1].0);
+        assert_ne!(a, b);
+        (rep[0].0, rep[1].0) = (b, a);
+        assert_eq!(msg.len(), rep.len());
+        let row = VerifyRow {
+            technique: "FAC2".into(),
+            n: 256,
+            p: 4,
+            max_makespan_dev_pct: mdev,
+            max_wasted_dev_pct: wdev,
+            chunks_identical: msg == rep,
+        };
+        let err = require_agreement(&[row]).unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_REGRESSION);
     }
 
     #[test]

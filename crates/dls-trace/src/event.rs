@@ -144,6 +144,33 @@ pub enum TraceKind {
     },
 }
 
+/// One scheduling operation, as a [`TraceKind::ChunkAssigned`] event
+/// records it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkAssignment {
+    /// Virtual time of the assignment, seconds.
+    pub at: f64,
+    /// Executing worker index.
+    pub worker: usize,
+    /// First task index of the chunk.
+    pub start: u64,
+    /// Number of tasks in the chunk.
+    pub count: u64,
+}
+
+impl TraceEvent {
+    /// The chunk assignment this event records, if it is a
+    /// [`TraceKind::ChunkAssigned`].
+    pub fn chunk_assignment(&self) -> Option<ChunkAssignment> {
+        match self.kind {
+            TraceKind::ChunkAssigned { worker, start, count, .. } => {
+                Some(ChunkAssignment { at: self.at, worker, start, count })
+            }
+            _ => None,
+        }
+    }
+}
+
 impl TraceKind {
     /// The worker/PE index this event belongs to, if it is PE-scoped.
     pub fn worker(&self) -> Option<usize> {

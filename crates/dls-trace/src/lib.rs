@@ -11,7 +11,8 @@
 //!   fail-stop, watchdog retries) stamped with the virtual time at which it
 //!   happened;
 //! * [`TraceSink`] — the consumer interface, with [`RingRecorder`] as the
-//!   bounded in-memory implementation;
+//!   bounded in-memory implementation and [`ChunkRecorder`] keeping every
+//!   chunk assignment and nothing else;
 //! * [`Tracer`] — the cheap, cloneable handle threaded through the
 //!   simulators. A disabled tracer ([`Tracer::disabled`]) is a `None`
 //!   branch per hook: no event is constructed, no allocation happens, and
@@ -48,5 +49,5 @@ mod event;
 mod sink;
 pub mod timeline;
 
-pub use event::{TraceEvent, TraceKind};
-pub use sink::{RingRecorder, TraceSink, Tracer};
+pub use event::{ChunkAssignment, TraceEvent, TraceKind};
+pub use sink::{ChunkRecorder, RingRecorder, TraceSink, Tracer};

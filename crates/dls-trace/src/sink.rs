@@ -1,6 +1,6 @@
 //! Event consumers and the handle that feeds them.
 
-use crate::TraceEvent;
+use crate::{ChunkAssignment, TraceEvent};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -66,6 +66,31 @@ impl TraceSink for RingRecorder {
     }
 }
 
+/// An unbounded recorder of chunk assignments only: every
+/// [`TraceKind::ChunkAssigned`](crate::TraceKind::ChunkAssigned) event, in
+/// assignment order. It holds one entry per scheduling operation and
+/// nothing else, so unlike a [`RingRecorder`] it never loses the early
+/// chunks of a long run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChunkRecorder {
+    chunks: Vec<ChunkAssignment>,
+}
+
+impl ChunkRecorder {
+    /// The recorded assignments, in assignment order.
+    pub fn chunks(&self) -> &[ChunkAssignment] {
+        &self.chunks
+    }
+}
+
+impl TraceSink for ChunkRecorder {
+    fn record(&mut self, ev: TraceEvent) {
+        if let Some(chunk) = ev.chunk_assignment() {
+            self.chunks.push(chunk);
+        }
+    }
+}
+
 /// The cheap, cloneable handle the simulators carry.
 ///
 /// A disabled tracer holds no sink: every hook reduces to one `Option`
@@ -98,6 +123,13 @@ impl Tracer {
     /// both so the caller can read the record after the run.
     pub fn ring(capacity: usize) -> (Self, Rc<RefCell<RingRecorder>>) {
         let recorder = Rc::new(RefCell::new(RingRecorder::new(capacity)));
+        (Tracer::new(Rc::clone(&recorder) as Rc<RefCell<dyn TraceSink>>), recorder)
+    }
+
+    /// Convenience: a tracer feeding a fresh [`ChunkRecorder`], returning
+    /// both so the caller can read the chunk stream after the run.
+    pub fn chunks() -> (Self, Rc<RefCell<ChunkRecorder>>) {
+        let recorder = Rc::new(RefCell::new(ChunkRecorder::default()));
         (Tracer::new(Rc::clone(&recorder) as Rc<RefCell<dyn TraceSink>>), recorder)
     }
 
@@ -163,6 +195,19 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit_with(|| panic!("must not be called"));
         t.emit(1.0, TraceKind::WorkerRetry { worker: 0 });
+    }
+
+    #[test]
+    fn chunk_recorder_keeps_only_assignments() {
+        let (t, rec) = Tracer::chunks();
+        t.emit(
+            1.0,
+            TraceKind::ChunkAssigned { worker: 2, id: 0, start: 8, count: 4, work_secs: 4.0 },
+        );
+        t.emit(1.5, TraceKind::WorkerRetry { worker: 0 });
+        t.emit(2.0, TraceKind::ChunkCompleted { worker: 2, id: 0, count: 4 });
+        let chunk = ChunkAssignment { at: 1.0, worker: 2, start: 8, count: 4 };
+        assert_eq!(rec.borrow().chunks(), [chunk]);
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! cargo run --release --example schedule_gantt "GSS(1)" 2000 6
 //! ```
 
+use dls_suite::dls_msgsim::simulate_with_tasks;
 use dls_suite::dls_workload::Workload;
 use dls_suite::prelude::*;
+use dls_telemetry::Telemetry;
+use dls_trace::Tracer;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -18,9 +21,14 @@ fn main() {
 
     let workload = Workload::exponential(n, 1e-3).unwrap();
     let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
-    let spec = SimSpec::new(technique, workload, platform).with_chunk_trace();
-    let out = simulate(&spec, 7).expect("valid spec");
-    let trace = out.chunk_trace.as_ref().expect("trace enabled");
+    let spec = SimSpec::new(technique, workload, platform);
+    // Every chunk assignment, in assignment order, recorded by the tracer.
+    let (tracer, chunks) = Tracer::chunks();
+    let out =
+        simulate_with_tasks(&spec, &spec.workload.generate(7), &tracer, &Telemetry::disabled())
+            .expect("valid spec");
+    let chunks = chunks.borrow();
+    let trace = chunks.chunks();
 
     println!(
         "{technique}: {} tasks on {} workers — {} chunks, makespan {:.3} s\n",
@@ -37,7 +45,7 @@ fn main() {
             // Approximate the execution interval from the assignment time
             // and the chunk's expected work (count × empirical mean).
             let share = rec.count as f64 * (out.serial_time / n as f64);
-            let start = (rec.assigned_at * scale) as usize;
+            let start = (rec.at * scale) as usize;
             let len = ((share * scale).ceil() as usize).max(1);
             let g = *glyphs.next().unwrap();
             for cell in row.iter_mut().skip(start).take(len) {

@@ -1,19 +1,26 @@
-//! Crash-consistency property: a checkpoint journal truncated at *every*
-//! possible byte offset — the on-disk states a power cut mid-append could
-//! leave behind with a non-atomic writer — must either load as a clean
-//! prefix of the original records or be refused with a typed usage error.
-//! Never a panic, and never a silently merged partial record.
+//! Crash-consistency and integrity properties of the checkpoint journal.
 //!
-//! The journal's writer appends each flush's lines to the file, so a crash
-//! mid-append leaves exactly these states: every earlier line intact plus
-//! a torn tail. Resuming from any of them and recording the lost runs must
-//! end in a file byte-identical to an uninterrupted run's — no torn bytes
-//! stranded mid-file.
+//! Truncation: a journal cut at *every* possible byte offset — the on-disk
+//! states a power cut mid-append could leave behind with a non-atomic
+//! writer — must either load as a clean prefix of the original records or
+//! be refused with a typed usage error. Never a panic, and never a
+//! silently merged partial record. The journal's writer appends each
+//! flush's lines to the file, so a crash mid-append leaves exactly these
+//! states: every earlier line intact plus a torn tail. Resuming from any of
+//! them and recording the lost runs must end in a file byte-identical to an
+//! uninterrupted run's — no torn bytes stranded mid-file.
+//!
+//! Bit flips: a journal with any single bit flipped, at every byte offset,
+//! must either be refused with a usage error (only for a flip inside the
+//! header line) or load only byte-exact original values — the flipped
+//! record is quarantined, never replayed — and resuming it must end holding
+//! every record exactly once.
 
 use dls_suite::dls_repro::journal::{run_key, Journal, JournalMeta, JOURNAL_FILE};
 use dls_suite::dls_rng::SplitMix64;
 use serde::Value;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dls-journal-crash-{tag}-{}", std::process::id()));
@@ -22,8 +29,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The campaign identity, built once: `JournalMeta::new` asks git for the
+/// build's revision, and the properties below open thousands of journals.
 fn meta() -> JournalMeta {
-    JournalMeta::new("fig5", "n=1024 runs=6", 7)
+    static META: OnceLock<JournalMeta> = OnceLock::new();
+    META.get_or_init(|| JournalMeta::new("fig5", "n=1024 runs=6", 7)).clone()
 }
 
 /// The journal under test: six records with seed-derived f64 payloads
@@ -173,7 +183,7 @@ fn a_complete_last_line_without_its_newline_is_kept_and_healed() {
     // The last record is whole: it loads, and is not counted as torn.
     let j = Journal::open(&dir, &meta()).unwrap();
     assert_eq!(j.resumed() as usize, records.len());
-    assert_eq!(j.stats().torn_lines, 0);
+    assert_eq!(j.stats().quarantined, 0);
     // Nothing new to record, yet the first flush restores the newline
     // instead of leaving a file the next append would glue onto.
     j.flush().unwrap();
@@ -188,4 +198,64 @@ fn a_complete_last_line_without_its_newline_is_kept_and_healed() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_single_bit_flip_is_refused_in_the_header_or_quarantined_and_reexecuted() {
+    let ref_dir = tmp_dir("flip-ref");
+    let records = build_reference(&ref_dir);
+    let reference = std::fs::read(ref_dir.join(JOURNAL_FILE)).unwrap();
+    // The header line, its `\n` included: the only region a refusal may
+    // come from.
+    let header_end = reference.iter().position(|&b| b == b'\n').unwrap();
+
+    let work = tmp_dir("flip-work");
+    let (mut refused, mut quarantined) = (0u32, 0u32);
+    for at in 0..reference.len() {
+        for bit in 0..8 {
+            let mut bytes = reference.clone();
+            bytes[at] ^= 1 << bit;
+            std::fs::write(work.join(JOURNAL_FILE), &bytes).unwrap();
+            let j = match Journal::open(&work, &meta()) {
+                Ok(j) => j,
+                Err(e) => {
+                    assert!(e.is_usage(), "flip {bit}@{at}: expected a usage error, got: {e}");
+                    assert!(at <= header_end, "flip {bit}@{at}: a record flip refused the journal");
+                    refused += 1;
+                    continue;
+                }
+            };
+            assert!(at > header_end, "flip {bit}@{at}: a header flip was accepted");
+            // Only byte-exact originals are served: the flipped record (and
+            // a neighbour its `\n` was merged with) is simply absent.
+            let mut served = 0;
+            for (i, (k, v)) in records.iter().enumerate() {
+                if let Some(got) = j.lookup(k) {
+                    assert_eq!(&got, v, "flip {bit}@{at}: record {i} replayed a wrong value");
+                    served += 1;
+                }
+            }
+            assert!(served < records.len(), "flip {bit}@{at}: the flipped record was replayed");
+            assert_eq!(j.resumed() as usize, served);
+            assert!(j.stats().quarantined >= 1, "flip {bit}@{at}: nothing quarantined");
+            drop(j);
+            quarantined += 1;
+
+            // Resuming re-executes what was dropped: every record, once.
+            let finished = resume_and_finish(&work, &records);
+            let j = Journal::open(&work, &meta()).unwrap();
+            assert_eq!(j.stats().quarantined, 0, "flip {bit}@{at}: the rewrite kept a bad line");
+            assert_eq!(j.resumed() as usize, records.len(), "flip {bit}@{at}");
+            for (k, v) in &records {
+                assert_eq!(j.lookup(k).as_ref(), Some(v), "flip {bit}@{at}");
+            }
+            let lines = finished.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(lines, 1 + records.len(), "flip {bit}@{at}: a record is held twice");
+        }
+    }
+    assert_eq!(refused as usize, 8 * (header_end + 1));
+    assert_eq!(quarantined as usize, 8 * (reference.len() - header_end - 1));
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&work);
 }

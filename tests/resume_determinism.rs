@@ -9,7 +9,7 @@ use dls_suite::dls_repro::hagerup_exp::{run_figure_resilient, HagerupConfig};
 use dls_suite::dls_repro::journal::{Journal, JournalMeta, JOURNAL_FILE};
 use dls_suite::dls_repro::runner::{run_campaign_resilient_batched, ExecContext};
 use dls_suite::dls_repro::sweep::{run_sweep_resilient, SweepConfig};
-use dls_suite::dls_repro::{faults, sweep};
+use dls_suite::dls_repro::{faults, report, sweep};
 use dls_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 
@@ -204,4 +204,46 @@ fn sweep_statistics_survive_a_quarantined_run() {
     // Mean over the 3 completed observations only.
     let mean = completed.iter().map(|o| o.wasted).sum::<f64>() / completed.len() as f64;
     assert!(mean.is_finite());
+}
+
+#[test]
+fn a_changed_digit_in_a_journaled_sweep_record_is_quarantined_and_recomputed() {
+    let cfg = SweepConfig {
+        ns: vec![512],
+        pes: vec![4],
+        techniques: vec![Technique::SS, Technique::Fac2],
+        runs: 4,
+        threads: 2,
+        ..SweepConfig::default()
+    };
+    let csv = |ctx: &ExecContext, telemetry: &Telemetry| {
+        let (headers, body) =
+            sweep::table_rows(&run_sweep_resilient(&cfg, telemetry, ctx).unwrap());
+        report::format_csv(&headers, &body)
+    };
+    let off = Telemetry::disabled();
+    let clean = csv(&ExecContext::transient(), &off);
+    let dir = scratch("digit");
+    csv(&ExecContext::with_journal(Journal::open(&dir, &meta("sweep")).unwrap()), &off);
+
+    // Change one digit inside the value of a mid-file record.
+    let path = dir.join(JOURNAL_FILE);
+    let mut lines: Vec<String> =
+        std::fs::read_to_string(&path).unwrap().lines().map(String::from).collect();
+    let half = lines.len() / 2;
+    let mid = &mut lines[half];
+    let value = mid.find("\"value\":").expect("a record line");
+    let at = value + mid[value..].find(|c: char| c.is_ascii_digit()).expect("a digit");
+    let digit = mid.as_bytes()[at] - b'0';
+    mid.replace_range(at..=at, &((digit + 1) % 10).to_string());
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let ctx = ExecContext::with_journal(Journal::open(&dir, &meta("sweep")).unwrap());
+    assert_eq!(ctx.journal().unwrap().stats().quarantined, 1);
+    let telemetry = Telemetry::enabled();
+    assert_eq!(csv(&ctx, &telemetry), clean, "the changed record must be recomputed, not replayed");
+    assert_eq!(ctx.journal().unwrap().stats().recorded, 1, "exactly the dropped run re-executes");
+    // Credited once for the whole sweep, not once per cell.
+    assert_eq!(telemetry.snapshot().counter("journal.records_quarantined"), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
