@@ -27,7 +27,7 @@
 //! degraded secondary artifacts, 130 after a graceful Ctrl-C.
 
 use dls_repro::artifacts::{ArtifactSink, ArtifactTier};
-use dls_repro::cli::{parse_options, Options};
+use dls_repro::cli::{check_options, parse_options, Options};
 use dls_repro::error::ReproError;
 use dls_repro::hagerup_exp::{self, HagerupConfig};
 use dls_repro::journal::{self, Journal, JournalMeta};
@@ -244,22 +244,14 @@ fn telemetry_tables(snap: &Snapshot) -> String {
     out
 }
 
-/// Prints/writes the snapshot per the `--telemetry`/`--telemetry-json`
-/// options (no-op for a disabled handle). The JSON dump is a *secondary*
-/// artifact: a write failure degrades the run (exit 6 via the sink) after
-/// the primary results are already on disk, it never discards them.
-fn emit_telemetry(
-    o: &Options,
-    telemetry: &Telemetry,
-    sink: &ArtifactSink,
-) -> Result<(), ReproError> {
-    if !telemetry.is_enabled() {
-        return Ok(());
-    }
-    let snap = telemetry.snapshot();
+/// Prints/writes `snap` per the `--telemetry`/`--telemetry-json`/
+/// `--telemetry-prom` options. The dumps are *secondary* artifacts: a
+/// write failure degrades the run (exit 6 via the sink) after the primary
+/// results are already on disk, it never discards them.
+fn emit_telemetry(o: &Options, snap: &Snapshot, sink: &ArtifactSink) -> Result<(), ReproError> {
     if o.telemetry {
         println!("telemetry:");
-        println!("{}", telemetry_tables(&snap));
+        println!("{}", telemetry_tables(snap));
     }
     if let Some(path) = &o.telemetry_json {
         let landed = sink.write(
@@ -275,7 +267,7 @@ fn emit_telemetry(
         let landed = sink.write(
             ArtifactTier::Secondary,
             std::path::Path::new(path),
-            to_prometheus_text(&snap).as_bytes(),
+            to_prometheus_text(snap).as_bytes(),
         )?;
         if landed {
             println!("wrote {path}");
@@ -329,23 +321,12 @@ fn emit_trace(a: &dls_repro::trace::TraceArtifacts, dir: &str) -> Result<(), Rep
     Ok(())
 }
 
-fn cmd_trace(target: &str, o: &Options) -> Result<(), ReproError> {
+fn cmd_trace(target: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
     let seed = o.seed.unwrap_or(1);
     let a = dls_repro::trace::run_scenario(target, seed).map_err(ReproError::usage)?;
     let dir = o.out_dir.clone().unwrap_or_else(|| "traces".into());
     emit_trace(&a, &dir)?;
-    if o.telemetry {
-        println!("telemetry:");
-        println!("{}", telemetry_tables(&a.telemetry));
-    }
-    if let Some(path) = &o.telemetry_json {
-        journal::write_artifact(
-            std::path::Path::new(path),
-            (a.telemetry.to_json() + "\n").as_bytes(),
-        )?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    emit_telemetry(o, &a.telemetry, sink)
 }
 
 /// Writes a result CSV. Primary tier: the CSV *is* the campaign's result,
@@ -502,7 +483,7 @@ fn cmd_hagerup(fig: &str, o: &Options, sink: &ArtifactSink) -> Result<(), ReproE
         let a = dls_repro::trace::trace_figure_cell(&cfg, fig)?;
         sink.soften(&format!("{dir} (trace artifacts)"), emit_trace(&a, dir))?;
     }
-    emit_telemetry(o, &telemetry, sink)?;
+    emit_telemetry(o, &telemetry.snapshot(), sink)?;
     emit_log(o, &logger, sink)?;
     Ok(())
 }
@@ -633,7 +614,7 @@ fn cmd_sweep(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
         let a = dls_repro::trace::trace_sweep_cell(&cfg)?;
         sink.soften(&format!("{dir} (trace artifacts)"), emit_trace(&a, dir))?;
     }
-    emit_telemetry(o, &telemetry, sink)?;
+    emit_telemetry(o, &telemetry.snapshot(), sink)?;
     emit_log(o, &logger, sink)?;
     Ok(())
 }
@@ -694,14 +675,14 @@ fn cmd_faults(o: &Options, sink: &ArtifactSink) -> Result<(), ReproError> {
         let a = dls_repro::trace::trace_fault_cell(&cfg)?;
         sink.soften(&format!("{dir} (trace artifacts)"), emit_trace(&a, dir))?;
     }
-    emit_telemetry(o, &telemetry, sink)?;
+    emit_telemetry(o, &telemetry.snapshot(), sink)?;
     emit_log(o, &logger, sink)?;
     Ok(())
 }
 
-/// `repro chaos <fig5|sweep|faults|serve>` — crash-point exhaustion over a
-/// reduced journaled campaign, or over the campaign service (see
-/// [`dls_repro::chaos`]).
+/// `repro chaos <fig5|sweep|faults|serve>` — crash-point exhaustion of a
+/// reduced journaled campaign or of the campaign service, through the one
+/// crash-exhaustion routine in [`dls_repro::chaos`].
 fn cmd_chaos(target: &str, o: &Options) -> Result<(), ReproError> {
     use dls_repro::chaos::{self, ChaosConfig, ChaosTarget};
     let target: ChaosTarget = target.parse().map_err(ReproError::usage)?;
@@ -712,113 +693,51 @@ fn cmd_chaos(target: &str, o: &Options) -> Result<(), ReproError> {
     if let Some(path) = &o.host_fault_plan {
         cfg.plan = Some(chaos::load_host_plan(path)?);
     }
-    if target == ChaosTarget::Serve {
-        return cmd_chaos_serve(&cfg);
-    }
-    eprintln!(
-        "chaos {}: exhausting host-I/O crash points over a {} campaign...",
-        target.name(),
-        if cfg.quick { "quick" } else { "reduced" },
-    );
+    let name = target.name();
+    let mode = if cfg.quick { "quick" } else { "full" };
+    eprintln!("chaos {name}: exhausting host-I/O crash points ({mode} mode)...");
     let report = chaos::run_crash_exhaustion(&cfg, &global_cancel_flag())?;
-    println!("chaos {}: {} host-I/O boundaries enumerated", target.name(), report.io_ops);
+    println!("chaos {name}: {} host-I/O crash points enumerated", report.io_ops);
     println!(
         "  passthrough pin (empty fault plan): {}",
-        if report.empty_plan_identical { "bit-identical to real I/O" } else { "DIVERGED" }
+        if report.passthrough_identical { "bit-identical to the reference" } else { "DIVERGED" }
     );
     println!(
-        "  crash exhaustion: {}/{} crash points resumed byte-identically",
-        report.identical_resumes, report.io_ops
+        "  crash exhaustion: {}/{} crash points recovered byte-identically",
+        report.identical_recoveries, report.io_ops
     );
     let s = &report.storm_stats;
     println!(
-        "  fault storm: {} ops, {} flake(s), {} error(s), {} torn write(s) — {}",
+        "  fault storm: {} cold run(s) over {} ops, {} flake(s), {} error(s), {} torn write(s) — {}",
+        report.storm_runs,
         s.ops,
         s.flakes,
         s.errors_injected,
         s.torn_writes,
-        if report.storm_completed_directly {
-            "absorbed by the retry policy"
-        } else if report.storm_identical {
-            "recovered by one resume"
-        } else {
-            "NOT RECOVERED"
+        match (report.storm_identical, report.storm_completed_directly) {
+            (true, true) => "absorbed by the retry policy",
+            (true, false) => "converged after one real-I/O recovery",
+            (false, _) => "NOT RECOVERED",
         }
     );
+    for c in &report.checks {
+        println!(
+            "  {}: {}",
+            c.name,
+            if c.passed { c.detail.clone() } else { format!("FAILED ({})", c.detail) }
+        );
+    }
     for m in &report.mismatches {
         eprintln!("  mismatch: {m}");
     }
     if !report.is_ok() {
+        let failed = report.mismatches.len() + report.checks.iter().filter(|c| !c.passed).count();
         return Err(ReproError::Regression(format!(
-            "chaos {}: {} crash point(s) did not resume to identical bytes",
-            target.name(),
-            report.io_ops - report.identical_resumes + report.mismatches.len() as u64,
+            "chaos {name}: {} invariant violation(s)",
+            failed.max(1)
         )));
     }
-    println!("  verdict: every interrupted campaign resumed to byte-identical artifacts");
-    Ok(())
-}
-
-/// `repro chaos serve` — crash-exhaustion, fault storm, corrupt-entry
-/// quarantine census and deadline pin for the campaign service.
-fn cmd_chaos_serve(cfg: &dls_repro::chaos::ChaosConfig) -> Result<(), ReproError> {
-    use dls_repro::chaos;
-    eprintln!(
-        "chaos serve: crash-exhausting the campaign service's cache writes ({} mode)...",
-        if cfg.quick { "quick" } else { "full" },
-    );
-    let report = chaos::run_serve_chaos(cfg, &global_cancel_flag())?;
-    println!("chaos serve: {} cache-persistence crash points enumerated", report.io_ops);
-    println!(
-        "  passthrough pin (empty fault plan): {}",
-        if report.passthrough_identical {
-            "response bit-identical to direct computation"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "  crash exhaustion: {}/{} crash points replayed byte-identically with a healed cache",
-        report.identical_replays, report.io_ops
-    );
-    let s = &report.storm_stats;
-    println!(
-        "  fault storm: {} request(s) over {} ops, {} flake(s), {} error(s), {} torn write(s) — {}",
-        report.storm_requests,
-        s.ops,
-        s.flakes,
-        s.errors_injected,
-        s.torn_writes,
-        if report.storm_ok { "zero 5xx, zero wrong answers" } else { "NOT ABSORBED" }
-    );
-    println!(
-        "  quarantine census: {} corrupt entr{} {}",
-        report.quarantined,
-        if report.quarantined == 1 { "y" } else { "ies" },
-        if report.quarantine_recovered {
-            "quarantined, recomputed byte-identically, healed to a hit"
-        } else {
-            "NOT RECOVERED"
-        }
-    );
-    println!(
-        "  deadline pin: {}",
-        if report.deadline_ok {
-            "expired request answered 504 with worker/queue gauges at zero"
-        } else {
-            "FAILED"
-        }
-    );
-    for m in &report.mismatches {
-        eprintln!("  mismatch: {m}");
-    }
-    if !report.is_ok() {
-        return Err(ReproError::Regression(format!(
-            "chaos serve: {} invariant violation(s)",
-            report.mismatches.len().max(1)
-        )));
-    }
-    println!("  verdict: the service absorbed every injected fault without a wrong answer");
+    println!("  verdict: every crash point recovered to the reference bytes");
     Ok(())
 }
 
@@ -865,9 +784,6 @@ fn cmd_verify(o: &Options) -> Result<(), ReproError> {
     );
     require_agreement(&rows)
 }
-
-/// Commands that support `--resume DIR` (their campaigns are journaled).
-const RESUMABLE: &[&str] = &["fig5", "fig6", "fig7", "fig8", "sweep", "faults"];
 
 /// `repro serve`: run the campaign service until interrupted (exit 130)
 /// or until `--max-requests` connections were handled (exit 0).
@@ -941,7 +857,7 @@ fn usage() -> String {
                   answers 504) [--read-timeout-ms MS] [--write-timeout-ms MS]\n\
                   [--max-connections N] [--host-fault-plan FILE]; corrupt\n\
                   cache entries quarantine to CACHE/quarantine/ on load\n\
-     --telemetry / --telemetry-json FILE on fig5-fig8/faults/trace print or\n\
+     --telemetry / --telemetry-json FILE on fig5-fig8/sweep/faults/trace print or\n\
                   dump the host-side metrics registry snapshot;\n\
                   --telemetry-prom FILE dumps it in Prometheus text format\n\
      --log FILE on fig5-fig8/sweep/faults/serve writes structured JSONL\n\
@@ -964,6 +880,8 @@ fn usage() -> String {
                   writes over HTTP, storms them with seeded faults, plants\n\
                   corrupt entries the quarantine must absorb, and pins the\n\
                   504 deadline path\n\
+     an option the command does not read (e.g. --log on fig9) is a\n\
+                  usage error naming the option\n\
      exit codes:  0 ok / quarantined-but-completed; 2 usage; 3 host I/O;\n\
                   4 invalid spec; 5 failed check; 6 completed with\n\
                   degraded secondary artifacts; 130 interrupted"
@@ -985,12 +903,7 @@ fn run(args: &[String]) -> Result<(), ReproError> {
         (None, &args[1..])
     };
     let opts = parse_options(opt_args).map_err(ReproError::usage)?;
-    if opts.resume.is_some() && !RESUMABLE.contains(&cmd.as_str()) {
-        return Err(ReproError::usage(format!(
-            "--resume is supported by {} (not `{cmd}`)",
-            RESUMABLE.join("/")
-        )));
-    }
+    check_options(&cmd, &opts).map_err(ReproError::usage)?;
     // Degraded secondary artifacts surface *after* a command succeeds: the
     // primary results are safe on disk, the exit code (6) still tells CI.
     let sink = ArtifactSink::new();
@@ -1010,7 +923,7 @@ fn run(args: &[String]) -> Result<(), ReproError> {
         "verify" => cmd_verify(&opts),
         "sweep" => cmd_sweep(&opts, &sink),
         "faults" => cmd_faults(&opts, &sink),
-        "trace" => cmd_trace(target.as_deref().unwrap_or_default(), &opts),
+        "trace" => cmd_trace(target.as_deref().unwrap_or_default(), &opts, &sink),
         "chaos" => cmd_chaos(target.as_deref().unwrap_or_default(), &opts),
         "report" => cmd_report(target.as_deref().unwrap_or_default(), &sink),
         "serve" => cmd_serve(&opts, &sink),

@@ -1,44 +1,41 @@
-//! Crash-point exhaustion: prove every I/O boundary is resumable.
+//! Crash-point exhaustion: prove every I/O boundary is recoverable.
 //!
-//! `repro chaos <fig5|sweep|faults> [--quick]` runs a reduced, journaled
-//! campaign three ways and cross-checks the bytes on disk:
+//! `repro chaos <fig5|sweep|faults|serve> [--quick]` runs one *subject*
+//! through one set of passes ([`run_crash_exhaustion`]) and compares bytes. A
+//! subject is a reduced journaled campaign (`fig5`, `sweep`, `faults`;
+//! the bytes are its result CSV and journal) or the campaign service
+//! (`serve`, booted in-process over an injectable [`HostIo`]; the bytes
+//! are the status and body of a `POST /run`). The passes:
 //!
-//! 1. **Reference** — the stock path (real I/O, standard retries), exactly
-//!    what a user's `repro fig5 --resume DIR` executes. Its result CSV and
-//!    journal bytes are the ground truth.
-//! 2. **Empty-plan chaos** — the same campaign through a [`ChaosIo`] with
-//!    no faults armed. This pins the injection layer as a true
-//!    passthrough (byte-identical artifacts) and counts the campaign's
-//!    host-I/O operations: the crash points.
-//! 3. **Crash exhaustion** — for every operation index `k`, a fresh run
-//!    with a [`ChaosIo`] armed to simulate a hard crash *at* `k` (the op
-//!    fails with its partial effect — an empty tmp after create, a half
-//!    prefix after write, nothing after fsync/rename — and every later op
-//!    is rejected). The campaign is then resumed over the surviving
-//!    directory with real I/O; the final CSV and journal must be
-//!    byte-identical to the reference, for every single `k`.
+//! 1. **Reference** — the stock path (real I/O, standard retries): what
+//!    `repro fig5 --resume DIR` executes, or for the service the same
+//!    campaign computed directly.
+//! 2. **Census** — one attempt through a [`ChaosIo`] with no faults armed:
+//!    its bytes must equal the reference (the seam is a true passthrough),
+//!    and its operation count is the number of crash points.
+//! 3. **Crash exhaustion** — for every operation index `k`, a fresh attempt
+//!    crashed *at* `k` (the op fails with its partial effect — an empty tmp
+//!    after create, a half prefix after write — and every later op is
+//!    rejected), then one real-I/O recovery over the surviving directory: a
+//!    campaign resumes its journal; the service restarts warm, replays, and
+//!    must hold a healed cache entry. The recovered bytes must equal the
+//!    reference for every `k`. The service's persistence is fail-soft, so
+//!    its crashed attempt must still answer with the reference bytes.
+//! 4. **Storm** — a cold attempt under a seeded [`HostFaultPlan`] (default:
+//!    transient flakes the [`RetryPolicy`] must absorb; `--host-fault-plan
+//!    FILE` substitutes any plan, and if it defeats the retries one real-I/O
+//!    recovery must still land the reference bytes). The service's storm
+//!    sends 3 (quick) or 6 requests on distinct seeds, all cold.
 //!
-//! A final **fault-storm** pass replays the campaign under a seeded
-//! [`HostFaultPlan`] (the default: transient flakes the [`RetryPolicy`]
-//! must absorb; `--host-fault-plan FILE` substitutes any plan). If the
-//! storm defeats the retries, one resume with real I/O must still land the
-//! reference bytes — the "any crash, one resume" invariant.
-//!
-//! `repro chaos serve [--quick]` ([`run_serve_chaos`]) applies the same
-//! discipline to the **campaign service**: it boots `repro serve`
-//! in-process over an injectable [`HostIo`], crash-exhausts every
-//! cache-persistence operation index (kill, restart over the surviving
-//! cache directory, replay the same request, assert the response is
-//! byte-identical to the reference and the cache self-heals), storms the
-//! persistence path with seeded flakes under real traffic, plants
-//! torn/corrupt cache entries the quarantine path must absorb (zero wrong
-//! answers, zero 5xx), and pins that a deadline-expired request answers
-//! 504 while the worker/queue gauges return to zero.
+//! The service adds two named checks to the same [`ChaosReport`]: a
+//! quarantine census (planted torn and garbage cache entries are moved
+//! aside, never served, and the key heals to a hit) and a deadline pin (an
+//! expired request answers 504 with the occupancy gauges back at zero).
 
 use crate::error::ReproError;
 use crate::faults::{self, FaultScenario, FaultSweepConfig};
 use crate::hagerup_exp::{self, HagerupConfig};
-use crate::journal::{write_artifact_with, Journal, JournalMeta, JOURNAL_FILE};
+use crate::journal::{write_artifact_with, Journal, JournalMeta, FLUSH_EVERY, JOURNAL_FILE};
 use crate::report;
 use crate::runner::{CancelFlag, ExecContext};
 use crate::server::{ServeConfig, Server};
@@ -48,6 +45,7 @@ use dls_core::Technique;
 use dls_telemetry::{Logger, Telemetry};
 use dls_workload::TimeModel;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Journal flush cadence for the chaos runs: every other record, so even a
@@ -64,7 +62,7 @@ pub const CHAOS_FLUSH_EVERY: usize = 2;
 const STORM_FLAKE_DEPTH: u32 = 2;
 const STORM_RETRY_ATTEMPTS: u32 = 4 * STORM_FLAKE_DEPTH + 1 + 3;
 
-/// Which journaled campaign the harness exercises.
+/// Which subject the harness exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosTarget {
     /// Reduced Figure-5 campaign (`hagerup_exp`).
@@ -75,12 +73,12 @@ pub enum ChaosTarget {
     /// host-I/O faults.
     Faults,
     /// The campaign service (`repro serve`), exercised end-to-end over
-    /// HTTP by [`run_serve_chaos`].
+    /// HTTP.
     Serve,
 }
 
 impl ChaosTarget {
-    /// The CLI name (also the result CSV's base name).
+    /// The CLI name (also a campaign's result CSV base name).
     pub fn name(self) -> &'static str {
         match self {
             ChaosTarget::Fig5 => "fig5",
@@ -110,7 +108,7 @@ impl std::str::FromStr for ChaosTarget {
 /// Harness configuration, assembled by the CLI.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Campaign to exercise.
+    /// Subject to exercise.
     pub target: ChaosTarget,
     /// Use the smallest campaign that still crosses several flush
     /// boundaries (the CI smoke configuration).
@@ -138,244 +136,320 @@ impl ChaosConfig {
     }
 }
 
+/// One subject-specific check reported next to the passes (the service's
+/// quarantine census and deadline pin).
+#[derive(Debug, Clone)]
+pub struct Check {
+    /// What was checked.
+    pub name: &'static str,
+    /// Whether it held.
+    pub passed: bool,
+    /// What was observed: the proof on success, every divergence on failure.
+    pub detail: String,
+}
+
 /// What the exhaustion proved; rendered by the CLI, gated by [`is_ok`].
 ///
 /// [`is_ok`]: ChaosReport::is_ok
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// Target that was exercised.
-    pub target: ChaosTarget,
-    /// Host-I/O operations in one uninterrupted campaign — the number of
+    /// Host-I/O operations in one uninterrupted attempt — the number of
     /// distinct crash points.
     pub io_ops: u64,
-    /// Crash points whose resume reproduced the reference bytes.
-    pub identical_resumes: u64,
+    /// Crash points whose recovery reproduced the reference bytes.
+    pub identical_recoveries: u64,
     /// Human-readable descriptions of every divergence found.
     pub mismatches: Vec<String>,
-    /// Whether the empty-plan [`ChaosIo`] run was byte-identical to the
-    /// real-I/O reference (the passthrough pin).
-    pub empty_plan_identical: bool,
-    /// Whether the fault-storm run completed under the retry policy alone.
+    /// Whether the empty-plan [`ChaosIo`] attempt was byte-identical to
+    /// the reference (the passthrough pin).
+    pub passthrough_identical: bool,
+    /// Cold runs the storm attempt made: 1 for a campaign, one request per
+    /// seed for the service.
+    pub storm_runs: u64,
+    /// Whether the storm attempt completed under the retry policy alone.
     pub storm_completed_directly: bool,
     /// Whether the storm pass ended with reference-identical bytes
-    /// (directly, or after one real-I/O resume).
+    /// (directly, or after one real-I/O recovery).
     pub storm_identical: bool,
-    /// Fault counters from the storm run.
+    /// Fault counters from the storm's [`ChaosIo`].
     pub storm_stats: ChaosStats,
+    /// Subject-specific checks (empty for the campaigns).
+    pub checks: Vec<Check>,
 }
 
 impl ChaosReport {
     /// True when every invariant held: passthrough pinned, every crash
-    /// point resumed to identical bytes, and the storm pass converged.
+    /// point recovered to identical bytes, the storm pass converged and
+    /// every subject-specific check passed.
     pub fn is_ok(&self) -> bool {
         self.mismatches.is_empty()
-            && self.empty_plan_identical
+            && self.passthrough_identical
+            && self.io_ops > 0
+            && self.identical_recoveries == self.io_ops
             && self.storm_identical
-            && self.identical_resumes == self.io_ops
+            && self.checks.iter().all(|c| c.passed)
     }
 }
 
 /// Runs the full exhaustion for `cfg`. Honours `cancel` between crash
-/// points (returning [`ReproError::Interrupted`]); a mismatch is *not* an
-/// error — it is recorded in the report for the CLI to turn into a
+/// points (returning [`ReproError::Interrupted`]); a divergence is *not*
+/// an error — it is recorded in the report for the CLI to turn into a
 /// regression verdict.
 pub fn run_crash_exhaustion(
     cfg: &ChaosConfig,
     cancel: &CancelFlag,
 ) -> Result<ChaosReport, ReproError> {
-    if cfg.target == ChaosTarget::Serve {
-        return Err(ReproError::invalid_spec(
-            "the serve target runs through run_serve_chaos, not the campaign exhaustion",
-        ));
-    }
     if let Some(plan) = &cfg.plan {
         plan.validate().map_err(|e| ReproError::invalid_spec(format!("--host-fault-plan: {e}")))?;
     }
-    let base = scratch_base(cfg);
+    let base = scratch_base(cfg.target.name());
     let _ = std::fs::remove_dir_all(&base);
-    let result = exhaustion_in(cfg, cancel, &base);
+    let campaign = |run: CampaignFn| exhaust(&Campaign { cfg, run }, cfg, cancel, &base);
+    let result = match cfg.target {
+        ChaosTarget::Fig5 => campaign(|cfg, telemetry, ctx| {
+            let rows = hagerup_exp::run_figure_resilient(&fig5_config(cfg), telemetry, ctx)?;
+            Ok(report::wasted_rows(&rows))
+        }),
+        ChaosTarget::Sweep => campaign(|cfg, telemetry, ctx| {
+            let rows = sweep::run_sweep_resilient(&sweep_config(cfg), telemetry, ctx)?;
+            Ok(sweep::table_rows(&rows))
+        }),
+        ChaosTarget::Faults => campaign(|cfg, telemetry, ctx| {
+            let rows = faults::run_fault_sweep_resilient(&faults_config(cfg), telemetry, ctx)?;
+            Ok(faults::table_rows(&rows))
+        }),
+        ChaosTarget::Serve => {
+            exhaust(&Service { cfg, seeds: vec![cfg.campaign_seed()] }, cfg, cancel, &base)
+        }
+    };
     let _ = std::fs::remove_dir_all(&base);
     result
 }
 
-fn exhaustion_in(
+/// The bytes under comparison, as named parts: a campaign's CSV and
+/// journal, or each service request's status and body.
+type Parts = Vec<(String, Vec<u8>)>;
+
+/// A system [`exhaust`] can run on the stock path, crash at any host-I/O
+/// operation and recover.
+trait Subject: Sized {
+    /// The bytes of an uninterrupted run on the stock path, using `dir`.
+    fn reference(&self, dir: &Path) -> Result<Parts, ReproError>;
+    /// One attempt in `dir` through `io`, continuing whatever an earlier
+    /// attempt left there.
+    fn attempt(
+        &self,
+        dir: &Path,
+        io: Arc<dyn HostIo>,
+        retry: RetryPolicy,
+    ) -> Result<Parts, ReproError>;
+    /// The real-I/O recovery over what an interrupted attempt left in `dir`.
+    fn recover(&self, dir: &Path) -> Result<Parts, ReproError>;
+    /// Whether a crashed attempt must still answer with the reference
+    /// bytes (otherwise it may fail, and only its recovery is compared).
+    fn answers_through_crashes(&self) -> bool {
+        false
+    }
+    /// The cold subject the storm pass attempts, when it is not this one.
+    fn storm(&self) -> Option<Self> {
+        None
+    }
+    /// Cold runs one attempt makes.
+    fn runs(&self) -> u64 {
+        1
+    }
+    /// Subject-specific checks, run in `base` after the passes.
+    fn checks(&self, _base: &Path, _reference: &Parts) -> Result<Vec<Check>, ReproError> {
+        Ok(Vec::new())
+    }
+}
+
+/// The one crash-exhaustion routine: the reference, census, crash-at-`k`
+/// plus recovery, and storm passes of the module docs, then the subject's
+/// own checks. Every attempt works in its own directory under `base`.
+fn exhaust<S: Subject>(
+    subject: &S,
     cfg: &ChaosConfig,
     cancel: &CancelFlag,
     base: &Path,
 ) -> Result<ChaosReport, ReproError> {
-    // Pass 1: the reference — the stock real-I/O path users run.
-    let ref_dir = base.join("reference");
-    run_attempt(cfg, &ref_dir, Arc::new(RealIo), RetryPolicy::standard(), None)?;
-    let reference = disk_state(cfg, &ref_dir)?;
-
-    // Pass 2: empty-plan chaos — passthrough pin + crash-point census.
-    let empty_dir = base.join("empty-plan");
-    let passthrough = Arc::new(ChaosIo::new(HostFaultPlan::none()));
-    run_attempt(
-        cfg,
-        &empty_dir,
-        passthrough.clone(),
-        RetryPolicy::no_delay(1),
-        Some(CHAOS_FLUSH_EVERY),
-    )?;
-    let empty_plan_identical = disk_state(cfg, &empty_dir)? == reference;
-    let io_ops = passthrough.ops_executed();
-
-    // Pass 3: crash at every single operation index, then resume.
     let mut mismatches = Vec::new();
-    let mut identical_resumes = 0u64;
+    let reference = subject.reference(&base.join("reference"))?;
+
+    // The census: passthrough pin and crash-point count.
+    let census = Arc::new(ChaosIo::new(HostFaultPlan::none()));
+    let passed = subject.attempt(&base.join("census"), census.clone(), RetryPolicy::no_delay(1))?;
+    let passthrough_identical = matches(&mut mismatches, "census", &passed, &reference);
+    let io_ops = census.ops_executed();
+
+    // Crash at every single operation index, then recover.
+    let mut identical_recoveries = 0u64;
     for k in 0..io_ops {
         if cancel.is_cancelled() {
             return Err(ReproError::Interrupted { resume_dir: None });
         }
-        let dir = base.join(format!("crash-{k}"));
+        let (dir, label) = (base.join(format!("crash-{k}")), format!("crash@{k}"));
         let chaos = Arc::new(ChaosIo::new(HostFaultPlan::none()).with_crash_at(k));
-        let crashed_run = run_attempt(
-            cfg,
-            &dir,
-            chaos.clone(),
-            RetryPolicy::no_delay(1),
-            Some(CHAOS_FLUSH_EVERY),
-        );
-        if !chaos.is_crashed() {
-            mismatches.push(format!("crash@{k}: the armed operation was never reached"));
-            let _ = std::fs::remove_dir_all(&dir);
-            continue;
-        }
-        // The interrupted attempt usually errors; a crash arming only the
-        // trailing dir-sync can complete (dir-sync failures are
-        // deliberately non-fatal). Either way the resume must converge.
-        drop(crashed_run);
-        match resume_and_compare(cfg, &dir, &reference) {
-            Ok(None) => identical_resumes += 1,
-            Ok(Some(diff)) => mismatches.push(format!("crash@{k}: {diff}")),
-            Err(e) => mismatches.push(format!("crash@{k}: resume failed: {e}")),
+        let crashed = subject.attempt(&dir, chaos.clone(), RetryPolicy::no_delay(1));
+        // A campaign's crashed attempt usually fails; one crashed only at
+        // the trailing dir-sync (deliberately non-fatal) completes, and
+        // then its bytes must already be the reference's.
+        let answered = match crashed {
+            _ if !chaos.is_crashed() => {
+                mismatches.push(format!("{label}: the armed operation was never reached"));
+                false
+            }
+            Ok(parts) => {
+                matches(&mut mismatches, &format!("{label} crashed attempt"), &parts, &reference)
+            }
+            Err(e) if subject.answers_through_crashes() => {
+                mismatches.push(format!("{label} crashed attempt failed: {e}"));
+                false
+            }
+            Err(_) => true,
+        };
+        if answered && recovered(subject, &dir, &label, &reference, &mut mismatches) {
+            identical_recoveries += 1;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Pass 4: the fault storm. The default plan is pure transient flakes,
-    // which the sized retry budget must absorb without any resume.
-    let storm_dir = base.join("storm");
-    let storm_plan = cfg.plan.clone().unwrap_or_else(|| {
+    // The storm. The default plan is pure transient flakes, which the
+    // sized retry budget must absorb without any recovery.
+    let cold = subject.storm();
+    let storm_subject = cold.as_ref().unwrap_or(subject);
+    let storm_reference = match &cold {
+        Some(s) => s.reference(&base.join("storm-reference"))?,
+        None => reference.clone(),
+    };
+    let plan = cfg.plan.clone().unwrap_or_else(|| {
         HostFaultPlan::none().with_seed(cfg.campaign_seed()).with_flakes(0.35, STORM_FLAKE_DEPTH)
     });
-    let default_storm = cfg.plan.is_none();
-    let storm = Arc::new(ChaosIo::new(storm_plan));
-    let direct = run_attempt(
-        cfg,
+    let storm = Arc::new(ChaosIo::new(plan));
+    let storm_dir = base.join("storm");
+    let direct = storm_subject.attempt(
         &storm_dir,
         storm.clone(),
         RetryPolicy::no_delay(STORM_RETRY_ATTEMPTS),
-        Some(CHAOS_FLUSH_EVERY),
     );
     let storm_completed_directly = direct.is_ok();
-    let storm_identical = if storm_completed_directly {
-        match disk_state(cfg, &storm_dir)? == reference {
-            true => true,
-            false => {
-                mismatches.push("storm: completed run diverged from the reference".into());
-                false
-            }
-        }
-    } else if default_storm {
+    let storm_identical = match direct {
+        Ok(parts) => matches(&mut mismatches, "storm", &parts, &storm_reference),
         // The sized budget makes the default storm unlosable; failing here
         // means the retry classification or budget arithmetic regressed.
-        mismatches.push(format!(
-            "storm: default flake storm defeated the retry policy: {}",
-            direct.unwrap_err()
-        ));
-        false
-    } else {
-        match resume_and_compare(cfg, &storm_dir, &reference) {
-            Ok(None) => true,
-            Ok(Some(diff)) => {
-                mismatches.push(format!("storm: {diff}"));
-                false
-            }
-            Err(e) => {
-                mismatches.push(format!("storm: resume failed: {e}"));
-                false
-            }
+        Err(e) if cfg.plan.is_none() => {
+            mismatches
+                .push(format!("storm: the default flake storm defeated the retry policy: {e}"));
+            false
         }
+        Err(_) => recovered(storm_subject, &storm_dir, "storm", &storm_reference, &mut mismatches),
     };
 
     Ok(ChaosReport {
-        target: cfg.target,
         io_ops,
-        identical_resumes,
+        identical_recoveries,
         mismatches,
-        empty_plan_identical,
+        passthrough_identical,
+        storm_runs: storm_subject.runs(),
         storm_completed_directly,
         storm_identical,
         storm_stats: storm.stats(),
+        checks: subject.checks(base, &reference)?,
     })
 }
 
-/// Resumes the campaign left in `dir` with real I/O and compares the final
-/// bytes against the reference. `Ok(None)` means identical; `Ok(Some(d))`
-/// names the divergence.
-fn resume_and_compare(
-    cfg: &ChaosConfig,
-    dir: &Path,
-    reference: &DiskState,
-) -> Result<Option<String>, ReproError> {
-    run_attempt(cfg, dir, Arc::new(RealIo), RetryPolicy::standard(), None)?;
-    let resumed = disk_state(cfg, dir)?;
-    if resumed == *reference {
-        return Ok(None);
+/// Compares `got` with the reference; a divergence is recorded under
+/// `label`, naming the first part that differs. True when identical.
+fn matches(mismatches: &mut Vec<String>, label: &str, got: &Parts, reference: &Parts) -> bool {
+    if got == reference {
+        return true;
     }
-    Ok(Some(if resumed.csv != reference.csv {
-        "resumed CSV differs from the uninterrupted run".into()
-    } else {
-        "resumed journal differs from the uninterrupted run".into()
-    }))
+    let part = got.iter().zip(reference).find(|(g, r)| g != r).map_or("part list", |(_, r)| &r.0);
+    mismatches.push(format!("{label}: {part} differs from the reference"));
+    false
 }
 
-/// One full campaign attempt in `dir` through `io`: journaled (resuming
-/// whatever a previous attempt left), result CSV written last — the same
-/// artifact order as the real commands.
-fn run_attempt(
-    cfg: &ChaosConfig,
+/// Recovers `dir` with real I/O and compares the result with the
+/// reference. True when identical.
+fn recovered<S: Subject>(
+    subject: &S,
     dir: &Path,
-    io: Arc<dyn HostIo>,
-    retry: RetryPolicy,
-    flush_every: Option<usize>,
-) -> Result<(), ReproError> {
-    let mut journal = Journal::open_with_io(dir, &journal_meta(cfg), io.clone(), retry)?;
-    if let Some(every) = flush_every {
-        journal = journal.with_flush_every(every);
+    label: &str,
+    reference: &Parts,
+    mismatches: &mut Vec<String>,
+) -> bool {
+    match subject.recover(dir) {
+        Ok(parts) => matches(mismatches, &format!("{label} recovery"), &parts, reference),
+        Err(e) => {
+            mismatches.push(format!("{label} recovery failed: {e}"));
+            false
+        }
     }
-    let ctx = ExecContext::with_journal(journal);
-    let (headers, body) = run_target(cfg, &ctx)?;
-    let csv = report::format_csv(&headers, &body);
-    write_artifact_with(&*io, retry, &dir.join(csv_name(cfg.target)), csv.as_bytes())
 }
 
-/// Runs the reduced campaign for the target and renders its table cells —
-/// via the same row renderers the real commands use, so the CSVs under
-/// comparison are the commands' CSVs.
-fn run_target(
-    cfg: &ChaosConfig,
-    ctx: &ExecContext,
-) -> Result<(Vec<&'static str>, Vec<Vec<String>>), ReproError> {
-    let telemetry = Telemetry::disabled();
-    match cfg.target {
-        ChaosTarget::Fig5 => {
-            let rows = hagerup_exp::run_figure_resilient(&fig5_config(cfg), &telemetry, ctx)?;
-            Ok(report::wasted_rows(&rows))
-        }
-        ChaosTarget::Sweep => {
-            let rows = sweep::run_sweep_resilient(&sweep_config(cfg), &telemetry, ctx)?;
-            Ok(sweep::table_rows(&rows))
-        }
-        ChaosTarget::Faults => {
-            let rows = faults::run_fault_sweep_resilient(&faults_config(cfg), &telemetry, ctx)?;
-            Ok(faults::table_rows(&rows))
-        }
-        ChaosTarget::Serve => Err(ReproError::invalid_spec(
-            "the serve target runs through run_serve_chaos, not the campaign exhaustion",
-        )),
+// ---------------------------------------------------------------------------
+// Subject: a reduced journaled campaign (`repro chaos fig5|sweep|faults`).
+// ---------------------------------------------------------------------------
+
+/// The table a campaign renders (headers and body cells) — the same rows
+/// the real command writes as its CSV.
+type Table = (Vec<&'static str>, Vec<Vec<String>>);
+type CampaignFn = fn(&ChaosConfig, &Telemetry, &ExecContext) -> Result<Table, ReproError>;
+
+/// A reduced journaled campaign; its bytes are the result CSV and the
+/// journal.
+struct Campaign<'a> {
+    cfg: &'a ChaosConfig,
+    run: CampaignFn,
+}
+
+impl Campaign<'_> {
+    /// One full campaign attempt in `dir` through `io`: journaled
+    /// (resuming whatever a previous attempt left), result CSV written
+    /// last — the same artifact order as the real commands.
+    fn run(
+        &self,
+        dir: &Path,
+        io: Arc<dyn HostIo>,
+        retry: RetryPolicy,
+        flush_every: usize,
+    ) -> Result<Parts, ReproError> {
+        // The campaign identity every attempt shares: a resume with another
+        // fingerprint would refuse to load the journal.
+        let cfg = self.cfg;
+        let meta = JournalMeta::new(
+            format!("chaos-{}", cfg.target.name()),
+            format!("quick={} runs={:?}", cfg.quick, cfg.runs),
+            cfg.campaign_seed(),
+        );
+        let journal = Journal::open_with_io(dir, &meta, io.clone(), retry)?;
+        let ctx = ExecContext::with_journal(journal.with_flush_every(flush_every));
+        let (headers, body) = (self.run)(cfg, &Telemetry::disabled(), &ctx)?;
+        let csv = dir.join(format!("{}.csv", cfg.target.name()));
+        write_artifact_with(&*io, retry, &csv, report::format_csv(&headers, &body).as_bytes())?;
+        let read = |p: PathBuf| {
+            std::fs::read(&p).map_err(|e| ReproError::io(format!("{}: {e}", p.display())))
+        };
+        Ok(vec![("CSV".into(), read(csv)?), ("journal".into(), read(dir.join(JOURNAL_FILE))?)])
+    }
+}
+
+impl Subject for Campaign<'_> {
+    fn reference(&self, dir: &Path) -> Result<Parts, ReproError> {
+        self.run(dir, Arc::new(RealIo), RetryPolicy::standard(), FLUSH_EVERY)
+    }
+
+    fn attempt(
+        &self,
+        dir: &Path,
+        io: Arc<dyn HostIo>,
+        retry: RetryPolicy,
+    ) -> Result<Parts, ReproError> {
+        self.run(dir, io, retry, CHAOS_FLUSH_EVERY)
+    }
+
+    fn recover(&self, dir: &Path) -> Result<Parts, ReproError> {
+        self.reference(dir)
     }
 }
 
@@ -438,313 +512,173 @@ fn faults_config(cfg: &ChaosConfig) -> FaultSweepConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Service-tier chaos: `repro chaos serve`.
+// Subject: the campaign service (`repro chaos serve`).
 // ---------------------------------------------------------------------------
 
-/// What the service exhaustion proved; rendered by the CLI, gated by
-/// [`ServeChaosReport::is_ok`].
-#[derive(Debug, Clone)]
-pub struct ServeChaosReport {
-    /// Host-I/O operations one cold request's cache persistence performs —
-    /// the number of distinct service crash points.
-    pub io_ops: u64,
-    /// Crash points whose restart + replay reproduced the reference bytes
-    /// with a self-healed cache entry.
-    pub identical_replays: u64,
-    /// Human-readable descriptions of every divergence found.
-    pub mismatches: Vec<String>,
-    /// Whether the empty-plan [`ChaosIo`] server answered byte-identically
-    /// to the direct computation (the passthrough pin).
-    pub passthrough_identical: bool,
-    /// Requests served during the fault storm.
-    pub storm_requests: u64,
-    /// Whether every storm request answered 200 with correct bytes.
-    pub storm_ok: bool,
-    /// Corrupt/torn cache entries the quarantine census planted and the
-    /// server absorbed.
-    pub quarantined: u64,
-    /// Whether the quarantine census ended in full recovery: corrupt
-    /// entries moved aside (never deleted), the key recomputed to
-    /// reference bytes, and the rewrite served a subsequent hit.
-    pub quarantine_recovered: bool,
-    /// Whether a deadline-expired request answered 504 with the
-    /// worker/queue gauges back at zero.
-    pub deadline_ok: bool,
-    /// Fault counters from the storm server's [`ChaosIo`].
-    pub storm_stats: ChaosStats,
+/// The campaign service; its bytes are the status and body of one
+/// `POST /run` per seed, all sent to one server booted over the attempt's
+/// I/O and cache directory.
+struct Service<'a> {
+    cfg: &'a ChaosConfig,
+    seeds: Vec<u64>,
 }
 
-impl ServeChaosReport {
-    /// True when every service invariant held.
-    pub fn is_ok(&self) -> bool {
-        self.mismatches.is_empty()
-            && self.passthrough_identical
-            && self.identical_replays == self.io_ops
-            && self.io_ops > 0
-            && self.storm_ok
-            && self.quarantined > 0
-            && self.quarantine_recovered
-            && self.deadline_ok
-    }
-}
-
-/// Runs the service-tier chaos campaign (see the module docs). Honours
-/// `cancel` between crash points; like [`run_crash_exhaustion`], a found
-/// divergence is recorded in the report, not returned as an error.
-pub fn run_serve_chaos(
-    cfg: &ChaosConfig,
-    cancel: &CancelFlag,
-) -> Result<ServeChaosReport, ReproError> {
-    // Seed-qualified scratch: concurrent harness invocations in one
-    // process (the unit tests) must not share a directory.
-    let base = std::env::temp_dir().join(format!(
-        "dls-chaos-serve-{:x}-{}",
-        cfg.campaign_seed(),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
-    let result = serve_chaos_in(cfg, cancel, &base);
-    let _ = std::fs::remove_dir_all(&base);
-    result
-}
-
-fn serve_chaos_in(
-    cfg: &ChaosConfig,
-    cancel: &CancelFlag,
-    base: &Path,
-) -> Result<ServeChaosReport, ReproError> {
-    let mut mismatches: Vec<String> = Vec::new();
-
-    // Pass 1: the reference bytes — the same campaign the server runs for
-    // this spec, computed directly (no server, no cache).
-    let reference = serve_reference_body(cfg, cfg.campaign_seed())?;
-
-    // Pass 2: passthrough pin + census of the cache-persistence crash
-    // points (one cold request through an empty-plan ChaosIo).
-    let census = Arc::new(ChaosIo::new(HostFaultPlan::none()));
-    let server = ServeInstance::boot(
-        &base.join("census"),
-        census.clone(),
-        RetryPolicy::no_delay(1),
-        0,
-        None,
-    )?;
-    let (status, _, body) =
-        http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
-    server.stop()?;
-    let passthrough_identical = status == 200 && body == reference.as_bytes();
-    if !passthrough_identical {
-        mismatches.push(format!("census: status {status} or body diverged from the reference"));
-    }
-    let io_ops = census.ops_executed();
-
-    // Pass 3: crash-exhaust every persistence op index k — kill the write
-    // at k, restart the server over the surviving cache directory, replay
-    // the identical request; the response must be byte-identical and the
-    // cache must self-heal to a valid entry.
-    let mut identical_replays = 0u64;
-    for k in 0..io_ops {
-        if cancel.is_cancelled() {
-            return Err(ReproError::Interrupted { resume_dir: None });
+impl Subject for Service<'_> {
+    /// The same campaigns computed directly through the runner and row
+    /// renderers (no server, no cache).
+    fn reference(&self, _dir: &Path) -> Result<Parts, ReproError> {
+        let mut parts = Vec::new();
+        for (i, &seed) in self.seeds.iter().enumerate() {
+            parts.extend(response(i, 200, serve_reference_body(self.cfg, seed)?.into_bytes()));
         }
-        let dir = base.join(format!("crash-{k}"));
-        let chaos = Arc::new(ChaosIo::new(HostFaultPlan::none()).with_crash_at(k));
-        let server = ServeInstance::boot(&dir, chaos.clone(), RetryPolicy::no_delay(1), 0, None)?;
-        let (status, _, body) =
-            http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
+        Ok(parts)
+    }
+
+    fn attempt(
+        &self,
+        dir: &Path,
+        io: Arc<dyn HostIo>,
+        retry: RetryPolicy,
+    ) -> Result<Parts, ReproError> {
+        let server = ServeInstance::boot(dir, io, retry, 0)?;
+        let mut parts = Vec::new();
+        for (i, &seed) in self.seeds.iter().enumerate() {
+            let (status, _, body) = http_post(server.addr, &[], &serve_spec_body(self.cfg, seed))?;
+            parts.extend(response(i, status, body));
+        }
         server.stop()?;
-        if !chaos.is_crashed() {
-            mismatches.push(format!("crash@{k}: the armed operation was never reached"));
-            continue;
-        }
-        // Persistence is fail-soft: even a crashed cache write must not
-        // cost the in-flight response its bytes.
-        if status != 200 || body != reference.as_bytes() {
-            mismatches.push(format!("crash@{k}: pre-restart response diverged (status {status})"));
-            continue;
-        }
-        // Restart warm over whatever the crash left behind, replay.
-        let server = ServeInstance::boot(&dir, Arc::new(RealIo), RetryPolicy::standard(), 0, None)?;
-        let (status, _, body) =
-            http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
-        server.stop()?;
-        if status != 200 || body != reference.as_bytes() {
-            mismatches.push(format!("crash@{k}: post-restart replay diverged (status {status})"));
-            continue;
-        }
-        match count_valid_entries(&dir) {
-            n if n > 0 => identical_replays += 1,
-            _ => mismatches.push(format!("crash@{k}: cache did not self-heal a valid entry")),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        Ok(parts)
     }
 
-    // Pass 4a: fault storm — real traffic (distinct seeds, so every request
-    // is a cold computation with its own persistence) while every cache
-    // write runs under seeded transient flakes the retry budget must
-    // absorb. Zero 5xx, zero wrong answers.
-    let storm_plan = cfg.plan.clone().unwrap_or_else(|| {
-        HostFaultPlan::none().with_seed(cfg.campaign_seed()).with_flakes(0.35, STORM_FLAKE_DEPTH)
-    });
-    storm_plan
-        .validate()
-        .map_err(|e| ReproError::invalid_spec(format!("--host-fault-plan: {e}")))?;
-    let storm = Arc::new(ChaosIo::new(storm_plan));
-    let server = ServeInstance::boot(
-        &base.join("storm"),
-        storm.clone(),
-        RetryPolicy::no_delay(STORM_RETRY_ATTEMPTS),
-        0,
-        None,
-    )?;
-    let storm_requests = if cfg.quick { 3 } else { 6 };
-    let mut storm_ok = true;
-    for i in 0..storm_requests {
-        let seed = cfg.campaign_seed() + 1 + i;
-        let expected = serve_reference_body(cfg, seed)?;
-        let (status, _, body) = http_post(server.addr, "/run", &[], &serve_spec_body(cfg, seed))?;
-        if status != 200 || body != expected.as_bytes() {
-            storm_ok = false;
-            mismatches.push(format!("storm request {i}: status {status} or wrong bytes"));
+    /// Restarts warm over whatever the interrupted attempt left, replays,
+    /// and requires the cache to have healed to a valid entry.
+    fn recover(&self, dir: &Path) -> Result<Parts, ReproError> {
+        let parts = self.attempt(dir, Arc::new(RealIo), RetryPolicy::standard())?;
+        if count_valid_entries(dir) == 0 {
+            return Err(ReproError::Regression("the cache did not self-heal a valid entry".into()));
         }
-    }
-    server.stop()?;
-
-    // Pass 4b: torn/corrupt-entry census — plant a torn (truncated) copy of
-    // a real entry and a garbage file, then prove the restarted server
-    // quarantines both (never deletes), recomputes the reference bytes,
-    // and serves the healed entry as a hit.
-    let (quarantined, quarantine_recovered) =
-        quarantine_census(cfg, &base.join("census-torn"), &reference, &mut mismatches)?;
-
-    // Pass 5: deadline expiry — a request whose deadline is far shorter
-    // than the (held) computation must answer 504 and leave the
-    // worker/queue gauges at zero.
-    let server = ServeInstance::boot(
-        &base.join("deadline"),
-        Arc::new(RealIo),
-        RetryPolicy::standard(),
-        400,
-        None,
-    )?;
-    let (status, _, _) = http_post(
-        server.addr,
-        "/run",
-        &[("X-Deadline-Ms", "50")],
-        &serve_spec_body(cfg, cfg.campaign_seed() + 1000),
-    )?;
-    let snap = server.telemetry.snapshot();
-    let gauges_zero = snap.gauge("serve.workers_busy") == Some(0.0)
-        && snap.gauge("serve.queue_depth") == Some(0.0);
-    let expired = snap.counter("serve.deadline_expired") == Some(1);
-    server.stop()?;
-    let deadline_ok = status == 504 && gauges_zero && expired;
-    if !deadline_ok {
-        mismatches.push(format!(
-            "deadline: status {status}, gauges_zero {gauges_zero}, expired counter {expired}"
-        ));
+        Ok(parts)
     }
 
-    Ok(ServeChaosReport {
-        io_ops,
-        identical_replays,
-        mismatches,
-        passthrough_identical,
-        storm_requests,
-        storm_ok,
-        quarantined,
-        quarantine_recovered,
-        deadline_ok,
-        storm_stats: storm.stats(),
-    })
+    fn answers_through_crashes(&self) -> bool {
+        true
+    }
+
+    /// Distinct seeds, so every storm request is a cold computation with
+    /// its own persistence.
+    fn storm(&self) -> Option<Self> {
+        let n = if self.cfg.quick { 3 } else { 6 };
+        Some(Service {
+            cfg: self.cfg,
+            seeds: (1..=n).map(|i| self.cfg.campaign_seed().wrapping_add(i)).collect(),
+        })
+    }
+
+    fn runs(&self) -> u64 {
+        self.seeds.len() as u64
+    }
+
+    fn checks(&self, base: &Path, reference: &Parts) -> Result<Vec<Check>, ReproError> {
+        Ok(vec![
+            self.quarantine_census(&base.join("census-torn"), reference)?,
+            self.deadline_pin(&base.join("deadline"))?,
+        ])
+    }
 }
 
-/// The torn/corrupt-entry census of pass 4b. Returns
-/// `(entries planted, fully recovered)`.
-fn quarantine_census(
-    cfg: &ChaosConfig,
-    dir: &Path,
-    reference: &str,
-    mismatches: &mut Vec<String>,
-) -> Result<(u64, bool), ReproError> {
-    // Seed the cache with one good entry.
-    let server = ServeInstance::boot(dir, Arc::new(RealIo), RetryPolicy::standard(), 0, None)?;
-    let (status, _, _) =
-        http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
-    server.stop()?;
-    if status != 200 {
-        mismatches.push(format!("quarantine census: seeding request answered {status}"));
-        return Ok((0, false));
-    }
-    // Tear the persisted entry (truncate to half — a torn write that
-    // survived a crash) and drop a garbage file beside it.
-    let mut planted = 0u64;
-    for entry in std::fs::read_dir(dir).map_err(|e| ReproError::io(format!("{e}")))? {
-        let path = entry.map_err(|e| ReproError::io(format!("{e}")))?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("json") {
-            let bytes = std::fs::read(&path).map_err(|e| ReproError::io(format!("{e}")))?;
-            std::fs::write(&path, &bytes[..bytes.len() / 2])
-                .map_err(|e| ReproError::io(format!("{e}")))?;
-            planted += 1;
+impl Service<'_> {
+    /// Plants a torn (truncated) copy of a real entry and a garbage file,
+    /// then proves the restarted server quarantines both (never deletes),
+    /// recomputes the reference bytes, and serves the healed entry as a hit.
+    fn quarantine_census(&self, dir: &Path, reference: &Parts) -> Result<Check, ReproError> {
+        let mut problems = Vec::new();
+        // Seed the cache with one good entry.
+        if self.attempt(dir, Arc::new(RealIo), RetryPolicy::standard())? != *reference {
+            problems.push("the seeding request diverged".to_string());
         }
-    }
-    std::fs::write(dir.join("deadbeef.json"), b"not a cache entry")
-        .map_err(|e| ReproError::io(format!("{e}")))?;
-    planted += 1;
-    if planted != 2 {
-        mismatches.push(format!("quarantine census: planted {planted} entries, expected 2"));
-        return Ok((planted, false));
+        // Tear the persisted entry (truncate to half — a torn write that
+        // survived a crash) and drop a garbage file beside it.
+        let io_err = |e: std::io::Error| ReproError::io(format!("{}: {e}", dir.display()));
+        let mut planted = 0u64;
+        for entry in std::fs::read_dir(dir).map_err(io_err)? {
+            let path = entry.map_err(io_err)?.path();
+            if path.extension().and_then(|e| e.to_str()) == Some("json") {
+                let bytes = std::fs::read(&path).map_err(io_err)?;
+                std::fs::write(&path, &bytes[..bytes.len() / 2]).map_err(io_err)?;
+                planted += 1;
+            }
+        }
+        std::fs::write(dir.join("deadbeef.json"), b"not a cache entry").map_err(io_err)?;
+        planted += 1;
+        if planted != 2 {
+            problems.push(format!("planted {planted} entries, expected 2"));
+        }
+
+        // Restart: the warm load must quarantine both, then a replayed
+        // request recomputes the reference bytes (miss) and heals the
+        // entry (hit).
+        let server = ServeInstance::boot(dir, Arc::new(RealIo), RetryPolicy::standard(), 0)?;
+        let counted = server.telemetry.snapshot().counter("serve.cache_quarantined").unwrap_or(0);
+        let spec = serve_spec_body(self.cfg, self.seeds[0]);
+        let miss = http_post(server.addr, &[], &spec)?;
+        let hit = http_post(server.addr, &[], &spec)?;
+        server.stop()?;
+
+        let preserved = std::fs::read_dir(dir.join(crate::server::cache::QUARANTINE_DIR))
+            .map(|entries| entries.filter_map(Result::ok).count() as u64)
+            .unwrap_or(0);
+        if counted != planted {
+            problems.push(format!("counted {counted}, planted {planted}"));
+        }
+        if preserved != planted {
+            problems.push(format!("{preserved} preserved in quarantine, planted {planted}"));
+        }
+        for ((status, headers, body), want) in [(miss, "miss"), (hit, "hit")] {
+            let x_cache =
+                headers.iter().find(|(n, _)| n == "x-cache").map_or("", |(_, v)| v.as_str());
+            if response(0, status, body)[..] != reference[..] || x_cache != want {
+                problems.push(format!(
+                    "the expected {want} diverged (status {status}, x-cache `{x_cache}`)"
+                ));
+            }
+        }
+        let proof = "corrupt entries quarantined, recomputed byte-identically, healed to a hit";
+        Ok(check("quarantine census", problems, format!("{planted} {proof}")))
     }
 
-    // Restart: the warm load must quarantine both, then a replayed request
-    // recomputes the reference bytes (miss) and heals the entry (hit).
-    let server = ServeInstance::boot(dir, Arc::new(RealIo), RetryPolicy::standard(), 0, None)?;
-    let counted = server.telemetry.snapshot().counter("serve.cache_quarantined").unwrap_or(0);
-    let (miss_status, miss_headers, miss_body) =
-        http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
-    let (hit_status, hit_headers, hit_body) =
-        http_post(server.addr, "/run", &[], &serve_spec_body(cfg, cfg.campaign_seed()))?;
-    server.stop()?;
+    /// A request whose deadline is far shorter than the (held) computation
+    /// must answer 504 and leave the worker/queue gauges at zero.
+    fn deadline_pin(&self, dir: &Path) -> Result<Check, ReproError> {
+        let server = ServeInstance::boot(dir, Arc::new(RealIo), RetryPolicy::standard(), 400)?;
+        let spec = serve_spec_body(self.cfg, self.cfg.campaign_seed().wrapping_add(1000));
+        let (status, _, _) = http_post(server.addr, &[("X-Deadline-Ms", "50")], &spec)?;
+        let snap = server.telemetry.snapshot();
+        let gauges_zero = snap.gauge("serve.workers_busy") == Some(0.0)
+            && snap.gauge("serve.queue_depth") == Some(0.0);
+        let expired = snap.counter("serve.deadline_expired") == Some(1);
+        server.stop()?;
+        let mut problems = Vec::new();
+        if status != 504 || !gauges_zero || !expired {
+            problems.push(format!("status {status}, gauges_zero {gauges_zero}, expired {expired}"));
+        }
+        let proof = "expired request answered 504 with worker/queue gauges at zero";
+        Ok(check("deadline pin", problems, proof.into()))
+    }
+}
 
-    let quarantine_dir = dir.join(crate::server::cache::QUARANTINE_DIR);
-    let preserved = std::fs::read_dir(&quarantine_dir)
-        .map(|entries| entries.filter_map(Result::ok).count() as u64)
-        .unwrap_or(0);
-    let header = |hs: &[(String, String)], name: &str| -> String {
-        hs.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()).unwrap_or_default()
-    };
-    let mut ok = true;
-    if counted != planted {
-        mismatches.push(format!("quarantine census: counted {counted}, planted {planted}"));
-        ok = false;
-    }
-    if preserved != planted {
-        mismatches.push(format!(
-            "quarantine census: {preserved} preserved in quarantine, planted {planted}"
-        ));
-        ok = false;
-    }
-    if miss_status != 200
-        || miss_body != reference.as_bytes()
-        || header(&miss_headers, "x-cache") != "miss"
-    {
-        mismatches.push(format!(
-            "quarantine census: recompute diverged (status {miss_status}, x-cache `{}`)",
-            header(&miss_headers, "x-cache")
-        ));
-        ok = false;
-    }
-    if hit_status != 200
-        || hit_body != reference.as_bytes()
-        || header(&hit_headers, "x-cache") != "hit"
-    {
-        mismatches.push(format!(
-            "quarantine census: healed entry did not serve a hit (status {hit_status}, x-cache `{}`)",
-            header(&hit_headers, "x-cache")
-        ));
-        ok = false;
-    }
-    Ok((planted, ok))
+/// A [`Check`] that passed when `problems` is empty; its detail is `proof`
+/// then, and every problem otherwise.
+fn check(name: &'static str, problems: Vec<String>, proof: String) -> Check {
+    let passed = problems.is_empty();
+    Check { name, passed, detail: if passed { proof } else { problems.join("; ") } }
+}
+
+/// The parts of request `i`'s response.
+fn response(i: usize, status: u16, body: Vec<u8>) -> [(String, Vec<u8>); 2] {
+    [
+        (format!("request {i} status"), status.to_string().into_bytes()),
+        (format!("request {i} body"), body),
+    ]
 }
 
 /// One in-process `repro serve` instance on an ephemeral port.
@@ -761,7 +695,6 @@ impl ServeInstance {
         io: Arc<dyn HostIo>,
         retry: RetryPolicy,
         hold_ms: u64,
-        deadline_ms: Option<u64>,
     ) -> Result<ServeInstance, ReproError> {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -769,7 +702,6 @@ impl ServeInstance {
             workers: 1,
             queue_depth: 4,
             hold_ms,
-            deadline_ms,
             ..ServeConfig::default()
         };
         let telemetry = Telemetry::enabled();
@@ -802,11 +734,10 @@ impl ServeInstance {
 /// One parsed HTTP response: `(status, lowercased headers, body)`.
 type HttpExchange = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// Minimal raw-TCP HTTP client for the harness: one request, `Connection:
-/// close` semantics.
+/// Minimal raw-TCP HTTP client for the harness: one `POST /run`,
+/// `Connection: close` semantics.
 fn http_post(
     addr: std::net::SocketAddr,
-    path: &str,
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> Result<HttpExchange, ReproError> {
@@ -815,7 +746,7 @@ fn http_post(
     let mut stream = std::net::TcpStream::connect(addr).map_err(err)?;
     stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).map_err(err)?;
     let mut head =
-        format!("POST {path} HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\n", body.len());
+        format!("POST /run HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\n", body.len());
     for (name, value) in headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
@@ -850,8 +781,7 @@ fn serve_runs(cfg: &ChaosConfig) -> u32 {
     cfg.campaign_runs(if cfg.quick { 2 } else { 4 })
 }
 
-/// The `POST /run` spec the harness replays; `seed` varies per request so
-/// storm traffic is all-cold.
+/// The `POST /run` spec the harness sends for `seed`.
 fn serve_spec_body(cfg: &ChaosConfig, seed: u64) -> Vec<u8> {
     format!(
         r#"{{"fig":"fig5","runs":{},"seed":{seed},"pes":[2,8],"techniques":["SS","FAC2"]}}"#,
@@ -899,38 +829,12 @@ pub fn load_host_plan(path: &str) -> Result<HostFaultPlan, ReproError> {
     )
 }
 
-/// The campaign identity every attempt (reference, crash, resume) shares —
-/// a resume with a different fingerprint would refuse to load the journal.
-fn journal_meta(cfg: &ChaosConfig) -> JournalMeta {
-    JournalMeta::new(
-        format!("chaos-{}", cfg.target.name()),
-        format!("quick={} runs={:?}", cfg.quick, cfg.runs),
-        cfg.campaign_seed(),
-    )
-}
-
-fn csv_name(target: ChaosTarget) -> String {
-    format!("{}.csv", target.name())
-}
-
-fn scratch_base(cfg: &ChaosConfig) -> PathBuf {
-    std::env::temp_dir().join(format!("dls-chaos-{}-{}", cfg.target.name(), std::process::id()))
-}
-
-/// The bytes under comparison: the result CSV and the journal.
-#[derive(PartialEq, Eq)]
-struct DiskState {
-    csv: Vec<u8>,
-    journal: Vec<u8>,
-}
-
-fn disk_state(cfg: &ChaosConfig, dir: &Path) -> Result<DiskState, ReproError> {
-    let read =
-        |p: PathBuf| std::fs::read(&p).map_err(|e| ReproError::io(format!("{}: {e}", p.display())));
-    Ok(DiskState {
-        csv: read(dir.join(csv_name(cfg.target)))?,
-        journal: read(dir.join(JOURNAL_FILE))?,
-    })
+/// A scratch directory of its own for each invocation: the pid and a
+/// process-wide counter keep concurrent invocations (the unit tests) apart.
+fn scratch_base(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("dls-chaos-{name}-{}-{n}", std::process::id()))
 }
 
 #[cfg(test)]
@@ -966,10 +870,91 @@ mod tests {
         assert!("fig6".parse::<ChaosTarget>().is_err());
     }
 
+    /// A one-file subject: each attempt writes `out` atomically through the
+    /// `HostIo` it is given (create, write, fsync, rename, dir-sync).
+    /// Attempt number `short_attempt` returns before any operation, and
+    /// recovery number `wrong_recovery` writes other bytes.
+    struct OneFile {
+        attempts: AtomicU64,
+        recoveries: AtomicU64,
+        short_attempt: u64,
+        wrong_recovery: u64,
+    }
+
+    impl OneFile {
+        fn write(
+            dir: &Path,
+            io: &dyn HostIo,
+            retry: RetryPolicy,
+            bytes: &[u8],
+        ) -> Result<Parts, ReproError> {
+            std::fs::create_dir_all(dir).unwrap();
+            write_artifact_with(io, retry, &dir.join("out"), bytes)?;
+            Ok(vec![("out".into(), std::fs::read(dir.join("out")).unwrap())])
+        }
+    }
+
+    impl Subject for OneFile {
+        fn reference(&self, dir: &Path) -> Result<Parts, ReproError> {
+            Self::write(dir, &RealIo, RetryPolicy::standard(), b"payload")
+        }
+
+        fn attempt(
+            &self,
+            dir: &Path,
+            io: Arc<dyn HostIo>,
+            retry: RetryPolicy,
+        ) -> Result<Parts, ReproError> {
+            if self.attempts.fetch_add(1, Ordering::SeqCst) == self.short_attempt {
+                return Err(ReproError::io("stopped before any operation"));
+            }
+            Self::write(dir, &*io, retry, b"payload")
+        }
+
+        fn recover(&self, dir: &Path) -> Result<Parts, ReproError> {
+            let wrong = self.recoveries.fetch_add(1, Ordering::SeqCst) == self.wrong_recovery;
+            Self::write(
+                dir,
+                &RealIo,
+                RetryPolicy::standard(),
+                if wrong { b"garbage" } else { b"payload" },
+            )
+        }
+    }
+
     #[test]
-    fn serve_target_is_rejected_by_the_campaign_exhaustion() {
-        let err = run_crash_exhaustion(&micro(ChaosTarget::Serve), &CancelFlag::new()).unwrap_err();
-        assert_eq!(err.exit_code(), crate::error::EXIT_INVALID_SPEC);
+    fn exhaustion_reports_divergent_recoveries_and_unreached_crash_points() {
+        let base = scratch_base("one-file");
+        let cfg = micro(ChaosTarget::Fig5);
+        let run = |short_attempt, wrong_recovery| {
+            let _ = std::fs::remove_dir_all(&base);
+            let subject = OneFile {
+                attempts: AtomicU64::new(0),
+                recoveries: AtomicU64::new(0),
+                short_attempt,
+                wrong_recovery,
+            };
+            exhaust(&subject, &cfg, &CancelFlag::new(), &base).unwrap()
+        };
+
+        let clean = run(u64::MAX, u64::MAX);
+        assert!(clean.is_ok(), "mismatches: {:?}", clean.mismatches);
+        assert_eq!(clean.io_ops, 5, "create, write, fsync, rename, dir-sync");
+        assert_eq!(clean.identical_recoveries, 5);
+
+        // Attempt 0 is the census, attempt k + 1 the one crashed at k; the
+        // recoveries follow the reached crash points in order.
+        let faulty = run(4, 1);
+        assert!(!faulty.is_ok());
+        assert_eq!(
+            faulty.mismatches,
+            vec![
+                "crash@1 recovery: out differs from the reference".to_string(),
+                "crash@3: the armed operation was never reached".to_string(),
+            ]
+        );
+        assert_eq!(faulty.identical_recoveries, 3);
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
@@ -981,11 +966,14 @@ mod tests {
             seed: Some(23),
             plan: None,
         };
-        let report = run_serve_chaos(&cfg, &CancelFlag::new()).unwrap();
+        let report = run_crash_exhaustion(&cfg, &CancelFlag::new()).unwrap();
         assert!(report.io_ops > 0, "one cold request must cross the persistence seam");
-        assert!(report.is_ok(), "mismatches: {:?}", report.mismatches);
-        assert_eq!(report.identical_replays, report.io_ops);
-        assert!(report.quarantined >= 2);
+        assert!(report.is_ok(), "mismatches: {:?} checks: {:?}", report.mismatches, report.checks);
+        assert_eq!(report.identical_recoveries, report.io_ops);
+        assert_eq!(report.storm_runs, 3);
+        let names: Vec<_> = report.checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["quarantine census", "deadline pin"]);
+        assert!(report.checks[0].detail.starts_with("2 corrupt entries"), "{:?}", report.checks);
     }
 
     #[test]
@@ -999,7 +987,7 @@ mod tests {
         };
         let cancel = CancelFlag::new();
         cancel.cancel();
-        let err = run_serve_chaos(&cfg, &cancel).unwrap_err();
+        let err = run_crash_exhaustion(&cfg, &cancel).unwrap_err();
         assert_eq!(err.exit_code(), crate::error::EXIT_INTERRUPTED);
     }
 
@@ -1014,10 +1002,11 @@ mod tests {
     #[test]
     fn fig5_micro_exhaustion_resumes_identically_from_every_crash_point() {
         let report = run_crash_exhaustion(&micro(ChaosTarget::Fig5), &CancelFlag::new()).unwrap();
-        assert!(report.empty_plan_identical, "chaos passthrough must be bit-transparent");
+        assert!(report.passthrough_identical, "chaos passthrough must be bit-transparent");
         assert!(report.io_ops > 5, "a journaled campaign must cross several I/O boundaries");
         assert!(report.is_ok(), "mismatches: {:?}", report.mismatches);
-        assert_eq!(report.identical_resumes, report.io_ops);
+        assert_eq!(report.identical_recoveries, report.io_ops);
+        assert!(report.checks.is_empty());
     }
 
     #[test]

@@ -72,6 +72,9 @@ pub struct Options {
     /// Concurrent-connection bound for `serve`; the accept loop sheds
     /// beyond it with HTTP 503 (default 64).
     pub max_connections: Option<usize>,
+    /// Every option given, in order — [`check_options`] reads it, and it
+    /// records whether an option with a default (`--threads`) was given.
+    pub given: Vec<String>,
 }
 
 impl Default for Options {
@@ -104,7 +107,73 @@ impl Default for Options {
             read_timeout_ms: None,
             write_timeout_ms: None,
             max_connections: None,
+            given: Vec::new(),
         }
+    }
+}
+
+/// The options a journaled campaign command (fig5–fig8, sweep) reads.
+const CAMPAIGN: &[&str] = &[
+    "--runs",
+    "--threads",
+    "--seed",
+    "--csv",
+    "--pes",
+    "--techniques",
+    "--trace",
+    "--telemetry",
+    "--telemetry-json",
+    "--telemetry-prom",
+    "--log",
+    "--resume",
+    "--cancel-after",
+];
+
+/// The options `command` reads, or `None` for an unknown command.
+fn command_options(command: &str) -> Option<Vec<&'static str>> {
+    let only = |options: &[&'static str]| Some(options.to_vec());
+    match command {
+        "list" | "table2" | "report" => only(&[]),
+        "fig3" | "fig4" | "fig3a" | "fig4a" => only(&["--csv"]),
+        "fig5" | "fig6" | "fig7" | "fig8" | "sweep" => only(CAMPAIGN),
+        "faults" => Some([CAMPAIGN, &["--fault-plan"]].concat()),
+        // Figures 3–9 in one process: one journal cannot serve them all.
+        "all" => Some(CAMPAIGN.iter().copied().filter(|o| *o != "--resume").collect()),
+        "fig9" => only(&["--runs", "--threads", "--seed", "--csv"]),
+        "spec" => only(&["--runs", "--seed", "--csv"]),
+        "verify" => only(&["--runs", "--seed", "--pes"]),
+        "trace" => {
+            only(&["--seed", "--out", "--telemetry", "--telemetry-json", "--telemetry-prom"])
+        }
+        "chaos" => only(&["--quick", "--runs", "--seed", "--host-fault-plan"]),
+        "serve" => only(&[
+            "--addr",
+            "--cache",
+            "--workers",
+            "--queue-depth",
+            "--max-requests",
+            "--hold-ms",
+            "--deadline-ms",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--max-connections",
+            "--host-fault-plan",
+            "--log",
+        ]),
+        _ => None,
+    }
+}
+
+/// Fails naming the first given option that `command` does not read (an
+/// unknown command is left to the dispatcher).
+pub fn check_options(command: &str, o: &Options) -> Result<(), String> {
+    let Some(reads) = command_options(command) else { return Ok(()) };
+    match o.given.iter().find(|g| !reads.contains(&g.as_str())) {
+        Some(option) => Err(format!(
+            "`{command}` does not read option `{option}` (it reads: {})",
+            if reads.is_empty() { "none".to_string() } else { reads.join(" ") }
+        )),
+        None => Ok(()),
     }
 }
 
@@ -208,6 +277,7 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown option `{other}`")),
         }
+        o.given.push(a.clone());
     }
     Ok(o)
 }
@@ -330,6 +400,44 @@ mod tests {
         assert!(parse_options(&args("--deadline-ms 0")).unwrap_err().contains("at least 1"));
         assert!(parse_options(&args("--max-connections 0")).unwrap_err().contains("at least 1"));
         assert_eq!(parse_options(&args("--read-timeout-ms 0")).unwrap().read_timeout_ms, Some(0));
+    }
+
+    /// Each of these used to exit 0 without writing the named files.
+    #[test]
+    fn options_a_command_does_not_read_are_rejected_by_name() {
+        for (command, line, option) in [
+            ("fig9", "--runs 3 --log f9.jsonl --telemetry-json f9.json --trace f9t", "--log"),
+            (
+                "verify",
+                "--runs 1 --pes 2 --telemetry-json v.json --log v.jsonl",
+                "--telemetry-json",
+            ),
+            ("trace", "--log tr.jsonl --telemetry-prom tr.prom", "--log"),
+            ("fig3", "--telemetry-json f3.json --log f3.jsonl", "--telemetry-json"),
+            ("serve", "--threads 2", "--threads"),
+            ("all", "--resume ckpt", "--resume"),
+        ] {
+            let err = check_options(command, &parse_options(&args(line)).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("`{command}` does not read option `{option}`")), "{err}");
+        }
+        assert!(check_options("trace", &parse_options(&args("--telemetry-prom t.prom")).unwrap())
+            .is_ok());
+        assert!(check_options("nonsense", &parse_options(&args("--runs 3")).unwrap()).is_ok());
+    }
+
+    /// The flags the repository benchmark passes stay accepted.
+    #[test]
+    fn benchmark_command_lines_are_accepted() {
+        for (command, line) in [
+            ("fig6", "--runs 20 --threads 2 --seed 1 --csv csv --telemetry-json telemetry.json"),
+            ("sweep", "--runs 8 --threads 2 --seed 1 --resume journal --csv csv"),
+            ("serve", "--addr 127.0.0.1:0 --cache cache --workers 2"),
+        ] {
+            let o = parse_options(&args(line)).unwrap();
+            assert_eq!(check_options(command, &o), Ok(()), "{command} {line}");
+        }
+        assert_eq!(parse_options(&args("--threads 2")).unwrap().given, ["--threads"]);
+        assert!(parse_options(&[]).unwrap().given.is_empty());
     }
 
     #[test]

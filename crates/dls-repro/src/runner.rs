@@ -112,6 +112,8 @@ struct ProgressInner {
     announce: AtomicBool,
     label: Mutex<String>,
     started: Mutex<Option<Instant>>,
+    /// `done` of the last heartbeat emitted; its lock serialises heartbeats.
+    last_beat: Mutex<u64>,
 }
 
 /// Point-in-time view of a [`Progress`].
@@ -161,6 +163,20 @@ impl Progress {
     /// Whether heartbeats should also go to stderr.
     pub fn announces(&self) -> bool {
         self.0.announce.load(Ordering::Relaxed)
+    }
+
+    /// Calls `emit` with a fresh snapshot unless a heartbeat at least as
+    /// far along was already emitted. Serialised, so heartbeats leave in
+    /// increasing `done` order and a cell's completion heartbeat is its
+    /// last: a worker overtaken between its count and its heartbeat drops
+    /// the stale one.
+    fn heartbeat(&self, emit: impl FnOnce(&ProgressSnapshot)) {
+        let mut last = self.0.last_beat.lock().unwrap_or_else(|e| e.into_inner());
+        let snap = self.snapshot();
+        if snap.done > *last {
+            *last = snap.done;
+            emit(&snap);
+        }
     }
 
     /// The current progress view.
@@ -315,26 +331,27 @@ impl ExecContext {
         let done = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(progress) = &self.progress {
             let done = progress.note_done();
-            let snap = progress.snapshot();
-            if done % HEARTBEAT_EVERY == 0 || done >= snap.total {
-                self.logger.info(
-                    "campaign",
-                    "heartbeat",
-                    &[
-                        ("cell", Value::String(snap.label.clone())),
-                        ("done", Value::U64(snap.done)),
-                        ("total", Value::U64(snap.total)),
-                        ("elapsed_s", Value::F64(snap.elapsed_s)),
-                        ("eta_s", snap.eta_s.map_or(Value::Null, Value::F64)),
-                    ],
-                );
-                if progress.announces() {
-                    let eta = snap.eta_s.map_or("?".to_string(), |e| format!("{e:.1}"));
-                    eprintln!(
-                        "progress: [{}] {}/{} runs, {:.1}s elapsed, eta {eta}s",
-                        snap.label, snap.done, snap.total, snap.elapsed_s
+            if done % HEARTBEAT_EVERY == 0 || done >= progress.0.total.load(Ordering::Relaxed) {
+                progress.heartbeat(|snap| {
+                    self.logger.info(
+                        "campaign",
+                        "heartbeat",
+                        &[
+                            ("cell", Value::String(snap.label.clone())),
+                            ("done", Value::U64(snap.done)),
+                            ("total", Value::U64(snap.total)),
+                            ("elapsed_s", Value::F64(snap.elapsed_s)),
+                            ("eta_s", snap.eta_s.map_or(Value::Null, Value::F64)),
+                        ],
                     );
-                }
+                    if progress.announces() {
+                        let eta = snap.eta_s.map_or("?".to_string(), |e| format!("{e:.1}"));
+                        eprintln!(
+                            "progress: [{}] {}/{} runs, {:.1}s elapsed, eta {eta}s",
+                            snap.label, snap.done, snap.total, snap.elapsed_s
+                        );
+                    }
+                });
             }
         }
         if let Some(limit) = self.cancel_after {
@@ -903,6 +920,45 @@ mod tests {
             .fields
             .iter()
             .any(|(k, v)| *k == "done" && v.as_f64() == Some((HEARTBEAT_EVERY + 3) as f64)));
+    }
+
+    /// Workers finishing at once must never log a heartbeat behind an
+    /// earlier one, and the completion heartbeat comes last.
+    #[test]
+    fn heartbeats_never_go_backwards_across_workers() {
+        // The interleaving that used to reorder them, forced: worker A
+        // counts run 32, worker B counts the last three runs and beats,
+        // then A's overtaken beat arrives.
+        let p = Progress::new();
+        p.begin_cell("c", HEARTBEAT_EVERY + 3);
+        for _ in 0..HEARTBEAT_EVERY + 3 {
+            p.note_done();
+        }
+        let mut beats = Vec::new();
+        p.heartbeat(|snap| beats.push(snap.done));
+        p.heartbeat(|snap| beats.push(snap.done));
+        assert_eq!(beats, [HEARTBEAT_EVERY + 3]);
+
+        let progress = Progress::new();
+        let logger = Logger::enabled();
+        let ctx =
+            ExecContext::transient().with_progress(progress.clone()).with_logger(logger.clone());
+        let total = 256 * HEARTBEAT_EVERY;
+        progress.begin_cell("cell-h", total);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| (0..total / 8).for_each(|_| ctx.note_run_finished()));
+            }
+        });
+        let done: Vec<f64> = logger
+            .recent()
+            .iter()
+            .filter(|r| r.message == "heartbeat")
+            .flat_map(|r| r.fields.iter().filter(|(k, _)| *k == "done").map(|(_, v)| v.as_f64()))
+            .map(Option::unwrap)
+            .collect();
+        assert!(done.windows(2).all(|w| w[0] < w[1]), "{done:?}");
+        assert_eq!(done.last(), Some(&(total as f64)));
     }
 
     #[test]
