@@ -21,9 +21,10 @@
 //!   deterministic jitter) with [`is_permanent`] error classification, so
 //!   a `NotFound` is never retried while an `Interrupted` flake is.
 //!
-//! Everything is a pure function of `(plan, operation index, path)`: two
-//! runs of the same write sequence under the same plan inject the same
-//! faults. That is what lets the `repro chaos` harness enumerate every I/O
+//! Everything is a pure function of `(plan, operation index, path)`, the
+//! path taken relative to the directory the [`ChaosIo`] guards: two runs of
+//! the same write sequence under the same plan inject the same faults,
+//! wherever that directory lives. That is what lets the `repro chaos` harness enumerate every I/O
 //! boundary of a campaign, crash at each one, and assert the resumed
 //! output byte-identical to an uninterrupted run.
 
@@ -175,8 +176,9 @@ impl IoOp {
 /// Per operation index `i`, an independent [`SplitMix64`] stream seeded
 /// from `(seed, i)` draws the error / `ENOSPC` / torn-write decisions in a
 /// fixed order, so the fault sequence is a pure function of the plan and
-/// the write sequence. Flakes are keyed by *site* — `(path, op)` with any
-/// unique tmp suffix stripped — and fail the first [`flake_depth`] visits
+/// the write sequence. Flakes are keyed by *site* — `(path, op)`, the path
+/// relative to the guarded directory with any unique tmp suffix stripped —
+/// and fail the first [`flake_depth`] visits
 /// to a flaky site before recovering, modelling `EINTR`-style transients
 /// that a retry loop must survive.
 ///
@@ -359,6 +361,8 @@ enum Gate {
 pub struct ChaosIo {
     inner: Box<dyn HostIo>,
     plan: HostFaultPlan,
+    /// The guarded directory; flake sites are keyed relative to it.
+    root: PathBuf,
     crash_at: Option<u64>,
     ops: AtomicU64,
     crashed: AtomicBool,
@@ -373,6 +377,7 @@ impl std::fmt::Debug for ChaosIo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosIo")
             .field("plan", &self.plan)
+            .field("root", &self.root)
             .field("crash_at", &self.crash_at)
             .field("ops", &self.ops.load(Ordering::Relaxed))
             .field("crashed", &self.crashed.load(Ordering::Relaxed))
@@ -380,12 +385,13 @@ impl std::fmt::Debug for ChaosIo {
     }
 }
 
-/// The flake-site identity of a path: any `.tmp.<pid>.<counter>` unique
-/// suffix is stripped to `.tmp`, so every retry of one atomic write hits
-/// the *same* site and a flaky site recovers by depth instead of being
-/// re-rolled per attempt.
-fn site_path(path: &Path) -> String {
-    let s = path.to_string_lossy();
+/// The flake-site identity of a path: relative to `root` (a path outside
+/// it keeps its full form), with any `.tmp.<pid>.<counter>` unique suffix
+/// stripped to `.tmp`, so every retry of one atomic write hits the *same*
+/// site and a flaky site recovers by depth instead of being re-rolled per
+/// attempt.
+fn site_path(root: &Path, path: &Path) -> String {
+    let s = path.strip_prefix(root).unwrap_or(path).to_string_lossy();
     match s.find(".tmp.") {
         Some(i) => s[..i + 4].to_string(),
         None => s.into_owned(),
@@ -408,12 +414,15 @@ fn crashed_error() -> io::Error {
 }
 
 impl ChaosIo {
-    /// Wraps [`RealIo`] with fault injection per `plan`. The plan is taken
-    /// as given — call [`HostFaultPlan::validate`] first for user input.
-    pub fn new(plan: HostFaultPlan) -> Self {
+    /// Wraps [`RealIo`] with fault injection per `plan` for the writes
+    /// under `root`, the directory whose relative paths key the flake
+    /// sites. The plan is taken as given — call [`HostFaultPlan::validate`]
+    /// first for user input.
+    pub fn new(plan: HostFaultPlan, root: impl Into<PathBuf>) -> Self {
         ChaosIo {
             inner: Box::new(RealIo),
             plan,
+            root: root.into(),
             crash_at: None,
             ops: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
@@ -471,7 +480,7 @@ impl ChaosIo {
         // Flakes first: they are per-site (deterministic across retries of
         // one logical write), while the remaining kinds are per-index.
         if self.plan.flake_probability > 0.0 {
-            let site = site_path(path);
+            let site = site_path(&self.root, path);
             let mut rng = SplitMix64::new(site_hash(self.plan.seed, &site, op));
             if rng.next_f64() < self.plan.flake_probability {
                 // A panic while a writer held this lock leaves the visit map
@@ -766,7 +775,7 @@ mod tests {
     fn empty_plan_is_transparent() {
         let dir = tmp_dir("transparent");
         let path = dir.join("a.txt");
-        let io = ChaosIo::new(HostFaultPlan::none());
+        let io = ChaosIo::new(HostFaultPlan::none(), &dir);
         pipeline(&io, &path, b"payload").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"payload");
         // create + write + fsync + rename + dir-sync = 5 boundaries.
@@ -813,7 +822,7 @@ mod tests {
         let dir = tmp_dir("det");
         let plan = HostFaultPlan::none().with_seed(11).with_errors(0.5);
         let trial = |tag: &str| {
-            let io = ChaosIo::new(plan.clone());
+            let io = ChaosIo::new(plan.clone(), &dir);
             let mut outcomes = Vec::new();
             for i in 0..20 {
                 let path = dir.join(format!("{tag}-{i}.txt"));
@@ -830,7 +839,7 @@ mod tests {
         let dir = tmp_dir("filter");
         // Everything fails, but only renames are in scope.
         let plan = HostFaultPlan::none().with_errors(1.0).only_ops(vec![IoOp::Rename]);
-        let io = ChaosIo::new(plan);
+        let io = ChaosIo::new(plan, &dir);
         let path = dir.join("a.txt");
         let err = pipeline(&io, &path, b"x").unwrap_err();
         assert!(err.to_string().contains("rename"), "fault names its op: {err}");
@@ -843,7 +852,7 @@ mod tests {
     fn enospc_is_injected_and_classified_permanent() {
         let plan = HostFaultPlan::none().with_enospc(1.0).only_ops(vec![IoOp::Write]);
         let dir = tmp_dir("enospc");
-        let io = ChaosIo::new(plan);
+        let io = ChaosIo::new(plan, &dir);
         let err = pipeline(&io, &dir.join("a.txt"), b"x").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(ENOSPC));
         assert!(is_permanent(&err), "a full disk is not retryable at this timescale");
@@ -854,7 +863,7 @@ mod tests {
     fn torn_write_leaves_a_prefix_in_the_tmp_file() {
         let dir = tmp_dir("torn");
         let plan = HostFaultPlan::none().with_seed(3).with_torn_writes(1.0);
-        let io = ChaosIo::new(plan);
+        let io = ChaosIo::new(plan, &dir);
         let path = dir.join("a.txt");
         let payload = vec![0xAB; 1000];
         let err = pipeline(&io, &path, &payload).unwrap_err();
@@ -869,7 +878,7 @@ mod tests {
     fn flaky_sites_recover_by_depth_and_are_tmp_suffix_stable() {
         let dir = tmp_dir("flake");
         let plan = HostFaultPlan::none().with_seed(5).with_flakes(1.0, 2);
-        let io = ChaosIo::new(plan);
+        let io = ChaosIo::new(plan, &dir);
         // Unique tmp suffixes (as the journal's collision-safe tmp names
         // produce) must hit the same flake site.
         for attempt in 0..3u32 {
@@ -901,7 +910,7 @@ mod tests {
         let err = append(&RealIo, &path, b"x").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound, "append must not create the file");
         pipeline(&RealIo, &path, b"head\n").unwrap();
-        let io = ChaosIo::new(HostFaultPlan::none());
+        let io = ChaosIo::new(HostFaultPlan::none(), &dir);
         append(&io, &path, b"tail\n").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"head\ntail\n");
         // open-for-append + write + fsync = 3 boundaries.
@@ -915,16 +924,16 @@ mod tests {
         let path = dir.join("a.txt");
         pipeline(&RealIo, &path, b"head\n").unwrap();
         // A crash at the open leaves the file untouched.
-        let io = ChaosIo::new(HostFaultPlan::none()).with_crash_at(0);
+        let io = ChaosIo::new(HostFaultPlan::none(), &dir).with_crash_at(0);
         append(&io, &path, b"tail\n").unwrap_err();
         assert_eq!(std::fs::read(&path).unwrap(), b"head\n");
         // An injected error scoped to `Append` fails the open, not writes.
         let plan = HostFaultPlan::none().with_errors(1.0).only_ops(vec![IoOp::Append]);
-        let err = append(&ChaosIo::new(plan), &path, b"tail\n").unwrap_err();
+        let err = append(&ChaosIo::new(plan, &dir), &path, b"tail\n").unwrap_err();
         assert!(err.to_string().contains("append"), "fault names its op: {err}");
         assert_eq!(std::fs::read(&path).unwrap(), b"head\n");
         // A crash mid-write on the appended handle leaves a torn tail.
-        let io = ChaosIo::new(HostFaultPlan::none()).with_crash_at(1);
+        let io = ChaosIo::new(HostFaultPlan::none(), &dir).with_crash_at(1);
         append(&io, &path, b"0123456789").unwrap_err();
         assert_eq!(std::fs::read(&path).unwrap(), b"head\n01234");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -938,7 +947,7 @@ mod tests {
         // Crash at every boundary of one atomic write; the destination
         // must hold exactly OLD or NEW afterwards, never a mix.
         for k in 0..5 {
-            let io = ChaosIo::new(HostFaultPlan::none()).with_crash_at(k);
+            let io = ChaosIo::new(HostFaultPlan::none(), &dir).with_crash_at(k);
             let res = pipeline(&io, &path, b"NEW");
             assert!(io.is_crashed(), "crash point {k} must fire");
             let on_disk = std::fs::read(&path).unwrap();
@@ -1045,8 +1054,9 @@ mod tests {
     #[test]
     fn poisoned_flake_site_lock_recovers() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = tmp_dir("poisoned-sites");
         let plan = HostFaultPlan::none().with_flakes(1.0, 1);
-        let io = ChaosIo::new(plan);
+        let io = ChaosIo::new(plan, &dir);
         // Poison the site map the way a panicking writer thread would:
         // unwind while the guard is alive.
         let poison = catch_unwind(AssertUnwindSafe(|| {
@@ -1057,7 +1067,6 @@ mod tests {
         assert!(io.flaky_sites.is_poisoned());
         // The gate still classifies operations: first attempt flakes
         // (depth 1), the retry proceeds — no poison cascade.
-        let dir = tmp_dir("poisoned-sites");
         let path = dir.join("a.txt");
         let first = io.create(&path);
         assert!(first.is_err(), "depth-1 flake still fires after recovery");

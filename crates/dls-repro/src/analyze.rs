@@ -70,7 +70,7 @@ impl CampaignReport {
     pub fn summary(&self) -> String {
         format!(
             "report: {} journaled run(s) across {} cell(s), {} trace label(s), \
-             {} log record(s)\n",
+             {} log record(s)",
             self.runs, self.cells, self.labels, self.log_records
         )
     }

@@ -115,7 +115,7 @@ impl ArtifactSink {
     }
 
     fn record_degraded(&self, label: &str, err: &ReproError) {
-        eprintln!("warning: degraded artifact {label}: {err}");
+        crate::errln!("warning: degraded artifact {label}: {err}");
         self.sink().push(label.to_string());
     }
 

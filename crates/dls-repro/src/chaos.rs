@@ -25,7 +25,11 @@
 //!    transient flakes the [`RetryPolicy`] must absorb; `--host-fault-plan
 //!    FILE` substitutes any plan, and if it defeats the retries one real-I/O
 //!    recovery must still land the reference bytes). The service's storm
-//!    sends 3 (quick) or 6 requests on distinct seeds, all cold.
+//!    sends 3 (quick) or 6 requests on distinct seeds, all cold; as its
+//!    persistence is fail-soft, it counts as absorbed only when every
+//!    request's cache entry landed, and its recovery must heal them all.
+//!    Flake sites are keyed on paths relative to the attempt directory, so
+//!    a storm replays from its seed.
 //!
 //! The service adds two named checks to the same [`ChaosReport`]: a
 //! quarantine census (planted torn and garbage cache entries are moved
@@ -122,11 +126,6 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The harness defaults for `target` (quick mode off).
-    pub fn new(target: ChaosTarget) -> Self {
-        ChaosConfig { target, quick: false, runs: None, seed: None, plan: None }
-    }
-
     fn campaign_seed(&self) -> u64 {
         self.seed.unwrap_or(0xC4A0_5EED)
     }
@@ -258,6 +257,11 @@ trait Subject: Sized {
     fn runs(&self) -> u64 {
         1
     }
+    /// Whether everything a successful attempt in `dir` wrote landed (a
+    /// campaign's attempt fails when a write is lost, so it has).
+    fn landed(&self, _dir: &Path) -> bool {
+        true
+    }
     /// Subject-specific checks, run in `base` after the passes.
     fn checks(&self, _base: &Path, _reference: &Parts) -> Result<Vec<Check>, ReproError> {
         Ok(Vec::new())
@@ -277,8 +281,9 @@ fn exhaust<S: Subject>(
     let reference = subject.reference(&base.join("reference"))?;
 
     // The census: passthrough pin and crash-point count.
-    let census = Arc::new(ChaosIo::new(HostFaultPlan::none()));
-    let passed = subject.attempt(&base.join("census"), census.clone(), RetryPolicy::no_delay(1))?;
+    let census_dir = base.join("census");
+    let census = Arc::new(ChaosIo::new(HostFaultPlan::none(), &census_dir));
+    let passed = subject.attempt(&census_dir, census.clone(), RetryPolicy::no_delay(1))?;
     let passthrough_identical = matches(&mut mismatches, "census", &passed, &reference);
     let io_ops = census.ops_executed();
 
@@ -289,7 +294,7 @@ fn exhaust<S: Subject>(
             return Err(ReproError::Interrupted { resume_dir: None });
         }
         let (dir, label) = (base.join(format!("crash-{k}")), format!("crash@{k}"));
-        let chaos = Arc::new(ChaosIo::new(HostFaultPlan::none()).with_crash_at(k));
+        let chaos = Arc::new(ChaosIo::new(HostFaultPlan::none(), &dir).with_crash_at(k));
         let crashed = subject.attempt(&dir, chaos.clone(), RetryPolicy::no_delay(1));
         // A campaign's crashed attempt usually fails; one crashed only at
         // the trailing dir-sync (deliberately non-fatal) completes, and
@@ -315,7 +320,8 @@ fn exhaust<S: Subject>(
     }
 
     // The storm. The default plan is pure transient flakes, which the
-    // sized retry budget must absorb without any recovery.
+    // sized retry budget must absorb without any recovery: the attempt
+    // succeeds and everything it writes lands.
     let cold = subject.storm();
     let storm_subject = cold.as_ref().unwrap_or(subject);
     let storm_reference = match &cold {
@@ -325,13 +331,14 @@ fn exhaust<S: Subject>(
     let plan = cfg.plan.clone().unwrap_or_else(|| {
         HostFaultPlan::none().with_seed(cfg.campaign_seed()).with_flakes(0.35, STORM_FLAKE_DEPTH)
     });
-    let storm = Arc::new(ChaosIo::new(plan));
     let storm_dir = base.join("storm");
-    let direct = storm_subject.attempt(
-        &storm_dir,
-        storm.clone(),
-        RetryPolicy::no_delay(STORM_RETRY_ATTEMPTS),
-    );
+    let storm = Arc::new(ChaosIo::new(plan, &storm_dir));
+    let direct = storm_subject
+        .attempt(&storm_dir, storm.clone(), RetryPolicy::no_delay(STORM_RETRY_ATTEMPTS))
+        .and_then(|parts| match storm_subject.landed(&storm_dir) {
+            true => Ok(parts),
+            false => Err(ReproError::io("some of its writes did not land")),
+        });
     let storm_completed_directly = direct.is_ok();
     let storm_identical = match direct {
         Ok(parts) => matches(&mut mismatches, "storm", &parts, &storm_reference),
@@ -551,13 +558,19 @@ impl Subject for Service<'_> {
     }
 
     /// Restarts warm over whatever the interrupted attempt left, replays,
-    /// and requires the cache to have healed to a valid entry.
+    /// and requires the cache to have healed to a valid entry per request.
     fn recover(&self, dir: &Path) -> Result<Parts, ReproError> {
         let parts = self.attempt(dir, Arc::new(RealIo), RetryPolicy::standard())?;
-        if count_valid_entries(dir) == 0 {
-            return Err(ReproError::Regression("the cache did not self-heal a valid entry".into()));
+        if !self.landed(dir) {
+            return Err(ReproError::Regression("the cache did not self-heal every entry".into()));
         }
         Ok(parts)
+    }
+
+    /// Cache persistence is fail-soft, so an attempt answers 200 even when
+    /// its writes were lost: count the entries that landed.
+    fn landed(&self, dir: &Path) -> bool {
+        count_valid_entries(dir) == self.runs()
     }
 
     fn answers_through_crashes(&self) -> bool {
@@ -971,9 +984,34 @@ mod tests {
         assert!(report.is_ok(), "mismatches: {:?} checks: {:?}", report.mismatches, report.checks);
         assert_eq!(report.identical_recoveries, report.io_ops);
         assert_eq!(report.storm_runs, 3);
+        assert!(report.storm_completed_directly, "the default flake storm is absorbed");
         let names: Vec<_> = report.checks.iter().map(|c| c.name).collect();
         assert_eq!(names, ["quarantine census", "deadline pin"]);
         assert!(report.checks[0].detail.starts_with("2 corrupt entries"), "{:?}", report.checks);
+    }
+
+    /// Flake sites are keyed relative to the attempt directory, so the
+    /// same storm in another scratch directory injects the same faults.
+    #[test]
+    fn storms_replay_from_their_seed_in_any_scratch_dir() {
+        let first = run_crash_exhaustion(&micro(ChaosTarget::Fig5), &CancelFlag::new()).unwrap();
+        let second = run_crash_exhaustion(&micro(ChaosTarget::Fig5), &CancelFlag::new()).unwrap();
+        assert!(first.storm_stats.flakes > 0, "{:?}", first.storm_stats);
+        assert_eq!(first.storm_stats, second.storm_stats);
+    }
+
+    /// Every cache write of the storm fails at its rename, yet every
+    /// request answers 200 (persistence is fail-soft): the storm must go
+    /// through the recovery, which must heal every entry.
+    #[test]
+    fn a_service_storm_that_loses_cache_writes_is_not_absorbed() {
+        let mut cfg = micro(ChaosTarget::Serve);
+        cfg.runs = Some(1);
+        cfg.plan = Some(HostFaultPlan::none().with_errors(1.0).only_ops(vec![IoOp::Rename]));
+        let report = run_crash_exhaustion(&cfg, &CancelFlag::new()).unwrap();
+        assert!(report.storm_stats.errors_injected > 0);
+        assert!(!report.storm_completed_directly, "no entry landed, nothing was absorbed");
+        assert!(report.storm_identical && report.is_ok(), "mismatches: {:?}", report.mismatches);
     }
 
     #[test]

@@ -9,6 +9,17 @@
 //! is scriptably different from a typo'd flag (exit 2) or a full disk
 //! (exit 3). Exit 5 is also what `.github/paired_gate.py` returns when the
 //! paired perfbench comparison finds a performance regression.
+//!
+//! | Exit | Class |
+//! |---|---|
+//! | 0 | ok (quarantined-but-completed runs included) |
+//! | 2 | [`ReproError::Usage`] |
+//! | 3 | [`ReproError::Io`] |
+//! | 4 | [`ReproError::InvalidSpec`] |
+//! | 5 | [`ReproError::Regression`], [`ReproError::RunPanicked`] |
+//! | 6 | [`ReproError::Degraded`] |
+//! | 130 | [`ReproError::Interrupted`] |
+//! | 141 | [`ReproError::StdoutClosed`] |
 
 use crate::runner::QuarantinedRun;
 use dls_core::SetupError;
@@ -32,6 +43,11 @@ pub const EXIT_REGRESSION: u8 = 5;
 pub const EXIT_DEGRADED: u8 = 6;
 /// Exit code after a graceful interrupt (mirrors the shell's 128+SIGINT).
 pub const EXIT_INTERRUPTED: u8 = 130;
+/// Exit code when stdout was closed under the command, e.g. `repro list |
+/// head -1`: the value a shell reports for a writer SIGPIPE killed
+/// (128+SIGPIPE), without the signal, so `repro serve` survives clients
+/// that hang up.
+pub const EXIT_STDOUT_CLOSED: u8 = 141;
 
 /// A classified harness error; see the module docs for the exit-code map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +83,9 @@ pub enum ReproError {
         /// when one was configured.
         resume_dir: Option<String>,
     },
+    /// Stdout was closed while the command was still printing (the reader
+    /// of a pipe went away); see [`crate::console`].
+    StdoutClosed,
 }
 
 impl ReproError {
@@ -94,6 +113,7 @@ impl ReproError {
             ReproError::Regression(_) | ReproError::RunPanicked(_) => EXIT_REGRESSION,
             ReproError::Degraded(_) => EXIT_DEGRADED,
             ReproError::Interrupted { .. } => EXIT_INTERRUPTED,
+            ReproError::StdoutClosed => EXIT_STDOUT_CLOSED,
         }
     }
 
@@ -127,6 +147,7 @@ impl std::fmt::Display for ReproError {
                 "interrupted — no `--resume` directory was configured, so completed \
                  runs were not journaled and a rerun starts from scratch",
             ),
+            ReproError::StdoutClosed => f.write_str("stdout was closed"),
         }
     }
 }
@@ -158,9 +179,10 @@ mod tests {
             ReproError::Regression("x".into()),
             ReproError::Degraded(vec!["trace.json".into()]),
             ReproError::Interrupted { resume_dir: None },
+            ReproError::StdoutClosed,
         ];
         let codes: Vec<u8> = errs.iter().map(|e| e.exit_code()).collect();
-        assert_eq!(codes, vec![2, 3, 4, 5, 6, 130]);
+        assert_eq!(codes, vec![2, 3, 4, 5, 6, 130, 141]);
         let mut dedup = codes.clone();
         dedup.sort_unstable();
         dedup.dedup();

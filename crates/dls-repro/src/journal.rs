@@ -541,7 +541,7 @@ fn load_existing(
     // A different build can still replay the journal bit-exactly (records
     // are data, not code), so a git-rev mismatch is a warning, not an error.
     if found.git_rev != meta.git_rev {
-        eprintln!(
+        crate::errln!(
             "warning: {}: journal was written by build {}, this build is {} — resuming \
              anyway (journaled records replay bit-exactly)",
             path.display(),
@@ -550,7 +550,10 @@ fn load_existing(
         );
     }
     for line in &file.quarantined {
-        eprintln!("warning: {}: line {line} fails its check; its run re-executes", path.display());
+        crate::errln!(
+            "warning: {}: line {line} fails its check; its run re-executes",
+            path.display()
+        );
     }
     state.stats.quarantined = file.quarantined.len() as u64;
     state.unreported_quarantined = state.stats.quarantined;
@@ -644,7 +647,7 @@ mod tests {
         // Fault every op kind in turn: create, write, fsync, rename.
         for op in [IoOp::Create, IoOp::Write, IoOp::Fsync, IoOp::Rename] {
             let plan = HostFaultPlan::none().with_errors(1.0).only_ops(vec![op]);
-            let io = ChaosIo::new(plan);
+            let io = ChaosIo::new(plan, &dir);
             atomic_write_with(&io, &path, b"doomed").unwrap_err();
             assert_eq!(
                 lingering_tmp_files(&dir),
@@ -926,7 +929,7 @@ mod tests {
         ];
         for (n, plan) in plans.into_iter().enumerate() {
             let dir = tmp_dir(&format!("fallback-{n}"));
-            let io = Arc::new(ChaosIo::new(plan));
+            let io = Arc::new(ChaosIo::new(plan, &dir));
             let bytes = journal_stream(&dir, io.clone(), RetryPolicy::no_delay(24), 7, &stream);
             let stats = io.stats();
             assert!(stats.errors_injected + stats.torn_writes > 0, "plan {n} injected nothing");
@@ -950,7 +953,7 @@ mod tests {
         let j = Journal::open_with_io(
             &dir,
             &meta(),
-            Arc::new(ChaosIo::new(plan)),
+            Arc::new(ChaosIo::new(plan, &dir)),
             RetryPolicy::no_delay(2),
         )
         .unwrap();
@@ -984,7 +987,7 @@ mod tests {
         use dls_chaos::{ChaosIo, HostFaultPlan};
         let dir = tmp_dir("no-io");
         journal_stream(&dir, Arc::new(RealIo), RetryPolicy::standard(), 64, &record_stream());
-        let io = Arc::new(ChaosIo::new(HostFaultPlan::none()));
+        let io = Arc::new(ChaosIo::new(HostFaultPlan::none(), &dir));
         let j = Journal::open_with_io(&dir, &meta(), io.clone(), RetryPolicy::standard()).unwrap();
         assert_eq!(j.resumed(), 150);
         j.record(run_key("cell 0", 0xAB, 0), Value::U64(0)); // already journaled

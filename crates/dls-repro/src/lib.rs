@@ -22,6 +22,7 @@ pub mod analyze;
 pub mod artifacts;
 pub mod chaos;
 pub mod cli;
+pub mod console;
 pub mod error;
 pub mod faults;
 pub mod hagerup_exp;

@@ -346,9 +346,12 @@ impl ExecContext {
                     );
                     if progress.announces() {
                         let eta = snap.eta_s.map_or("?".to_string(), |e| format!("{e:.1}"));
-                        eprintln!(
+                        crate::errln!(
                             "progress: [{}] {}/{} runs, {:.1}s elapsed, eta {eta}s",
-                            snap.label, snap.done, snap.total, snap.elapsed_s
+                            snap.label,
+                            snap.done,
+                            snap.total,
+                            snap.elapsed_s
                         );
                     }
                 });

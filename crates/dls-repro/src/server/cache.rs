@@ -127,7 +127,7 @@ impl ResultCache {
             }
         }
         if warmed > 0 {
-            eprintln!("cache: restarted warm with {warmed} persisted result(s)");
+            crate::errln!("cache: restarted warm with {warmed} persisted result(s)");
         }
         Ok(cache)
     }
@@ -165,12 +165,12 @@ impl ResultCache {
             std::fs::create_dir_all(&qdir).and_then(|()| std::fs::rename(path, qdir.join(&file)));
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         match moved {
-            Ok(()) => eprintln!(
+            Ok(()) => crate::errln!(
                 "warning: {}: failed {SCHEMA} integrity checks — quarantined to {}",
                 path.display(),
                 qdir.display()
             ),
-            Err(e) => eprintln!(
+            Err(e) => crate::errln!(
                 "warning: {}: failed {SCHEMA} integrity checks (quarantine move failed: {e})",
                 path.display()
             ),

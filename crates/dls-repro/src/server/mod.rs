@@ -55,7 +55,6 @@ pub mod cache;
 pub mod http;
 pub mod spans;
 
-use crate::cli::Options;
 use crate::error::ReproError;
 use crate::hagerup_exp::{figure_n, run_figure_resilient, HagerupConfig};
 use crate::journal::JournalMeta;
@@ -74,20 +73,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Default listen address.
-pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
-/// Default on-disk cache directory.
-pub const DEFAULT_CACHE_DIR: &str = "repro-cache";
-/// Default concurrent campaign executions.
-pub const DEFAULT_WORKERS: usize = 2;
-/// Default admission queue depth.
-pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-/// Default per-connection socket read/write timeout, milliseconds.
-pub const DEFAULT_SOCKET_TIMEOUT_MS: u64 = 10_000;
-/// Default bound on concurrently open connections; the accept loop sheds
-/// beyond it with an immediate 503.
-pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
 /// Upper bound on `runs` a request may ask for — a service request is a
 /// quick cell, not a day-long 1000-run grid (run those via the CLI).
@@ -124,41 +109,20 @@ pub struct ServeConfig {
     pub fault_plan: Option<HostFaultPlan>,
 }
 
+/// The defaults `repro serve` runs with: the only place they are written.
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            addr: DEFAULT_ADDR.into(),
-            cache_dir: PathBuf::from(DEFAULT_CACHE_DIR),
-            workers: DEFAULT_WORKERS,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
+            addr: "127.0.0.1:7878".into(),
+            cache_dir: PathBuf::from("repro-cache"),
+            workers: 2,
+            queue_depth: 8,
             max_requests: None,
             hold_ms: 0,
             deadline_ms: None,
-            read_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
-            write_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
-            max_connections: DEFAULT_MAX_CONNECTIONS,
-            fault_plan: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Builds the server configuration from parsed CLI options (the
-    /// `--host-fault-plan` file, if any, is loaded separately by the CLI
-    /// and assigned to [`ServeConfig::fault_plan`]).
-    pub fn from_options(o: &Options) -> ServeConfig {
-        let d = ServeConfig::default();
-        ServeConfig {
-            addr: o.addr.clone().unwrap_or(d.addr),
-            cache_dir: o.cache_dir.clone().map(PathBuf::from).unwrap_or(d.cache_dir),
-            workers: o.workers.unwrap_or(d.workers),
-            queue_depth: o.queue_depth.unwrap_or(d.queue_depth),
-            max_requests: o.max_requests,
-            hold_ms: o.hold_ms.unwrap_or(0),
-            deadline_ms: o.deadline_ms,
-            read_timeout_ms: o.read_timeout_ms.unwrap_or(d.read_timeout_ms),
-            write_timeout_ms: o.write_timeout_ms.unwrap_or(d.write_timeout_ms),
-            max_connections: o.max_connections.unwrap_or(d.max_connections),
+            read_timeout_ms: 10_000,
+            write_timeout_ms: 10_000,
+            max_connections: 64,
             fault_plan: None,
         }
     }
@@ -173,18 +137,13 @@ struct Shared {
     progress: Progress,
     trail: RequestTrail,
     cancel: CancelFlag,
-    hold_ms: u64,
-    deadline_ms: Option<u64>,
-    read_timeout_ms: u64,
-    write_timeout_ms: u64,
+    cfg: ServeConfig,
 }
 
 /// A bound (but not yet serving) campaign server.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    max_requests: Option<u64>,
-    max_connections: usize,
 }
 
 impl Server {
@@ -203,7 +162,7 @@ impl Server {
         cancel: CancelFlag,
     ) -> Result<Server, ReproError> {
         let io: Arc<dyn HostIo> = match &cfg.fault_plan {
-            Some(plan) => Arc::new(ChaosIo::new(plan.clone())),
+            Some(plan) => Arc::new(ChaosIo::new(plan.clone(), &cfg.cache_dir)),
             None => Arc::new(RealIo),
         };
         Server::bind_with_io(cfg, telemetry, logger, cancel, io, RetryPolicy::standard())
@@ -239,13 +198,8 @@ impl Server {
                 progress: Progress::new(),
                 trail: RequestTrail::default(),
                 cancel,
-                hold_ms: cfg.hold_ms,
-                deadline_ms: cfg.deadline_ms,
-                read_timeout_ms: cfg.read_timeout_ms,
-                write_timeout_ms: cfg.write_timeout_ms,
+                cfg: cfg.clone(),
             }),
-            max_requests: cfg.max_requests,
-            max_connections: cfg.max_connections.max(1),
         })
     }
 
@@ -266,6 +220,7 @@ impl Server {
             .map_err(|e| ReproError::io(format!("listener: {e}")))?;
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut handled: u64 = 0;
+        let cfg = &self.shared.cfg;
         let outcome = loop {
             if self.shared.cancel.is_cancelled() {
                 break Err(ReproError::Interrupted { resume_dir: None });
@@ -273,7 +228,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     handles.retain(|h| !h.is_finished());
-                    if handles.len() >= self.max_connections {
+                    if handles.len() >= cfg.max_connections.max(1) {
                         // Shed on the accept thread without reading the
                         // request: the bound exists to protect the server
                         // from connection floods, so the answer must not
@@ -289,7 +244,7 @@ impl Server {
                     handled += 1;
                     let shared = Arc::clone(&self.shared);
                     handles.push(std::thread::spawn(move || handle_connection(stream, &shared)));
-                    if self.max_requests.is_some_and(|n| handled >= n) {
+                    if cfg.max_requests.is_some_and(|n| handled >= n) {
                         break Ok(());
                     }
                 }
@@ -318,8 +273,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // socket. A stuck client can neither stall reads past the read timeout
     // nor wedge the response write past the write timeout.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(socket_timeout(shared.read_timeout_ms));
-    let _ = stream.set_write_timeout(socket_timeout(shared.write_timeout_ms));
+    let _ = stream.set_read_timeout(socket_timeout(shared.cfg.read_timeout_ms));
+    let _ = stream.set_write_timeout(socket_timeout(shared.cfg.write_timeout_ms));
     let response = match http::read_request(&stream) {
         Ok(request) => {
             shared.telemetry.counter_inc("serve.requests");
@@ -442,7 +397,7 @@ fn handle_run(request: &Request, shared: &Shared) -> Response {
                 return response;
             }
         },
-        None => shared.deadline_ms,
+        None => shared.cfg.deadline_ms,
     };
     let deadline = deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
 
@@ -678,11 +633,11 @@ fn compute_and_publish(
         .with_logger(shared.logger.clone())
         .with_progress(shared.progress.clone());
     let result = spans.record("compute", || run_figure_resilient(cfg, &shared.telemetry, &ctx));
-    if shared.hold_ms > 0 {
+    if shared.cfg.hold_ms > 0 {
         // Latency-injection knob: keep the slot busy so admission behavior
         // (queueing, shedding, deadline expiry) can be exercised
         // deterministically.
-        std::thread::sleep(Duration::from_millis(shared.hold_ms));
+        std::thread::sleep(Duration::from_millis(shared.cfg.hold_ms));
     }
     let expired = watchdog.is_some_and(Watchdog::finish);
     match result {
@@ -735,23 +690,16 @@ fn csv_response(body: &str, hit: bool) -> Response {
 /// carries the error class and the CLI exit code the same failure would
 /// produce, so scripted clients map failures exactly like scripted CLI use.
 pub fn error_response(e: &ReproError) -> Response {
-    let (status, reason) = match e {
-        ReproError::Usage(_) => (400, "Bad Request"),
-        ReproError::InvalidSpec(_) => (422, "Unprocessable Entity"),
-        ReproError::Interrupted { .. } => (503, "Service Unavailable"),
-        ReproError::Io(_)
-        | ReproError::Regression(_)
-        | ReproError::RunPanicked(_)
-        | ReproError::Degraded(_) => (500, "Internal Server Error"),
-    };
-    let class = match e {
-        ReproError::Usage(_) => "usage",
-        ReproError::Io(_) => "io",
-        ReproError::InvalidSpec(_) => "invalid-spec",
-        ReproError::Regression(_) => "regression",
-        ReproError::RunPanicked(_) => "run-panicked",
-        ReproError::Degraded(_) => "degraded",
-        ReproError::Interrupted { .. } => "interrupted",
+    const INTERNAL: &str = "Internal Server Error";
+    let (status, reason, class) = match e {
+        ReproError::Usage(_) => (400, "Bad Request", "usage"),
+        ReproError::InvalidSpec(_) => (422, "Unprocessable Entity", "invalid-spec"),
+        ReproError::Interrupted { .. } => (503, "Service Unavailable", "interrupted"),
+        ReproError::Io(_) => (500, INTERNAL, "io"),
+        ReproError::Regression(_) => (500, INTERNAL, "regression"),
+        ReproError::RunPanicked(_) => (500, INTERNAL, "run-panicked"),
+        ReproError::Degraded(_) => (500, INTERNAL, "degraded"),
+        ReproError::StdoutClosed => (500, INTERNAL, "stdout-closed"),
     };
     let body = Value::Object(vec![
         ("error".into(), Value::String(e.to_string())),
@@ -998,10 +946,7 @@ mod tests {
             progress: Progress::new(),
             trail: RequestTrail::default(),
             cancel: CancelFlag::new(),
-            hold_ms: 0,
-            deadline_ms: None,
-            read_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
-            write_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
+            cfg: ServeConfig::default(),
         }
     }
 
@@ -1048,7 +993,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // Every persistence write fails: the entry serves from memory but
         // the cache tier is degraded (warm restart would lose it).
-        let io = Arc::new(ChaosIo::new(HostFaultPlan::none().with_seed(7).with_errors(1.0)));
+        let io = Arc::new(ChaosIo::new(HostFaultPlan::none().with_seed(7).with_errors(1.0), &dir));
         let cache = ResultCache::open_with_io(&dir, io, RetryPolicy::no_delay(2)).unwrap();
         assert!(matches!(cache.begin("k"), Begin::Lead));
         cache.complete("k", "body".into());
