@@ -43,6 +43,7 @@ mod sigint {
 }
 
 fn main() -> ExitCode {
+    dls_repro::console::direct_stderr();
     // Initialized before the handler can fire.
     let cancel = GLOBAL_CANCEL.get_or_init(CancelFlag::new).clone();
     #[cfg(unix)]

@@ -47,7 +47,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Schema tag of the journal header line; bump on breaking layout changes.
 pub const SCHEMA: &str = "dls-journal/2";
@@ -175,15 +175,23 @@ impl JournalMeta {
 /// Short git revision of the working tree, or `"unknown"` when not in a
 /// checkout (or git is unavailable). Part of journal headers and cache
 /// keys: results are only guaranteed bit-identical for one build.
+///
+/// `git rev-parse` runs once per process and the answer is kept, so a
+/// cache key costs no fork and a long-running `repro serve` keys every
+/// result by the HEAD it first saw.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+    .clone()
 }
 
 /// Counters describing one journal session; surfaced by the CLI summary.
@@ -581,6 +589,14 @@ mod tests {
 
     fn meta() -> JournalMeta {
         JournalMeta::new("fig5", "n=1024 runs=8", 7)
+    }
+
+    #[test]
+    fn the_git_revision_is_read_once_per_process() {
+        let (a, b) = (meta(), JournalMeta::new("fig6", "n=8192 runs=2", 9));
+        assert!(!a.git_rev.is_empty());
+        assert_eq!(a.git_rev, b.git_rev, "one revision per process");
+        assert_eq!(a.git_rev, git_rev());
     }
 
     /// Any tmp files left in `dir` — atomic writes must never leak them.

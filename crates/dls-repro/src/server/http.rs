@@ -140,21 +140,24 @@ pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
     Ok(Request { method, path, headers, body })
 }
 
-/// Writes `response` to `stream` and flushes it.
+/// Writes `response` to `stream` in one write and flushes it: a separate
+/// head write would leave the body waiting on Nagle's algorithm.
 pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(256 + response.body.len());
+    write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         response.status,
         response.reason,
         response.content_type,
         response.body.len(),
-    );
+    )?;
     for (name, value) in &response.headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&response.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -271,5 +274,10 @@ mod tests {
         assert!(raw.contains("X-Cache: hit\r\n"), "{raw}");
         assert!(raw.contains("Content-Length: 8\r\n"), "{raw}");
         assert!(raw.ends_with("\r\n\r\na,b\n1,2\n"), "{raw}");
+        assert_eq!(
+            raw,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nContent-Length: 8\r\n\
+             Connection: close\r\nX-Cache: hit\r\n\r\na,b\n1,2\n"
+        );
     }
 }

@@ -68,7 +68,9 @@ use dls_telemetry::{to_prometheus_text, Logger, Telemetry};
 use http::{Request, Response};
 use serde::Value;
 use spans::{RequestSpans, RequestTrail};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -214,44 +216,59 @@ impl Server {
     /// `max_connections` — beyond that the accept loop sheds with an
     /// immediate 503 instead of accumulating handler threads. In-flight
     /// handlers are drained before returning.
+    ///
+    /// The loop blocks in `accept`, so a connection is picked up the
+    /// moment it arrives. Cancellation wakes it: a watcher thread connects
+    /// to the listener once the flag is raised, and any connection
+    /// accepted after that ends the loop unanswered.
     pub fn run(self) -> Result<(), ReproError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ReproError::io(format!("listener: {e}")))?;
+        let stop = AtomicBool::new(false);
+        let wake_addr = loopback(self.local_addr());
+        std::thread::scope(|s| {
+            let waker = s.spawn(|| wake_on_cancel(&self.shared.cancel, wake_addr, &stop));
+            // The watcher is stopped however the loop ends: a panic (say, a
+            // failed thread spawn) must not leave the scope waiting on it.
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.accept_loop()));
+            stop.store(true, Ordering::Relaxed);
+            waker.thread().unpark();
+            outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    fn accept_loop(&self) -> Result<(), ReproError> {
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut handled: u64 = 0;
         let cfg = &self.shared.cfg;
         let outcome = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) => match e.kind() {
+                    // A signal interrupted the wait, or the peer reset before
+                    // its connection was taken: the listener itself is fine.
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted => continue,
+                    _ => break Err(ReproError::io(format!("accept: {e}"))),
+                },
+            };
             if self.shared.cancel.is_cancelled() {
                 break Err(ReproError::Interrupted { resume_dir: None });
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    handles.retain(|h| !h.is_finished());
-                    if handles.len() >= cfg.max_connections.max(1) {
-                        // Shed on the accept thread without reading the
-                        // request: the bound exists to protect the server
-                        // from connection floods, so the answer must not
-                        // cost a handler thread.
-                        self.shared.telemetry.counter_inc("serve.connections_shed");
-                        let mut stream = stream;
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-                        let retry = self.shared.admission.retry_after_secs();
-                        let _ = http::write_response(&mut stream, &overloaded_response(retry));
-                        continue;
-                    }
-                    handled += 1;
-                    let shared = Arc::clone(&self.shared);
-                    handles.push(std::thread::spawn(move || handle_connection(stream, &shared)));
-                    if cfg.max_requests.is_some_and(|n| handled >= n) {
-                        break Ok(());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => break Err(ReproError::io(format!("accept: {e}"))),
+            handles.retain(|h| !h.is_finished());
+            if handles.len() >= cfg.max_connections.max(1) {
+                // Shed on the accept thread without reading the request:
+                // the bound exists to protect the server from connection
+                // floods, so the answer must not cost a handler thread.
+                self.shared.telemetry.counter_inc("serve.connections_shed");
+                let mut stream = stream;
+                let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
+                let retry = self.shared.admission.retry_after_secs();
+                let _ = http::write_response(&mut stream, &overloaded_response(retry));
+                continue;
+            }
+            handled += 1;
+            let shared = Arc::clone(&self.shared);
+            handles.push(std::thread::spawn(move || handle_connection(stream, &shared)));
+            if cfg.max_requests.is_some_and(|n| handled >= n) {
+                break Ok(());
             }
         };
         for h in handles {
@@ -259,6 +276,37 @@ impl Server {
         }
         outcome
     }
+}
+
+/// How often the cancel watcher looks at the flag. A SIGINT handler can
+/// only store to an atomic, so the flag is polled; the watcher sits off
+/// the request path, and this bounds how long a cancelled server keeps
+/// blocking in `accept`.
+const CANCEL_POLL: Duration = Duration::from_millis(10);
+
+/// Watches `cancel` until `stop` is set; once the flag is raised,
+/// connects to the listener at `addr` to wake the blocked `accept`.
+fn wake_on_cancel(cancel: &CancelFlag, addr: SocketAddr, stop: &AtomicBool) {
+    while !stop.load(Ordering::Relaxed) {
+        if cancel.is_cancelled()
+            && TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
+        {
+            return;
+        }
+        std::thread::park_timeout(CANCEL_POLL);
+    }
+}
+
+/// The address a local client reaches a listener bound at `addr` on: an
+/// unspecified bind address (`0.0.0.0`, `::`) maps to loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Converts a configured timeout to the socket API's representation
@@ -269,10 +317,9 @@ fn socket_timeout(ms: u64) -> Option<Duration> {
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut stream = stream;
-    // Blocking I/O per connection; the accept loop is the only nonblocking
-    // socket. A stuck client can neither stall reads past the read timeout
-    // nor wedge the response write past the write timeout.
-    let _ = stream.set_nonblocking(false);
+    // Blocking I/O per connection: a stuck client can neither stall reads
+    // past the read timeout nor wedge the response write past the write
+    // timeout.
     let _ = stream.set_read_timeout(socket_timeout(shared.cfg.read_timeout_ms));
     let _ = stream.set_write_timeout(socket_timeout(shared.cfg.write_timeout_ms));
     let response = match http::read_request(&stream) {
@@ -532,7 +579,8 @@ impl Drop for SlotGuard<'_> {
 /// thread leak), propagates server-wide shutdown into the same flag, and
 /// logs warn-level heartbeats for computations overrunning **2×** their
 /// deadline, then once per further deadline interval. [`Watchdog::finish`]
-/// joins the thread — the watchdog never outlives its request.
+/// wakes and joins the thread — the watchdog never outlives its request,
+/// and the request never waits for the watchdog's next step.
 struct Watchdog {
     done: Arc<AtomicBool>,
     expired: Arc<AtomicBool>,
@@ -581,7 +629,9 @@ impl Watchdog {
                         next_warn = now + interval;
                     }
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                // `finish` unparks the thread, so a finished computation
+                // does not wait out the step.
+                std::thread::park_timeout(Duration::from_millis(5));
             }
         });
         Watchdog { done, expired, handle: Some(handle) }
@@ -592,6 +642,7 @@ impl Watchdog {
     fn finish(mut self) -> bool {
         self.done.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         self.expired.load(Ordering::Relaxed)

@@ -69,6 +69,22 @@ fn closed_stderr_leaves_a_campaign_and_its_outputs_unchanged() {
     assert_eq!(closed.1, normal.1, "the CSV does not depend on stderr");
 }
 
+/// Library warnings stay quiet under `cargo test` but the binary still
+/// prints them: a log that cannot land is a degraded artifact (exit 6),
+/// named on stderr.
+#[test]
+fn the_binary_prints_library_warnings() {
+    let dir = scratch("warning");
+    let out = repro(&["fig5", "--runs", "2", "--pes", "2", "--log", "missing/f.jsonl"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(6), "{stderr}");
+    assert!(stderr.contains("warning: degraded artifact missing/f.jsonl"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn usage_names_every_command_and_option() {
     let out = repro(&[]).output().unwrap();

@@ -212,6 +212,59 @@ fn concurrent_identical_requests_compute_once_and_match_direct_run() {
     warm.stop();
 }
 
+/// A warm hit is answered as soon as it arrives: the accept loop blocks in
+/// `accept` rather than polling, so sequential hits over real TCP do not
+/// wait for a poll tick (a 5 ms tick alone would put the median above
+/// 5 ms).
+#[test]
+fn sequential_warm_hits_answer_without_waiting() {
+    let dir = tmp_dir("warm-latency");
+    let server = start(&dir, 1, 4, 0);
+    let addr = server.addr;
+    let (status, _, expected) = exchange(addr, "POST", "/run", SPEC);
+    assert_eq!(status, 200);
+
+    // Head and body in one write, so the client's own Nagle delay is not
+    // part of what is measured.
+    let request =
+        [format!("POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n", SPEC.len()).as_bytes(), SPEC]
+            .concat();
+    let mut latencies: Vec<Duration> = (0..100)
+        .map(|_| {
+            let started = Instant::now();
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&request).unwrap();
+            let mut raw = Vec::new();
+            stream.read_to_end(&mut raw).unwrap();
+            let elapsed = started.elapsed();
+            let (status, headers, body) = parse_response(&raw);
+            assert_eq!((status, header(&headers, "x-cache")), (200, Some("hit")));
+            assert_eq!(body, expected, "every hit is byte-identical");
+            elapsed
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(median < Duration::from_millis(2), "median warm hit took {median:?}");
+    server.stop();
+}
+
+/// An idle server blocked in `accept` still notices a cancellation.
+#[test]
+fn an_idle_server_stops_promptly_when_cancelled() {
+    let dir = tmp_dir("idle-cancel");
+    let TestServer { cancel, handle, .. } = start(&dir, 1, 1, 0);
+    std::thread::sleep(Duration::from_millis(50));
+    let cancelled = Instant::now();
+    cancel.cancel();
+    while !handle.is_finished() {
+        assert!(cancelled.elapsed() < Duration::from_secs(1), "still serving 1 s after cancel");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let err = handle.join().unwrap().expect_err("a cancelled server reports Interrupted");
+    assert_eq!(err.exit_code(), 130);
+}
+
 #[test]
 fn malformed_and_invalid_requests_are_typed_4xx() {
     let dir = tmp_dir("badreq");
