@@ -21,7 +21,9 @@
 //! * `GET /readyz` is ready on a healthy server and flips to 503 once the
 //!   cache persistence tier degrades;
 //! * a stuck client is cut off by the read timeout without wedging the
-//!   server, and raw non-HTTP garbage gets a typed 400.
+//!   server, and raw non-HTTP garbage gets a typed 400;
+//! * every non-200 response the server renders (400, 404, 422, 429, 500,
+//!   the three 503s and 504) is pinned byte for byte.
 
 use dls_chaos::HostFaultPlan;
 use dls_suite::dls_repro::hagerup_exp::{run_figure_resilient, HagerupConfig};
@@ -621,4 +623,184 @@ fn raw_garbage_bytes_are_rejected_with_a_400() {
     let (status, _, _) = exchange(addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     server.stop();
+}
+
+/// Writes `request` verbatim and returns the whole raw response.
+fn raw_exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request).unwrap();
+    read_raw(stream)
+}
+
+fn read_raw(mut stream: TcpStream) -> String {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    String::from_utf8(raw).unwrap()
+}
+
+/// The exact bytes of a JSON response with `status` and `extra` header lines.
+fn json_reply(status: &str, extra: &str, body: &str) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: close\r\n{extra}\r\n{body}",
+        body.len()
+    )
+}
+
+/// A connection whose request head is sent without its closing blank line:
+/// the server has accepted it, and its handler waits for the rest.
+fn half_sent(addr: SocketAddr, head: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(head.as_bytes()).unwrap();
+    stream
+}
+
+const INTERRUPTED: &str = "interrupted — no `--resume` directory was configured, so completed \
+                           runs were not journaled and a rerun starts from scratch";
+
+/// Exact bytes of the usage rejections, 404, 422, 429 shed, and the 503
+/// and 500 a shutdown gives a computation and the request coalesced onto it.
+#[test]
+fn rejections_render_byte_exact() {
+    let dir = tmp_dir("golden-rejections");
+    let server = start(&dir, 1, 0, 1500);
+    let addr = server.addr;
+
+    let usage = |message: &str| {
+        json_reply(
+            "400 Bad Request",
+            "",
+            &format!(r#"{{"error":"{message}","class":"usage","exit_code":2}}"#),
+        )
+    };
+    assert_eq!(
+        raw_exchange(addr, b"\xff\xfe\x00garbage\r\n\r\n"),
+        usage("malformed HTTP request: non-UTF-8 header line")
+    );
+    let body =
+        format!("POST /run HTTP/1.1\r\nX-Deadline-Ms: 0\r\nContent-Length: {}\r\n\r\n", SPEC.len());
+    assert_eq!(
+        raw_exchange(addr, &[body.as_bytes(), SPEC].concat()),
+        usage("X-Deadline-Ms must be a positive integer of milliseconds, got `0`")
+    );
+    assert_eq!(
+        raw_exchange(addr, b"DELETE /run HTTP/1.1\r\n\r\n"),
+        usage("method DELETE not allowed on /run")
+    );
+    assert_eq!(
+        raw_exchange(addr, b"GET /nope HTTP/1.1\r\n\r\n"),
+        json_reply(
+            "404 Not Found",
+            "",
+            r#"{"error":"no such endpoint: /nope","class":"not-found"}"#
+        )
+    );
+    assert_eq!(
+        raw_exchange(addr, b"POST /run HTTP/1.1\r\nContent-Length: 4\r\n\r\n[1 ]"),
+        json_reply(
+            "422 Unprocessable Entity",
+            "",
+            r#"{"error":"request must be a JSON object","class":"invalid-spec","exit_code":4}"#
+        )
+    );
+
+    // One slot, no queue, a 1.5 s hold: a second cold key is shed.
+    let slow = std::thread::spawn(move || exchange(addr, "POST", "/run", SPEC));
+    let waited = Instant::now();
+    while metric(addr, "serve.admission_granted") != Some(1) {
+        assert!(waited.elapsed() < Duration::from_secs(10), "first request never got the slot");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let other = br#"{"fig":"fig5","runs":2,"seed":12,"pes":[2,4],"techniques":["SS","FAC"]}"#;
+    let request = format!("POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n", other.len());
+    assert_eq!(
+        raw_exchange(addr, &[request.as_bytes(), other].concat()),
+        json_reply(
+            "429 Too Many Requests",
+            "Retry-After: 1\r\n",
+            r#"{"error":"server at capacity: request was shed","class":"shed"}"#
+        )
+    );
+    assert_eq!(slow.join().unwrap().0, 200);
+
+    // Two requests for one fresh key, accepted before shutdown (the
+    // healthz answer proves it: connections are accepted in order) and
+    // completed after it: the leader's computation is interrupted (503)
+    // and the request coalesced onto it reports the leader's failure (500).
+    let fresh = br#"{"fig":"fig5","runs":2,"seed":13,"pes":[2],"techniques":["SS"]}"#;
+    let head = format!("POST /run HTTP/1.1\r\nContent-Length: {}\r\n", fresh.len());
+    let mut pending = [half_sent(addr, &head), half_sent(addr, &head)];
+    assert_eq!(exchange(addr, "GET", "/healthz", b"").0, 200);
+    server.cancel.cancel();
+    for stream in &mut pending {
+        stream.write_all(&[&b"\r\n"[..], fresh].concat()).unwrap();
+    }
+    let mut replies: Vec<String> = pending.into_iter().map(read_raw).collect();
+    replies.sort();
+    let interrupted =
+        format!(r#"{{"error":"{INTERRUPTED}","class":"interrupted","exit_code":130}}"#);
+    let coalesced = format!(
+        r#"{{"error":"coalesced computation failed: {INTERRUPTED}","class":"io","exit_code":3}}"#
+    );
+    assert_eq!(
+        replies,
+        [
+            json_reply("500 Internal Server Error", "", &coalesced),
+            json_reply("503 Service Unavailable", "", &interrupted),
+        ]
+    );
+    let err = server.handle.join().unwrap().expect_err("a cancelled server reports Interrupted");
+    assert_eq!(err.exit_code(), 130);
+}
+
+/// Exact bytes of the 504 deadline, both not-ready `/readyz` bodies and the
+/// accept loop's 503 connection shed.
+#[test]
+fn deadline_readiness_and_overload_responses_render_byte_exact() {
+    // Every persistence write fails, so the published result degrades the
+    // cache tier; the 400 ms hold outlasts the 50 ms budget.
+    let mut cfg = config(&tmp_dir("golden-deadline"), 1, 4, 400);
+    cfg.fault_plan = Some(HostFaultPlan::none().with_seed(41).with_errors(1.0));
+    let server = start_with(cfg);
+    let request = format!(
+        "POST /run HTTP/1.1\r\nX-Deadline-Ms: 50\r\nContent-Length: {}\r\n\r\n",
+        SPEC.len()
+    );
+    assert_eq!(
+        raw_exchange(server.addr, &[request.as_bytes(), SPEC].concat()),
+        json_reply(
+            "504 Gateway Timeout",
+            "Retry-After: 1\r\n",
+            r#"{"error":"deadline expired before the computation completed","class":"deadline"}"#
+        )
+    );
+    assert_eq!(
+        raw_exchange(server.addr, b"GET /readyz HTTP/1.1\r\n\r\n"),
+        json_reply("503 Service Unavailable", "", r#"{"ready":false,"reason":"cache-degraded"}"#)
+    );
+    server.stop();
+
+    // One connection allowed: a half-sent request holds it, so the next
+    // connection is shed unread; that request, completed after shutdown,
+    // finds the server draining.
+    let mut cfg = config(&tmp_dir("golden-overload"), 1, 4, 0);
+    cfg.max_connections = 1;
+    let server = start_with(cfg);
+    let mut held = half_sent(server.addr, "GET /readyz HTTP/1.1\r\n");
+    assert_eq!(
+        raw_exchange(server.addr, b""),
+        json_reply(
+            "503 Service Unavailable",
+            "Retry-After: 1\r\n",
+            r#"{"error":"server at connection capacity: connection was shed","class":"overloaded"}"#
+        )
+    );
+    server.cancel.cancel();
+    held.write_all(b"\r\n").unwrap();
+    assert_eq!(
+        read_raw(held),
+        json_reply("503 Service Unavailable", "", r#"{"ready":false,"reason":"draining"}"#)
+    );
+    let err = server.handle.join().unwrap().expect_err("a cancelled server reports Interrupted");
+    assert_eq!(err.exit_code(), 130);
 }
