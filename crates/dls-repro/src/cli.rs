@@ -117,7 +117,7 @@ struct Arg<'a> {
     text: &'a str,
 }
 
-impl Arg<'_> {
+impl<'a> Arg<'a> {
     fn parse<T: FromStr<Err = E>, E: Display>(&self) -> Result<T, String> {
         self.text.parse().map_err(|e| format!("{}: {e}", self.name))
     }
@@ -132,8 +132,9 @@ impl Arg<'_> {
         Ok(n)
     }
 
-    fn list<T: FromStr<Err = E>, E: Display>(&self) -> Result<Vec<T>, String> {
-        self.text.split(',').map(|s| Arg { name: self.name, text: s }.parse()).collect()
+    /// Reads each comma-separated item with `item` (e.g. [`Arg::parse`]).
+    fn each<T>(&self, item: impl Fn(&Arg<'a>) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.text.split(',').map(|s| item(&Arg { name: self.name, text: s })).collect()
     }
 }
 
@@ -141,12 +142,12 @@ impl Arg<'_> {
 fn set(o: &mut Options, a: Arg) -> Result<(), String> {
     let text = || Some(a.text.to_string());
     match a.name {
-        "--runs" => o.runs = Some(a.parse()?),
-        "--threads" => o.threads = Some(a.parse()?),
+        "--runs" => o.runs = Some(a.at_least_1()?),
+        "--threads" => o.threads = Some(a.at_least_1()?),
         "--seed" => o.seed = Some(a.parse()?),
         "--csv" => o.csv_dir = text(),
-        "--pes" => o.pes = Some(a.list()?),
-        "--techniques" => o.techniques = Some(a.list()?),
+        "--pes" => o.pes = Some(a.each(Arg::at_least_1)?),
+        "--techniques" => o.techniques = Some(a.each(Arg::parse)?),
         "--fault-plan" => o.fault_plan = text(),
         "--host-fault-plan" => o.host_fault_plan = text(),
         "--out" => o.out_dir = text(),
@@ -610,6 +611,9 @@ mod tests {
         assert!(parse_line("fig5 --bogus 1").unwrap_err().contains("unknown option"));
         assert!(parse_line("fig5 --pes 2,x").unwrap_err().contains("--pes"));
         assert!(parse_line("fig5 --techniques XYZ").unwrap_err().contains("--techniques"));
+        for line in ["fig5 --runs 0", "fig6 --threads 0", "fig5 --pes 2,0", "sweep --pes 0"] {
+            assert!(parse_line(line).unwrap_err().contains("must be at least 1"), "{line}");
+        }
         assert_eq!(parse_line("").unwrap_err(), "missing command");
         assert_eq!(parse_line("chaos --quick").unwrap_err(), "chaos requires a target");
     }

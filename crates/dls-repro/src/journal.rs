@@ -47,7 +47,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Schema tag of the journal header line; bump on breaking layout changes.
 pub const SCHEMA: &str = "dls-journal/2";
@@ -172,26 +172,17 @@ impl JournalMeta {
     }
 }
 
-/// Short git revision of the working tree, or `"unknown"` when not in a
-/// checkout (or git is unavailable). Part of journal headers and cache
-/// keys: results are only guaranteed bit-identical for one build.
+/// Short git revision of the source tree this binary was built from, or
+/// `"unknown"` when that tree was not a git checkout (or git was
+/// unavailable). Part of journal headers and cache keys: results are only
+/// guaranteed bit-identical for one build.
 ///
-/// `git rev-parse` runs once per process and the answer is kept, so a
-/// cache key costs no fork and a long-running `repro serve` keys every
-/// result by the HEAD it first saw.
+/// The build script captures it (`git rev-parse --short HEAD` in this
+/// crate's directory), so one binary keys a request the same wherever it
+/// runs, and a cache key costs no fork. A build of a dirty tree keys like
+/// its HEAD: uncommitted edits do not change the revision.
 pub fn git_rev() -> String {
-    static REV: OnceLock<String> = OnceLock::new();
-    REV.get_or_init(|| {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    })
-    .clone()
+    env!("DLS_GIT_REV").to_string()
 }
 
 /// Counters describing one journal session; surfaced by the CLI summary.
@@ -592,11 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn the_git_revision_is_read_once_per_process() {
+    fn the_git_revision_is_the_build_trees() {
         let (a, b) = (meta(), JournalMeta::new("fig6", "n=8192 runs=2", 9));
-        assert!(!a.git_rev.is_empty());
-        assert_eq!(a.git_rev, b.git_rev, "one revision per process");
+        assert_eq!(a.git_rev, b.git_rev, "one revision per build");
         assert_eq!(a.git_rev, git_rev());
+        let built_from = std::process::Command::new("git")
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+        assert_eq!(git_rev(), built_from.unwrap_or_else(|| "unknown".into()));
     }
 
     /// Any tmp files left in `dir` — atomic writes must never leak them.

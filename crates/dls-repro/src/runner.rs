@@ -196,13 +196,14 @@ impl Progress {
 }
 
 /// Shared state of one resilient invocation: the optional checkpoint
-/// journal, the cancellation flag, and the quarantine list. One context
+/// journal, the cancellation flag and deadline, and the quarantine list. One context
 /// spans every campaign a command executes, so a `repro sweep` journals all
 /// its grid cells into a single `--resume` directory.
 #[derive(Debug)]
 pub struct ExecContext {
     journal: Option<Journal>,
     cancel: CancelFlag,
+    deadline: Option<Instant>,
     quarantined: Mutex<Vec<QuarantinedRun>>,
     cancel_after: Option<u64>,
     finished: AtomicU64,
@@ -218,6 +219,7 @@ impl ExecContext {
         ExecContext {
             journal: None,
             cancel: CancelFlag::new(),
+            deadline: None,
             quarantined: Mutex::new(Vec::new()),
             cancel_after: None,
             finished: AtomicU64::new(0),
@@ -236,6 +238,15 @@ impl ExecContext {
     /// Uses `flag` for cancellation (e.g. the CLI's SIGINT-backed flag).
     pub fn with_cancel_flag(mut self, flag: CancelFlag) -> Self {
         self.cancel = flag;
+        self
+    }
+
+    /// Stops the campaign once `at` has passed: a passed deadline counts as
+    /// a raised cancellation flag, so no block is claimed after it and the
+    /// campaign returns [`ReproError::Interrupted`]. Blocks already running
+    /// complete.
+    pub fn with_deadline(mut self, at: Instant) -> Self {
+        self.deadline = Some(at);
         self
     }
 
@@ -276,9 +287,9 @@ impl ExecContext {
         self.journal.as_ref()
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
+        self.cancel.is_cancelled() || self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 
     /// Adds a run to the quarantine list.
@@ -651,6 +662,7 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalMeta};
     use dls_telemetry::Level;
+    use std::time::Duration;
 
     /// The runner at width 1 over a per-run closure — the shape of every
     /// scalar caller (sweeps, fault sweeps, Figure 9).
@@ -1078,6 +1090,35 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ReproError::Interrupted { resume_dir: None }));
         assert_eq!(executed.load(Ordering::Relaxed), 0, "no run may start after cancel");
+    }
+
+    #[test]
+    fn a_passed_deadline_stops_the_campaign_at_the_next_block_claim() {
+        let at = Instant::now() + Duration::from_millis(50);
+        let ctx = ExecContext::transient().with_deadline(at);
+        let executed = AtomicU64::new(0);
+        let err = scalar(8, 5, 1, &Telemetry::disabled(), &ctx, "c", |i, s| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            while i == 2 && Instant::now() < at {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            s
+        })
+        .unwrap_err();
+        assert!(matches!(err, ReproError::Interrupted { resume_dir: None }));
+        assert_eq!(executed.load(Ordering::Relaxed), 3, "no block is claimed past the deadline");
+    }
+
+    #[test]
+    fn a_transient_context_without_a_deadline_runs_to_completion() {
+        let ctx = ExecContext::transient();
+        assert!(!ctx.is_cancelled());
+        let out = scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c", |_, s| s).unwrap();
+        assert!(out.iter().all(Option::is_some));
+        // A deadline that has not passed changes nothing either.
+        let ctx =
+            ExecContext::transient().with_deadline(Instant::now() + Duration::from_secs(3600));
+        assert_eq!(scalar(8, 5, 2, &Telemetry::disabled(), &ctx, "c", |_, s| s).unwrap(), out);
     }
 
     #[test]

@@ -42,13 +42,11 @@ impl Request {
     }
 }
 
-/// A response about to be written: status code, reason, extra headers, body.
+/// A response about to be written: status code, extra headers, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
-    /// HTTP status code, e.g. 200.
+    /// HTTP status code, e.g. 200; the reason phrase is derived from it.
     pub status: u16,
-    /// Reason phrase, e.g. `OK`.
-    pub reason: &'static str,
     /// `Content-Type` of the body.
     pub content_type: &'static str,
     /// Additional `(name, value)` headers, e.g. `("X-Cache", "hit")`.
@@ -58,20 +56,30 @@ pub struct Response {
 }
 
 impl Response {
-    /// A response with `status`/`reason` and a body, no extra headers.
-    pub fn new(
-        status: u16,
-        reason: &'static str,
-        content_type: &'static str,
-        body: impl Into<Vec<u8>>,
-    ) -> Response {
-        Response { status, reason, content_type, headers: Vec::new(), body: body.into() }
+    /// A response with `status` and a body, no extra headers.
+    pub fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Response {
+        Response { status, content_type, headers: Vec::new(), body: body.into() }
     }
 
     /// Adds an extra header.
     pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Response {
         self.headers.push((name, value.into()));
         self
+    }
+}
+
+/// The reason phrase of every status the server sends.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        422 => "Unprocessable Entity",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "Unknown",
     }
 }
 
@@ -148,7 +156,7 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::R
         out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         response.status,
-        response.reason,
+        reason(response.status),
         response.content_type,
         response.body.len(),
     )?;
@@ -262,8 +270,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut stream = stream;
-            let resp =
-                Response::new(200, "OK", "text/csv", "a,b\n1,2\n").with_header("X-Cache", "hit");
+            let resp = Response::new(200, "text/csv", "a,b\n1,2\n").with_header("X-Cache", "hit");
             write_response(&mut stream, &resp).unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();

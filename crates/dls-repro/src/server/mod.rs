@@ -27,9 +27,11 @@
 //! the server-wide `--deadline-ms` default or a per-request `X-Deadline-Ms`
 //! header — enforced cooperatively at every blocking stage: a queued
 //! request whose deadline passes leaves the queue as HTTP 504, and a
-//! granted one runs under a per-request watchdog that cancels the campaign's
-//! [`CancelFlag`] at the deadline (504, slot freed, no thread leak) and
-//! logs warn-level heartbeats if a computation overruns 2× its deadline.
+//! granted one carries it in its [`ExecContext`], where the campaign
+//! runner's cancel check treats a passed deadline like a raised
+//! [`CancelFlag`]: no run is claimed after it (504, slot freed, no extra
+//! thread). A computation that returns at or past 2× its deadline logs one
+//! warn-level `deadline-overrun`.
 //! Cache persistence goes through the injectable [`HostIo`] seam, so
 //! `repro chaos serve` can crash-exhaust and fault-storm the exact write
 //! path production runs; corrupt entries quarantine on load rather than
@@ -260,8 +262,9 @@ impl Server {
                 self.shared.telemetry.counter_inc("serve.connections_shed");
                 let mut stream = stream;
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-                let retry = self.shared.admission.retry_after_secs();
-                let _ = http::write_response(&mut stream, &overloaded_response(retry));
+                let message = "server at connection capacity: connection was shed";
+                let response = refusal(503, message, "overloaded", &self.shared.admission);
+                let _ = http::write_response(&mut stream, &response);
                 continue;
             }
             handled += 1;
@@ -332,62 +335,54 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = http::write_response(&mut stream, &response);
 }
 
+/// Dispatches a request. Each endpoint is listed once with the one method
+/// it answers; any other method on it is a usage error (400).
 fn route(request: &Request, shared: &Shared) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::new(200, "OK", "text/plain", "ok\n"),
-        ("GET", "/readyz") => readyz_response(shared),
-        ("GET", "/metrics") => Response::new(
-            200,
-            "OK",
-            "text/plain; version=0.0.4",
-            to_prometheus_text(&shared.telemetry.snapshot()),
-        ),
-        ("GET", "/metrics.json") => {
-            Response::new(200, "OK", "application/json", shared.telemetry.snapshot().to_json())
-        }
-        ("GET", "/progress") => {
+    type Handler = fn(&Request, &Shared) -> Response;
+    let (method, handler): (&str, Handler) = match request.path.as_str() {
+        "/healthz" => ("GET", |_, _| Response::new(200, "text/plain", "ok\n")),
+        "/readyz" => ("GET", |_, shared| readyz_response(shared)),
+        "/metrics" => ("GET", |_, shared| {
+            let text = to_prometheus_text(&shared.telemetry.snapshot());
+            Response::new(200, "text/plain; version=0.0.4", text)
+        }),
+        "/metrics.json" => ("GET", |_, shared| {
+            Response::new(200, "application/json", shared.telemetry.snapshot().to_json())
+        }),
+        "/progress" => ("GET", |_, shared| {
             let p = shared.progress.snapshot();
-            let body = Value::Object(vec![
-                ("cell".into(), Value::String(p.label.clone())),
-                ("done".into(), Value::U64(p.done)),
-                ("total".into(), Value::U64(p.total)),
-                ("elapsed_s".into(), Value::F64(p.elapsed_s)),
-                ("eta_s".into(), p.eta_s.map_or(Value::Null, Value::F64)),
-            ]);
-            Response::new(
+            json_response(
                 200,
-                "OK",
-                "application/json",
-                serde_json::to_string(&body).expect("progress body serialization"),
+                vec![
+                    ("cell", Value::String(p.label)),
+                    ("done", Value::U64(p.done)),
+                    ("total", Value::U64(p.total)),
+                    ("elapsed_s", Value::F64(p.elapsed_s)),
+                    ("eta_s", p.eta_s.map_or(Value::Null, Value::F64)),
+                ],
+            )
+        }),
+        "/requests" => {
+            ("GET", |_, shared| Response::new(200, "application/json", shared.trail.to_json()))
+        }
+        "/run" => ("POST", handle_run),
+        path => {
+            return json_response(
+                404,
+                vec![
+                    ("error", Value::String(format!("no such endpoint: {path}"))),
+                    ("class", Value::String("not-found".into())),
+                ],
             )
         }
-        ("GET", "/requests") => {
-            Response::new(200, "OK", "application/json", shared.trail.to_json())
-        }
-        ("POST", "/run") => handle_run(request, shared),
-        (_, "/run")
-        | (_, "/metrics")
-        | (_, "/metrics.json")
-        | (_, "/healthz")
-        | (_, "/readyz")
-        | (_, "/progress")
-        | (_, "/requests") => error_response(&ReproError::usage(format!(
+    };
+    if request.method != method {
+        return error_response(&ReproError::usage(format!(
             "method {} not allowed on {}",
             request.method, request.path
-        ))),
-        _ => {
-            let body = Value::Object(vec![
-                ("error".into(), Value::String(format!("no such endpoint: {}", request.path))),
-                ("class".into(), Value::String("not-found".into())),
-            ]);
-            Response::new(
-                404,
-                "Not Found",
-                "application/json",
-                serde_json::to_string(&body).expect("not-found body serialization"),
-            )
-        }
+        )));
     }
+    handler(request, shared)
 }
 
 /// Readiness: ready only while the server is accepting new work *and* the
@@ -396,138 +391,126 @@ fn route(request: &Request, shared: &Shared) -> Response {
 /// a load balancer steers new traffic away while in-flight work finishes.
 fn readyz_response(shared: &Shared) -> Response {
     let reason = if shared.cancel.is_cancelled() {
-        Some("draining")
+        "draining"
     } else if !shared.cache.degraded().is_empty() {
-        Some("cache-degraded")
+        "cache-degraded"
     } else {
-        None
+        return json_response(200, vec![("ready", Value::Bool(true))]);
     };
-    match reason {
-        None => {
-            let body = Value::Object(vec![("ready".into(), Value::Bool(true))]);
-            Response::new(
-                200,
-                "OK",
-                "application/json",
-                serde_json::to_string(&body).expect("readyz body serialization"),
-            )
-        }
-        Some(reason) => {
-            let body = Value::Object(vec![
-                ("ready".into(), Value::Bool(false)),
-                ("reason".into(), Value::String(reason.into())),
-            ]);
-            Response::new(
-                503,
-                "Service Unavailable",
-                "application/json",
-                serde_json::to_string(&body).expect("readyz body serialization"),
-            )
-        }
-    }
+    json_response(
+        503,
+        vec![("ready", Value::Bool(false)), ("reason", Value::String(reason.into()))],
+    )
 }
 
+/// A request's deadline: the instant it passes and its budget in ms.
+type Deadline = Option<(Instant, u64)>;
+
+/// `POST /run`: answers the request, then closes its span record once,
+/// whatever the outcome.
 fn handle_run(request: &Request, shared: &Shared) -> Response {
     let id = shared.trail.next_id();
     let mut spans = RequestSpans::start();
-
-    // Per-request deadline: the client header overrides the server default.
-    let deadline_ms = match request.header("x-deadline-ms") {
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) if ms >= 1 => Some(ms),
-            _ => {
-                shared.telemetry.counter_inc("serve.bad_requests");
-                let response = error_response(&ReproError::usage(format!(
-                    "X-Deadline-Ms must be a positive integer of milliseconds, got `{raw}`"
-                )));
-                finish_request(shared, id, String::new(), "bad-request", response.status, spans);
-                return response;
-            }
-        },
-        None => shared.cfg.deadline_ms,
-    };
-    let deadline = deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
-
-    let (fig, cfg) = match spans.record("parse", || parse_run_request(&request.body)) {
-        Ok(parsed) => parsed,
+    let (key, outcome, response) = match parse_run(request, shared, &mut spans) {
+        Ok((key, cfg, deadline)) => {
+            let (outcome, response) = answer_run(&key, &cfg, deadline, shared, &mut spans);
+            (key, outcome, response)
+        }
         Err(e) => {
             shared.telemetry.counter_inc("serve.bad_requests");
-            let response = error_response(&e);
-            finish_request(shared, id, String::new(), "bad-request", response.status, spans);
-            return response;
+            (String::new(), "bad-request", error_response(&e))
         }
     };
-    let meta = JournalMeta::new(&fig, cfg.fingerprint(), cfg.seed);
-    let key = meta.cache_key();
+    finish_request(shared, id, key, outcome, response.status, spans);
+    response
+}
 
+/// Reads a run request's deadline (an `X-Deadline-Ms` header overrides the
+/// server default) and body into its cache key, config and deadline.
+fn parse_run(
+    request: &Request,
+    shared: &Shared,
+    spans: &mut RequestSpans,
+) -> Result<(String, HagerupConfig, Deadline), ReproError> {
+    let header_ms = request.header("x-deadline-ms").map(|raw| {
+        raw.trim().parse::<u64>().ok().filter(|&ms| ms >= 1).ok_or_else(|| {
+            ReproError::usage(format!(
+                "X-Deadline-Ms must be a positive integer of milliseconds, got `{raw}`"
+            ))
+        })
+    });
+    let deadline_ms = header_ms.transpose()?.or(shared.cfg.deadline_ms);
+    let deadline = deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
+    let (fig, cfg) = spans.record("parse", || parse_run_request(&request.body))?;
+    let key = JournalMeta::new(&fig, cfg.fingerprint(), cfg.seed).cache_key();
+    Ok((key, cfg, deadline))
+}
+
+/// Answers a parsed run request from the cache, from the computation it
+/// coalesces onto, or by computing it; returns the outcome label and the
+/// response.
+fn answer_run(
+    key: &str,
+    cfg: &HagerupConfig,
+    deadline: Deadline,
+    shared: &Shared,
+    spans: &mut RequestSpans,
+) -> (&'static str, Response) {
     // `cache.begin` is where a follower of an in-flight computation blocks,
     // so this span covers both the lookup and any coalescing wait.
-    match spans.record("cache_lookup", || shared.cache.begin(&key)) {
+    match spans.record("cache_lookup", || shared.cache.begin(key)) {
         Begin::Hit(cached) => {
             let warm = Instant::now();
             shared.telemetry.counter_inc("serve.cache_hits");
             let response = spans.record("serialize", || csv_response(&cached, true));
             shared.telemetry.observe_secs("serve.warm_s", warm.elapsed().as_secs_f64());
-            finish_request(shared, id, key, "hit", response.status, spans);
-            response
+            return ("hit", response);
         }
         Begin::LeaderFailed(message) => {
             shared.telemetry.counter_inc("serve.coalesced_failures");
-            let response =
-                error_response(&ReproError::io(format!("coalesced computation failed: {message}")));
-            finish_request(shared, id, key, "coalesced-failure", response.status, spans);
-            response
+            let e = ReproError::io(format!("coalesced computation failed: {message}"));
+            return ("coalesced-failure", error_response(&e));
         }
-        Begin::Lead => {
-            let admit = spans.record("admission_wait", || {
-                shared.admission.admit(&shared.cancel, deadline.map(|(at, _)| at))
-            });
-            record_occupancy(shared);
-            match admit {
-                Admit::Shed => {
-                    shared.telemetry.counter_inc("serve.admission_shed");
-                    shared.cache.fail(&key, "request was shed: server at capacity".into());
-                    let response = shed_response(shared.admission.retry_after_secs());
-                    finish_request(shared, id, key, "shed", response.status, spans);
-                    response
-                }
-                Admit::Cancelled => {
-                    shared.cache.fail(&key, "server is shutting down".into());
-                    let response = error_response(&ReproError::Interrupted { resume_dir: None });
-                    finish_request(shared, id, key, "cancelled", response.status, spans);
-                    response
-                }
-                Admit::Expired => {
-                    shared.telemetry.counter_inc("serve.deadline_expired");
-                    shared.cache.fail(&key, "deadline expired while queued".into());
-                    let response = deadline_response(
-                        "deadline expired while queued for a worker slot",
-                        shared.admission.retry_after_secs(),
-                    );
-                    finish_request(shared, id, key, "deadline", response.status, spans);
-                    response
-                }
-                Admit::Granted => {
-                    shared.telemetry.counter_inc("serve.admission_granted");
-                    let response = {
-                        // The guard releases the slot and refreshes the
-                        // occupancy gauges on *every* exit path — normal
-                        // return, error response, or a panic unwinding
-                        // this handler thread.
-                        let _slot = SlotGuard { shared };
-                        compute_and_publish(&key, &cfg, shared, &mut spans, deadline)
-                    };
-                    let outcome = match response.status {
-                        200 => "miss",
-                        504 => "deadline",
-                        _ => "error",
-                    };
-                    finish_request(shared, id, key, outcome, response.status, spans);
-                    response
-                }
-            }
-        }
+        Begin::Lead => {}
     }
+    let admit = spans.record("admission_wait", || {
+        shared.admission.admit(&shared.cancel, deadline.map(|(at, _)| at))
+    });
+    record_occupancy(shared);
+    let (outcome, failure, response) = match admit {
+        Admit::Granted => {
+            shared.telemetry.counter_inc("serve.admission_granted");
+            // The guard releases the slot and refreshes the occupancy
+            // gauges on *every* exit path — normal return, error response,
+            // or a panic unwinding this handler thread.
+            let _slot = SlotGuard { shared };
+            let response = compute_and_publish(key, cfg, shared, spans, deadline);
+            let outcome = match response.status {
+                200 => "miss",
+                504 => "deadline",
+                _ => "error",
+            };
+            return (outcome, response);
+        }
+        Admit::Shed => {
+            shared.telemetry.counter_inc("serve.admission_shed");
+            let message = "server at capacity: request was shed";
+            let response = refusal(429, message, "shed", &shared.admission);
+            ("shed", "request was shed: server at capacity", response)
+        }
+        Admit::Cancelled => {
+            let response = error_response(&ReproError::Interrupted { resume_dir: None });
+            ("cancelled", "server is shutting down", response)
+        }
+        Admit::Expired => {
+            shared.telemetry.counter_inc("serve.deadline_expired");
+            let message = "deadline expired while queued for a worker slot";
+            let response = refusal(504, message, "deadline", &shared.admission);
+            ("deadline", "deadline expired while queued", response)
+        }
+    };
+    shared.cache.fail(key, failure.into());
+    (outcome, response)
 }
 
 /// Closes a request's span collector into the trail and the structured log.
@@ -571,118 +554,30 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Deadline enforcement for one granted computation.
-///
-/// The campaign runs with a *request-scoped* [`CancelFlag`]; the watchdog
-/// thread cancels it when the deadline passes (the runner's cooperative
-/// cancellation seam then stops between runs — HTTP 504, slot freed, no
-/// thread leak), propagates server-wide shutdown into the same flag, and
-/// logs warn-level heartbeats for computations overrunning **2×** their
-/// deadline, then once per further deadline interval. [`Watchdog::finish`]
-/// wakes and joins the thread — the watchdog never outlives its request,
-/// and the request never waits for the watchdog's next step.
-struct Watchdog {
-    done: Arc<AtomicBool>,
-    expired: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn spawn(
-        deadline: Instant,
-        deadline_ms: u64,
-        request_cancel: CancelFlag,
-        server_cancel: CancelFlag,
-        logger: Logger,
-        key: String,
-    ) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let expired = Arc::new(AtomicBool::new(false));
-        let (done_w, expired_w) = (Arc::clone(&done), Arc::clone(&expired));
-        let interval = Duration::from_millis(deadline_ms.max(1));
-        let handle = std::thread::spawn(move || {
-            // First heartbeat at 2× the deadline (measured from request
-            // start, i.e. one full interval past expiry).
-            let mut next_warn = deadline + interval;
-            while !done_w.load(Ordering::Relaxed) {
-                if server_cancel.is_cancelled() {
-                    request_cancel.cancel();
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    if !expired_w.swap(true, Ordering::Relaxed) {
-                        request_cancel.cancel();
-                    }
-                    if now >= next_warn {
-                        logger.warn(
-                            "serve",
-                            "deadline-overrun",
-                            &[
-                                ("key", Value::String(key.clone())),
-                                ("deadline_ms", Value::U64(deadline_ms)),
-                                (
-                                    "overrun_ms",
-                                    Value::U64(now.duration_since(deadline).as_millis() as u64),
-                                ),
-                            ],
-                        );
-                        next_warn = now + interval;
-                    }
-                }
-                // `finish` unparks the thread, so a finished computation
-                // does not wait out the step.
-                std::thread::park_timeout(Duration::from_millis(5));
-            }
-        });
-        Watchdog { done, expired, handle: Some(handle) }
-    }
-
-    /// Stops and joins the watchdog thread; returns whether the deadline
-    /// expired while the computation ran.
-    fn finish(mut self) -> bool {
-        self.done.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-        self.expired.load(Ordering::Relaxed)
-    }
-}
-
 /// Runs the campaign for `key`, publishes the result (or failure) to the
-/// cache, and renders the response. Caller holds a worker slot. With a
-/// deadline, the computation runs under a [`Watchdog`]; an expired request
-/// answers 504, but a result that *did* complete is still published to the
-/// cache — the work is not wasted, and an identical retry hits.
+/// cache, and renders the response. Caller holds a worker slot. A deadline
+/// rides in the campaign's [`ExecContext`] beside the server's cancel
+/// flag: the runner claims no block once it has passed, as on shutdown.
+/// An expired request answers 504, but a result that *did* complete is
+/// still published to the cache — the work is not wasted, and an
+/// identical retry hits.
 fn compute_and_publish(
     key: &str,
     cfg: &HagerupConfig,
     shared: &Shared,
     spans: &mut RequestSpans,
-    deadline: Option<(Instant, u64)>,
+    deadline: Deadline,
 ) -> Response {
     let cold = Instant::now();
     shared.telemetry.counter_inc("serve.computations");
     shared.telemetry.counter_inc("serve.cache_misses");
-    let (cancel, watchdog) = match deadline {
-        Some((at, ms)) => {
-            let request_cancel = CancelFlag::new();
-            let watchdog = Watchdog::spawn(
-                at,
-                ms,
-                request_cancel.clone(),
-                shared.cancel.clone(),
-                shared.logger.clone(),
-                key.to_string(),
-            );
-            (request_cancel, Some(watchdog))
-        }
-        None => (shared.cancel.clone(), None),
-    };
-    let ctx = ExecContext::transient()
-        .with_cancel_flag(cancel)
+    let mut ctx = ExecContext::transient()
+        .with_cancel_flag(shared.cancel.clone())
         .with_logger(shared.logger.clone())
         .with_progress(shared.progress.clone());
+    if let Some((at, _)) = deadline {
+        ctx = ctx.with_deadline(at);
+    }
     let result = spans.record("compute", || run_figure_resilient(cfg, &shared.telemetry, &ctx));
     if shared.cfg.hold_ms > 0 {
         // Latency-injection knob: keep the slot busy so admission behavior
@@ -690,7 +585,7 @@ fn compute_and_publish(
         // deterministically.
         std::thread::sleep(Duration::from_millis(shared.cfg.hold_ms));
     }
-    let expired = watchdog.is_some_and(Watchdog::finish);
+    let expired = deadline.is_some_and(|(at, ms)| past_deadline(at, ms, key, &shared.logger));
     match result {
         Ok(rows) => {
             let response = spans.record("serialize", || {
@@ -700,30 +595,41 @@ fn compute_and_publish(
                 csv_response(&published, false)
             });
             shared.telemetry.observe_secs("serve.cold_s", cold.elapsed().as_secs_f64());
-            if expired {
-                // The result landed in the cache (an identical retry will
-                // hit), but this request's budget is spent: answer 504.
-                shared.telemetry.counter_inc("serve.deadline_expired");
-                return deadline_response(
-                    "deadline expired before the computation completed",
-                    shared.admission.retry_after_secs(),
-                );
+            if !expired {
+                return response;
             }
-            response
         }
         Err(ReproError::Interrupted { .. }) if expired => {
-            shared.telemetry.counter_inc("serve.deadline_expired");
             shared.cache.fail(key, "deadline expired mid-computation".into());
-            deadline_response(
-                "deadline expired before the computation completed",
-                shared.admission.retry_after_secs(),
-            )
         }
         Err(e) => {
             shared.cache.fail(key, e.to_string());
-            error_response(&e)
+            return error_response(&e);
         }
     }
+    // This request's budget is spent; a completed result is still cached.
+    shared.telemetry.counter_inc("serve.deadline_expired");
+    let message = "deadline expired before the computation completed";
+    refusal(504, message, "deadline", &shared.admission)
+}
+
+/// Whether a computation returning now has run past its deadline `at`, a
+/// budget of `ms`. One returning at or past twice its budget logs one
+/// warn-level `deadline-overrun`.
+fn past_deadline(at: Instant, ms: u64, key: &str, logger: &Logger) -> bool {
+    let now = Instant::now();
+    if now >= at + Duration::from_millis(ms) {
+        logger.warn(
+            "serve",
+            "deadline-overrun",
+            &[
+                ("key", Value::String(key.to_string())),
+                ("deadline_ms", Value::U64(ms)),
+                ("overrun_ms", Value::U64(now.duration_since(at).as_millis() as u64)),
+            ],
+        );
+    }
+    now >= at
 }
 
 fn record_occupancy(shared: &Shared) {
@@ -733,88 +639,52 @@ fn record_occupancy(shared: &Shared) {
 }
 
 fn csv_response(body: &str, hit: bool) -> Response {
-    Response::new(200, "OK", "text/csv", body.as_bytes().to_vec())
+    Response::new(200, "text/csv", body.as_bytes().to_vec())
         .with_header("X-Cache", if hit { "hit" } else { "miss" })
+}
+
+/// A JSON object body of `fields`, in order: every JSON response the
+/// server sends is built here.
+fn json_response(status: u16, fields: Vec<(&str, Value)>) -> Response {
+    let body = Value::Object(fields.into_iter().map(|(name, v)| (name.to_string(), v)).collect());
+    let text = serde_json::to_string(&body).expect("a JSON body serializes");
+    Response::new(status, "application/json", text)
 }
 
 /// Renders a typed [`ReproError`] as an HTTP response whose JSON body
 /// carries the error class and the CLI exit code the same failure would
 /// produce, so scripted clients map failures exactly like scripted CLI use.
 pub fn error_response(e: &ReproError) -> Response {
-    const INTERNAL: &str = "Internal Server Error";
-    let (status, reason, class) = match e {
-        ReproError::Usage(_) => (400, "Bad Request", "usage"),
-        ReproError::InvalidSpec(_) => (422, "Unprocessable Entity", "invalid-spec"),
-        ReproError::Interrupted { .. } => (503, "Service Unavailable", "interrupted"),
-        ReproError::Io(_) => (500, INTERNAL, "io"),
-        ReproError::Regression(_) => (500, INTERNAL, "regression"),
-        ReproError::RunPanicked(_) => (500, INTERNAL, "run-panicked"),
-        ReproError::Degraded(_) => (500, INTERNAL, "degraded"),
-        ReproError::StdoutClosed => (500, INTERNAL, "stdout-closed"),
+    let (status, class) = match e {
+        ReproError::Usage(_) => (400, "usage"),
+        ReproError::InvalidSpec(_) => (422, "invalid-spec"),
+        ReproError::Interrupted { .. } => (503, "interrupted"),
+        ReproError::Io(_) => (500, "io"),
+        ReproError::Regression(_) => (500, "regression"),
+        ReproError::RunPanicked(_) => (500, "run-panicked"),
+        ReproError::Degraded(_) => (500, "degraded"),
+        ReproError::StdoutClosed => (500, "stdout-closed"),
     };
-    let body = Value::Object(vec![
-        ("error".into(), Value::String(e.to_string())),
-        ("class".into(), Value::String(class.into())),
-        ("exit_code".into(), Value::U64(u64::from(e.exit_code()))),
-    ]);
-    Response::new(
+    json_response(
         status,
-        reason,
-        "application/json",
-        serde_json::to_string(&body).expect("error body serialization"),
+        vec![
+            ("error", Value::String(e.to_string())),
+            ("class", Value::String(class.into())),
+            ("exit_code", Value::U64(u64::from(e.exit_code()))),
+        ],
     )
 }
 
-/// The 429 shed response; its body mirrors the error-body shape with the
-/// dedicated `shed` class (there is no CLI analog, so no exit code). The
-/// `Retry-After` is computed from the live queue depth.
-fn shed_response(retry_after_secs: u64) -> Response {
-    let body = Value::Object(vec![
-        ("error".into(), Value::String("server at capacity: request was shed".into())),
-        ("class".into(), Value::String("shed".into())),
-    ]);
-    Response::new(
-        429,
-        "Too Many Requests",
-        "application/json",
-        serde_json::to_string(&body).expect("shed body serialization"),
-    )
-    .with_header("Retry-After", retry_after_secs.to_string())
-}
-
-/// The 504 deadline response (class `deadline`, no CLI exit-code analog);
-/// `Retry-After` is computed from the live queue depth like a shed.
-fn deadline_response(message: &str, retry_after_secs: u64) -> Response {
-    let body = Value::Object(vec![
-        ("error".into(), Value::String(message.to_string())),
-        ("class".into(), Value::String("deadline".into())),
-    ]);
-    Response::new(
-        504,
-        "Gateway Timeout",
-        "application/json",
-        serde_json::to_string(&body).expect("deadline body serialization"),
-    )
-    .with_header("Retry-After", retry_after_secs.to_string())
-}
-
-/// The accept-loop overload response (class `overloaded`): the connection
-/// bound was hit, so the request was never read — shed before parse.
-fn overloaded_response(retry_after_secs: u64) -> Response {
-    let body = Value::Object(vec![
-        (
-            "error".into(),
-            Value::String("server at connection capacity: connection was shed".into()),
-        ),
-        ("class".into(), Value::String("overloaded".into())),
-    ]);
-    Response::new(
-        503,
-        "Service Unavailable",
-        "application/json",
-        serde_json::to_string(&body).expect("overloaded body serialization"),
-    )
-    .with_header("Retry-After", retry_after_secs.to_string())
+/// A refusal the client should retry later: the 429 shed (class `shed`),
+/// the 504 deadline (`deadline`) and the accept loop's 503 connection shed
+/// (`overloaded`, the request was never read). Its body mirrors the error
+/// body without an exit code (no CLI analog); `Retry-After` comes from the
+/// live queue depth.
+fn refusal(status: u16, message: &str, class: &str, admission: &Admission) -> Response {
+    let fields =
+        vec![("error", Value::String(message.into())), ("class", Value::String(class.into()))];
+    json_response(status, fields)
+        .with_header("Retry-After", admission.retry_after_secs().to_string())
 }
 
 fn spec_err(msg: impl Into<String>) -> ReproError {
@@ -975,15 +845,10 @@ mod tests {
             }),
             Some(4)
         );
-        let shed = shed_response(1);
+        let shed = refusal(429, "shed", "shed", &Admission::new(1, 1));
         assert_eq!(shed.status, 429);
         assert!(String::from_utf8_lossy(&shed.body).contains(r#""class":"shed""#));
-        let deadline = deadline_response("expired", 3);
-        assert_eq!(deadline.status, 504);
-        assert!(deadline.headers.iter().any(|(n, v)| *n == "Retry-After" && v == "3"));
-        let overloaded = overloaded_response(1);
-        assert_eq!(overloaded.status, 503);
-        assert!(String::from_utf8_lossy(&overloaded.body).contains(r#""class":"overloaded""#));
+        assert!(shed.headers.iter().any(|(n, v)| *n == "Retry-After" && v == "1"));
     }
 
     fn test_shared(tag: &str, workers: usize, queue: usize) -> Shared {
@@ -1057,43 +922,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn watchdog_cancels_at_deadline_and_reports_expiry() {
-        let request_cancel = CancelFlag::new();
-        let logger = Logger::enabled();
-        let watchdog = Watchdog::spawn(
-            Instant::now() + Duration::from_millis(30),
-            30,
-            request_cancel.clone(),
-            CancelFlag::new(),
-            logger.clone(),
-            "k".into(),
-        );
-        // Simulate a computation overrunning well past 2× the deadline.
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(request_cancel.is_cancelled(), "watchdog cancelled the request flag");
-        assert!(watchdog.finish(), "expiry is reported");
-        let warned = logger.recent().iter().any(|r| r.message == "deadline-overrun");
-        assert!(warned, "overrunning 2x the deadline logs a warn heartbeat");
+    /// A small cold computation under `deadline_ms`, on a server holding
+    /// every computation's slot for `hold_ms`.
+    fn compute_with_deadline(shared: &Shared, deadline_ms: u64) -> Response {
+        let (_, cfg) =
+            parse_run_request(br#"{"fig":"fig5","runs":2,"pes":[2],"techniques":["SS"]}"#).unwrap();
+        let at = Instant::now() + Duration::from_millis(deadline_ms);
+        let key = format!("k{deadline_ms}");
+        assert!(matches!(shared.cache.begin(&key), Begin::Lead));
+        let mut spans = RequestSpans::start();
+        compute_and_publish(&key, &cfg, shared, &mut spans, Some((at, deadline_ms)))
+    }
+
+    fn overrun_warnings(logger: &Logger) -> Vec<dls_telemetry::LogRecord> {
+        logger.recent().into_iter().filter(|r| r.message == "deadline-overrun").collect()
     }
 
     #[test]
-    fn watchdog_propagates_server_shutdown_into_the_request_flag() {
-        let request_cancel = CancelFlag::new();
-        let server_cancel = CancelFlag::new();
-        let watchdog = Watchdog::spawn(
-            Instant::now() + Duration::from_secs(3600),
-            3_600_000,
-            request_cancel.clone(),
-            server_cancel.clone(),
-            Logger::disabled(),
-            "k".into(),
-        );
-        server_cancel.cancel();
-        while !request_cancel.is_cancelled() {
-            std::thread::yield_now();
-        }
-        assert!(!watchdog.finish(), "shutdown is not a deadline expiry");
+    fn shutdown_interrupts_a_computation_that_has_a_deadline() {
+        let shared = test_shared("deadline-shutdown", 1, 1);
+        shared.cancel.cancel();
+        let response = compute_with_deadline(&shared, 3_600_000);
+        assert_eq!(response.status, 503, "shutdown is not a deadline expiry");
+        assert!(String::from_utf8_lossy(&response.body).contains(r#""class":"interrupted""#));
+        assert_eq!(shared.telemetry.snapshot().counter("serve.deadline_expired"), None);
+    }
+
+    #[test]
+    fn an_overrun_past_twice_the_deadline_warns_once() {
+        let shared = |tag, hold_ms| Shared {
+            logger: Logger::enabled(),
+            cfg: ServeConfig { hold_ms, ..ServeConfig::default() },
+            ..test_shared(tag, 1, 1)
+        };
+        // Expired, but back before twice its budget: a 504 and no warning.
+        let late = shared("deadline-late", 300);
+        assert_eq!(compute_with_deadline(&late, 200).status, 504);
+        assert!(overrun_warnings(&late.logger).is_empty());
+
+        // Back after 5x its budget: one warning, not one per interval.
+        let overrun = shared("deadline-overrun", 100);
+        assert_eq!(compute_with_deadline(&overrun, 20).status, 504);
+        let warnings = overrun_warnings(&overrun.logger);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        let field = |name| warnings[0].fields.iter().find(|(n, _)| *n == name).map(|(_, v)| v);
+        assert_eq!(warnings[0].target, "serve");
+        assert_eq!(field("key"), Some(&Value::String("k20".into())));
+        assert_eq!(field("deadline_ms"), Some(&Value::U64(20)));
+        assert!(matches!(field("overrun_ms"), Some(&Value::U64(ms)) if ms >= 80), "{warnings:?}");
     }
 
     #[test]

@@ -104,6 +104,13 @@ fn unknown_commands_and_unread_options_exit_2() {
         (&["nonsense"][..], "unknown command `nonsense`"),
         (&["fig9", "--log", "f.jsonl"], "`fig9` does not read option `--log`"),
         (&["serve", "--threads", "2"], "`serve` does not read option `--threads`"),
+        (&["fig5", "--pes", "0"], "--pes must be at least 1"),
+        (&["fig5", "--pes", "2,0"], "--pes must be at least 1"),
+        (&["sweep", "--pes", "0"], "--pes must be at least 1"),
+        (&["faults", "--pes", "0"], "--pes must be at least 1"),
+        (&["verify", "--pes", "0"], "--pes must be at least 1"),
+        (&["fig5", "--runs", "0"], "--runs must be at least 1"),
+        (&["fig6", "--threads", "0"], "--threads must be at least 1"),
     ] {
         let out = repro(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -121,4 +128,28 @@ fn table_commands_match_their_goldens() {
         let want = std::fs::read(golden.join(format!("{name}.txt"))).unwrap();
         assert!(out.stdout == want, "{name} stdout differs from tests/golden/{name}.txt");
     }
+}
+
+/// The build identity in a journal header is the revision of the tree the
+/// binary was built from, whichever directory it runs in.
+#[test]
+fn the_journal_header_names_the_build_wherever_it_runs() {
+    let header_rev = |cwd: &Path, name: &str| {
+        let dir = scratch(name);
+        let out = repro(&["fig5", "--runs", "1", "--pes", "2", "--techniques", "SS", "--resume"])
+            .arg(&dir)
+            .current_dir(cwd)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let header = journal.lines().next().unwrap();
+        let rev = header.split(r#""git_rev":""#).nth(1).unwrap().split('"').next().unwrap();
+        let rev = rev.to_string();
+        let _ = std::fs::remove_dir_all(&dir);
+        rev
+    };
+    let in_repo = header_rev(Path::new(env!("CARGO_MANIFEST_DIR")), "rev-in-repo");
+    let outside = header_rev(&std::env::temp_dir(), "rev-outside");
+    assert_eq!(in_repo, outside);
 }
