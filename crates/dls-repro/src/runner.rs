@@ -196,9 +196,9 @@ impl Progress {
 }
 
 /// Shared state of one resilient invocation: the optional checkpoint
-/// journal, the cancellation flag and deadline, and the quarantine list. One context
-/// spans every campaign a command executes, so a `repro sweep` journals all
-/// its grid cells into a single `--resume` directory.
+/// journal, the cancellation flag and deadline, and the quarantine list.
+/// One context spans every campaign a command executes, so a `repro sweep`
+/// journals all its grid cells into a single `--resume` directory.
 #[derive(Debug)]
 pub struct ExecContext {
     journal: Option<Journal>,
