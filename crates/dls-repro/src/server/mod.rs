@@ -922,8 +922,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A small cold computation under `deadline_ms`, on a server holding
-    /// every computation's slot for `hold_ms`.
+    /// A small cold computation under a deadline of `deadline_ms`; the
+    /// server's `hold_ms` keeps it busy past its return.
     fn compute_with_deadline(shared: &Shared, deadline_ms: u64) -> Response {
         let (_, cfg) =
             parse_run_request(br#"{"fig":"fig5","runs":2,"pes":[2],"techniques":["SS"]}"#).unwrap();
