@@ -24,7 +24,7 @@
 //!
 //! The journal holds checked bytes, not decoded values. `read_journal`
 //! unseals each record line, reads its key at the one layout
-//! [`record_line`] writes (`{"key":…,"value":…}`), and checks the value's
+//! `record_line` writes (`{"key":…,"value":…}`), and checks the value's
 //! JSON without building it (`serde_json::Reader`: no allocation, no number
 //! conversion, and exactly the texts the decoder accepts), so a line that
 //! would fail its decode is still quarantined at open. The index maps each

@@ -17,7 +17,7 @@ use dls_rng::seed_stream;
 use dls_telemetry::{Logger, Telemetry};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Derives the campaign seed for grid cell `index` from an experiment's
@@ -36,8 +36,14 @@ pub fn cell_seed(campaign_seed: u64, index: u64) -> u64 {
 }
 
 /// The default worker-thread count: the host's available parallelism.
+///
+/// The count is read once per process and then reused (the read goes
+/// through cgroup files and costs tens of microseconds, on every service
+/// request that builds a config). A later change to the cgroup CPU quota
+/// or to the process's CPU affinity is therefore not seen.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 // ---------------------------------------------------------------------------
@@ -633,9 +639,9 @@ where
         local
     };
     // A single worker stays on the calling thread: the server runs its
-    // campaigns at one thread on the connection thread, and every thread
-    // that records telemetry leaves a shard in the server's long-lived
-    // registry.
+    // campaigns at one thread on the handler thread, with no spawn. A
+    // spawned worker's telemetry shard is folded into the registry's
+    // accumulator once the worker exits.
     let threads = threads.max(1).min(pending.len().div_ceil(batch_width).max(1));
     let partials: Vec<Vec<(u32, Option<T>)>> = if threads == 1 {
         vec![worker()]

@@ -75,8 +75,8 @@ use std::io::ErrorKind;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound on `runs` a request may ask for — a service request is a
@@ -218,10 +218,12 @@ impl Server {
 
     /// Serves until cancelled (→ [`ReproError::Interrupted`], exit 130) or
     /// until `max_requests` connections were handled (→ `Ok`, exit 0).
-    /// Each connection is handled on its own thread, bounded by
-    /// `max_connections` — beyond that the accept loop sheds with an
-    /// immediate 503 instead of accumulating handler threads. In-flight
-    /// handlers are drained before returning.
+    /// Accepted connections go to a pool of handler threads that live
+    /// until shutdown and answer one connection at a time; the pool grows
+    /// only while every handler is busy, so it never holds more than
+    /// `max_connections` threads. Beyond that many in-flight connections
+    /// the accept loop sheds with an immediate 503. In-flight connections
+    /// are drained before returning.
     ///
     /// The loop blocks in `accept`, so a connection is picked up the
     /// moment it arrives. Cancellation wakes it: a watcher thread connects
@@ -242,7 +244,7 @@ impl Server {
     }
 
     fn accept_loop(&self) -> Result<(), ReproError> {
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut pool = HandlerPool::new(Arc::clone(&self.shared));
         let mut handled: u64 = 0;
         let cfg = &self.shared.cfg;
         let outcome = loop {
@@ -258,11 +260,10 @@ impl Server {
             if self.shared.cancel.is_cancelled() {
                 break Err(ReproError::Interrupted { resume_dir: None });
             }
-            handles.retain(|h| !h.is_finished());
-            if handles.len() >= cfg.max_connections.max(1) {
+            if pool.in_flight() >= cfg.max_connections.max(1) {
                 // Shed on the accept thread without reading the request:
                 // the bound exists to protect the server from connection
-                // floods, so the answer must not cost a handler thread.
+                // floods, so the answer must not cost a handler.
                 self.shared.telemetry.counter_inc("serve.connections_shed");
                 let mut stream = stream;
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
@@ -272,16 +273,104 @@ impl Server {
                 continue;
             }
             handled += 1;
-            let shared = Arc::clone(&self.shared);
-            handles.push(std::thread::spawn(move || handle_connection(stream, &shared)));
+            pool.dispatch(stream);
             if cfg.max_requests.is_some_and(|n| handled >= n) {
                 break Ok(());
             }
         };
-        for h in handles {
-            let _ = h.join();
-        }
+        pool.drain();
         outcome
+    }
+}
+
+/// The connection handlers: threads that each answer one accepted
+/// connection at a time and live until the server drains. A thread is
+/// spawned only when a connection arrives while every live handler is
+/// busy, so a stream of sequential requests is served by one thread and
+/// the pool never exceeds the in-flight bound, `max_connections`.
+struct HandlerPool {
+    shared: Arc<Shared>,
+    /// Dropped on drain: handlers answer what is queued, then exit.
+    queue: mpsc::Sender<TcpStream>,
+    inbox: Arc<Inbox>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// What the accept thread shares with the handler threads.
+struct Inbox {
+    streams: Mutex<mpsc::Receiver<TcpStream>>,
+    /// Connections dispatched and not yet answered, queued or in a handler:
+    /// the accept loop's shed test.
+    in_flight: AtomicUsize,
+    /// Handler threads that have not exited. `dispatch` keeps it at or
+    /// above `in_flight`, so every queued connection has a handler to take
+    /// it.
+    live: AtomicUsize,
+}
+
+impl HandlerPool {
+    fn new(shared: Arc<Shared>) -> Self {
+        let (queue, streams) = mpsc::channel();
+        let inbox = Arc::new(Inbox {
+            streams: Mutex::new(streams),
+            in_flight: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
+        });
+        HandlerPool { shared, queue, inbox, threads: Vec::new() }
+    }
+
+    fn in_flight(&self) -> usize {
+        self.inbox.in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Queues `stream` for a handler, first spawning one if every live
+    /// handler is busy — including to replace one that panicked.
+    fn dispatch(&mut self, stream: TcpStream) {
+        let in_flight = self.inbox.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        if in_flight > self.inbox.live.load(Ordering::SeqCst) {
+            self.shared.telemetry.counter_inc("serve.handler_spawns");
+            self.threads.retain(|t| !t.is_finished());
+            self.inbox.live.fetch_add(1, Ordering::SeqCst);
+            let (shared, inbox) = (Arc::clone(&self.shared), Arc::clone(&self.inbox));
+            self.threads.push(std::thread::spawn(move || serve_connections(&shared, &inbox)));
+        }
+        // The pool's own inbox holds the receiver, so the send cannot fail.
+        let _ = self.queue.send(stream);
+    }
+
+    /// Closes the queue and waits until every accepted connection has been
+    /// answered and every handler has exited.
+    fn drain(self) {
+        drop(self.queue);
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A handler thread's loop: answers queued connections until the queue is
+/// closed and empty.
+fn serve_connections(shared: &Shared, inbox: &Inbox) {
+    let _live = Held(&inbox.live);
+    loop {
+        let next = inbox.streams.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(mut stream) = next else { return };
+        // Declared after the stream, so dropped before it: the slot is free
+        // by the time the client sees the connection close, and a client's
+        // next connection is never shed for its previous one.
+        let _slot = Held(&inbox.in_flight);
+        handle_connection(&mut stream, shared);
+    }
+}
+
+/// Takes one off its counter when dropped, on every exit path — a panic
+/// included, so a handler that dies mid-request frees its connection slot
+/// and its place in the live count.
+struct Held<'a>(&'a AtomicUsize);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -322,21 +411,20 @@ fn socket_timeout(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut stream = stream;
+fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     // Blocking I/O per connection: a stuck client can neither stall reads
     // past the read timeout nor wedge the response write past the write
     // timeout.
     let _ = stream.set_read_timeout(socket_timeout(shared.cfg.read_timeout_ms));
     let _ = stream.set_write_timeout(socket_timeout(shared.cfg.write_timeout_ms));
-    let response = match http::read_request(&stream) {
+    let response = match http::read_request(stream) {
         Ok(request) => {
             shared.telemetry.counter_inc("serve.requests");
             route(&request, shared)
         }
         Err(e) => error_response(&ReproError::usage(format!("malformed HTTP request: {e}"))),
     };
-    let _ = http::write_response(&mut stream, &response);
+    let _ = http::write_response(stream, &response);
 }
 
 /// Dispatches a request. Each endpoint is listed once with the one method
@@ -895,6 +983,45 @@ mod tests {
         let snap = shared.telemetry.snapshot();
         assert_eq!(snap.gauge("serve.workers_busy"), Some(0.0));
         assert_eq!(snap.gauge("serve.queue_depth"), Some(0.0));
+    }
+
+    /// A handler that dies mid-connection frees its slot and its place in
+    /// the live count; the next connection spawns a replacement that
+    /// answers it, and the drain joins it.
+    #[test]
+    fn a_dead_handler_is_replaced_and_its_slot_released() {
+        use std::io::{Read, Write};
+        let shared = Arc::new(test_shared("pool-replace", 1, 1));
+        let mut pool = HandlerPool::new(Arc::clone(&shared));
+        // Stand-in for a live handler that panics while answering.
+        pool.inbox.live.fetch_add(1, Ordering::SeqCst);
+        pool.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
+        let inbox = Arc::clone(&pool.inbox);
+        let died = std::thread::spawn(move || {
+            let _live = Held(&inbox.live);
+            let _slot = Held(&inbox.in_flight);
+            panic!("handler died mid-connection");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(pool.in_flight(), 0, "the dead handler's slot is free");
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            reply
+        });
+        pool.dispatch(listener.accept().unwrap().0);
+        assert!(client.join().unwrap().ends_with("\r\n\r\nok\n"));
+        assert_eq!(shared.telemetry.snapshot().counter("serve.handler_spawns"), Some(1));
+        let inbox = Arc::clone(&pool.inbox);
+        pool.drain();
+        assert_eq!(inbox.live.load(Ordering::SeqCst), 0, "every handler exited");
+        assert_eq!(inbox.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]

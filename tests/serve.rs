@@ -24,6 +24,8 @@
 //!   cache persistence tier degrades;
 //! * a stuck client is cut off by the read timeout without wedging the
 //!   server, and raw non-HTTP garbage gets a typed 400;
+//! * sequential connections reuse the connection handler threads: 200
+//!   hits spawn at most `max_connections` of them;
 //! * every non-200 response the server renders (400, 404, 422, 429, 500,
 //!   the three 503s and 504) is pinned byte for byte.
 
@@ -250,6 +252,30 @@ fn sequential_warm_hits_answer_without_waiting() {
     latencies.sort();
     let median = latencies[latencies.len() / 2];
     assert!(median < Duration::from_millis(2), "median warm hit took {median:?}");
+    server.stop();
+}
+
+/// Connection handlers are reused: 200 sequential hits on a server
+/// allowing 4 connections are all answered, byte-identical, by at most 4
+/// handler threads rather than one new thread per connection.
+#[test]
+fn sequential_hits_reuse_connection_handlers() {
+    let dir = tmp_dir("handler-reuse");
+    let mut cfg = config(&dir, 1, 4, 0);
+    cfg.max_connections = 4;
+    let server = start_with(cfg);
+    let addr = server.addr;
+    let (status, _, expected) = exchange(addr, "POST", "/run", SPEC);
+    assert_eq!(status, 200);
+    for i in 0..200 {
+        let (status, headers, body) = exchange(addr, "POST", "/run", SPEC);
+        assert_eq!((status, header(&headers, "x-cache")), (200, Some("hit")), "hit {i}");
+        assert_eq!(body, expected, "hit {i} is byte-identical");
+    }
+    let snap = snapshot(addr);
+    let spawns = snap.counter("serve.handler_spawns").expect("spawns are counted");
+    assert!(spawns <= 4, "{spawns} handler threads spawned for sequential hits");
+    assert_eq!(snap.counter("serve.connections_shed"), None, "no sequential hit is shed");
     server.stop();
 }
 
