@@ -254,7 +254,7 @@ pub const COMMANDS: &[Command] = &[
     cmd("fig6", None, CAMPAIGN, "Figure 6: wasted time and discrepancy, n=8,192", hagerup),
     cmd("fig7", None, CAMPAIGN, "Figure 7: wasted time and discrepancy, n=65,536", hagerup),
     cmd("fig8", None, CAMPAIGN, "Figure 8: wasted time and discrepancy, n=524,288", hagerup),
-    cmd("fig9", None, &[RUN], "Figure 9: FAC outlier runs on 2 PEs", commands::fig9),
+    cmd("fig9", None, &[RUN], "Figure 9: the runs of Figure 8's FAC p=2 cell", commands::fig9),
     cmd("spec", None, &["--runs --seed --csv"], "write Figure-2 JSON specs", commands::spec),
     cmd("verify", None, &["--runs --seed --pes"], "msgsim vs Hagerup replica", commands::verify),
     cmd("sweep", None, CAMPAIGN, "sweep task-time families, PEs, techniques", commands::sweep),

@@ -6,7 +6,6 @@ use crate::artifacts::{ArtifactSink, ArtifactTier};
 use crate::error::ReproError;
 use crate::hagerup_exp::{self, HagerupConfig};
 use crate::journal::{self, Journal, JournalMeta};
-use crate::outlier::{self, OutlierConfig};
 use crate::runner::{default_threads, ExecContext, Progress};
 use crate::server::Server;
 use crate::spec::{ExperimentSpec, MeasuredValue, OverheadSpec};
@@ -337,26 +336,33 @@ pub(super) fn hagerup(inv: &Invocation) -> Result<(), ReproError> {
 
 pub(super) fn fig9(inv: &Invocation) -> Result<(), ReproError> {
     let o = &inv.options;
-    let mut cfg = OutlierConfig::paper(o.runs.unwrap_or(1000));
+    let mut cfg = HagerupConfig::fac_p2(524_288, o.runs.unwrap_or(1000));
     cfg.threads = o.threads.unwrap_or_else(default_threads);
     cfg.seed = o.seed.unwrap_or(cfg.seed);
     errln!("fig9: FAC, p=2, n={}, runs={} — running...", cfg.n, cfg.runs);
-    let a = outlier::run_outlier(&cfg, reference::fig9::OUTLIER_THRESHOLD)?;
-    outln!("fig9: average wasted time per run (FAC, 2 PEs, {} tasks)", cfg.n)?;
-    outln!("{}", report::outlier_summary(&a))?;
+    let series = hagerup_exp::run_cell_series(&cfg)?;
+    let threshold = reference::fig9::OUTLIER_THRESHOLD;
+    let msgsim: Vec<f64> = series.iter().map(|s| s.msgsim).collect();
+    let replica: Vec<f64> = series.iter().map(|s| s.replica).collect();
+    outln!("fig9: average wasted time per run (FAC, 2 PEs, {} tasks: fig8's FAC p=2 cell)", cfg.n)?;
+    outln!("{}", report::outlier_summary(&msgsim, threshold))?;
+    outln!("replica (independent realizations):")?;
+    outln!("{}", report::outlier_summary(&replica, threshold))?;
     outln!(
         "paper: {} of 1000 runs above {:.0} s; trimmed mean {:.2} s",
         reference::fig9::PAPER_OUTLIER_COUNT,
-        reference::fig9::OUTLIER_THRESHOLD,
+        threshold,
         reference::fig9::PAPER_TRIMMED_MEAN
     )?;
-    let rows: Vec<Vec<String>> =
-        a.per_run.iter().enumerate().map(|(i, w)| vec![i.to_string(), format!("{w:.3}")]).collect();
-    write_csv(inv, "fig9", &["run", "avg_wasted_s"], &rows)
+    let rows: Vec<Vec<String>> = series
+        .iter()
+        .enumerate()
+        .map(|(i, s)| vec![i.to_string(), format!("{:.3}", s.msgsim), format!("{:.3}", s.replica)])
+        .collect();
+    write_csv(inv, "fig9", &["run", "avg_wasted_s", "replica_avg_wasted_s"], &rows)
 }
 
 pub(super) fn spec(inv: &Invocation) -> Result<(), ReproError> {
-    use dls_core::Technique;
     use dls_platform::{LinkSpec, Platform};
     use dls_workload::Workload;
     let o = &inv.options;
@@ -376,26 +382,30 @@ pub(super) fn spec(inv: &Invocation) -> Result<(), ReproError> {
             seed: 0,
         });
     }
-    // Figures 5–9: exponential task times on p PEs, wasted time measured.
-    let all = || Technique::hagerup_set().to_vec();
-    let average = MeasuredValue::AverageWastedTime;
-    for (id, n, techniques, p, measured, seed) in [
-        ("fig5", 1_024u64, all(), 1024, average, 0x20170529 ^ 1_024),
-        ("fig6", 8_192, all(), 1024, average, 0x20170529 ^ 8_192),
-        ("fig7", 65_536, all(), 1024, average, 0x20170529 ^ 65_536),
-        ("fig8", 524_288, all(), 1024, average, 0x20170529 ^ 524_288),
-        ("fig9", 524_288, vec![Technique::Fac], 2, MeasuredValue::PerRunWastedTime, 0xF169),
-    ] {
+    // Figures 5–9: exponential task times on p PEs, wasted time measured,
+    // each declared by the campaign it describes.
+    let runs = o.runs.unwrap_or(1000);
+    let figures = [1_024, 8_192, 65_536, 524_288].map(|n| HagerupConfig::paper(n, runs));
+    let fig9 = HagerupConfig::fac_p2(524_288, runs);
+    for (fig, cfg) in (5..).zip(&figures).chain([(9, &fig9)]) {
         specs.push(ExperimentSpec {
-            id: id.into(),
-            artifact: format!("Figure {}", &id[3..]),
-            workload: Workload::exponential(n, 1.0)?,
-            techniques,
-            platform: Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible()),
-            runs: o.runs.unwrap_or(1000),
-            measured,
-            overhead: OverheadSpec::PostHocTotal { h: 0.5 },
-            seed: o.seed.unwrap_or(seed),
+            id: format!("fig{fig}"),
+            artifact: format!("Figure {fig}"),
+            workload: Workload::exponential(cfg.n, cfg.mean)?,
+            techniques: cfg.techniques.clone(),
+            platform: Platform::homogeneous_star(
+                "pe",
+                cfg.pes.iter().copied().max().unwrap_or(1),
+                1.0,
+                LinkSpec::negligible(),
+            ),
+            runs: cfg.runs,
+            measured: match fig {
+                9 => MeasuredValue::PerRunWastedTime,
+                _ => MeasuredValue::AverageWastedTime,
+            },
+            overhead: OverheadSpec::PostHocTotal { h: cfg.h },
+            seed: o.seed.unwrap_or(cfg.seed),
         });
     }
     for s in &specs {

@@ -13,9 +13,21 @@
 //!   "bandwidth to a very high value and the latency to a very low value");
 //! * `dls-hagerup` — the replica of Hagerup's own simulator, the oracle the
 //!   discrepancy columns (Figures 5c/d–8c/d) compare against.
+//!
+//! Figure 9 is one cell of Figure 8 seen run by run. The paper explains
+//! that figure's one outlying discrepancy cell (FAC, p = 2) by plotting
+//! each of its 1,000 runs: 15 runs (1.5 %) exceed 400 s, and excluding them
+//! collapses the mean to 25.82 s. The mechanism is FAC's moment-aware first
+//! batch: with σ/µ = 1 and R = 524,288, the factor x₀ ≈ 1.002, so the first
+//! two chunks cover almost all tasks — when the two halves' sums diverge by
+//! more than the leftover work can absorb, the run's wasted time explodes.
+//! [`run_cell_series`] returns that cell's per-run pairs, from the same
+//! cell function and cell seed [`run_figure_resilient`] aggregates.
 
 use crate::error::ReproError;
-use crate::runner::{batch_width_for, cell_seed, run_campaign_resilient_batched, ExecContext};
+use crate::runner::{
+    batch_width_for, cell_seed, run_campaign_resilient_batched, ExecContext, QuarantinedRun,
+};
 use dls_core::{SetupError, Technique};
 use dls_hagerup::BatchDirectSimulator;
 use dls_metrics::{discrepancy, relative_discrepancy_pct, OverheadModel, SummaryStats};
@@ -85,6 +97,13 @@ impl HagerupConfig {
             techniques: Technique::hagerup_set().to_vec(),
             batch_width: batch_width_for(n),
         }
+    }
+
+    /// Figure `n`'s FAC, p = 2 cell alone: [`HagerupConfig::paper`] cut to
+    /// that one cell. p = 2 is the figure's first PE count, so the cell
+    /// keeps its seed and every run. `fac_p2(524_288, runs)` is Figure 9.
+    pub fn fac_p2(n: u64, runs: u32) -> Self {
+        HagerupConfig { pes: vec![2], techniques: vec![Technique::Fac], ..Self::paper(n, runs) }
     }
 
     /// The campaign's identity for `--resume` journals and the server's
@@ -191,84 +210,10 @@ pub fn run_figure_resilient(
     ctx: &ExecContext,
 ) -> Result<Vec<WastedRow>, ReproError> {
     let _wall = telemetry.span("figure.wall_s");
-    let techniques = &cfg.techniques;
-    let overhead = OverheadModel::PostHocTotal { h: cfg.h };
-    let workload = figure_workload(cfg)?;
     let mut rows = Vec::new();
-
     for (pi, &p) in cfg.pes.iter().enumerate() {
-        let sim = BatchDirectSimulator::new(p, overhead);
-        // Check every technique's spec once per cell: a bad configuration
-        // must surface as Err here, not as a panic inside a worker thread.
-        // The replica side reuses each spec's setup for the whole cell.
-        let mut prepared = Vec::with_capacity(techniques.len());
-        for &technique in techniques {
-            let spec = cell_spec(cfg, technique, p)?;
-            spec.check(None)?;
-            let setup = spec.loop_setup();
-            prepared.push((spec, setup));
-        }
-        // One campaign per p: each run generates a single realization and
-        // evaluates every technique on it, in both simulators. Runs are
-        // claimed in blocks of `cfg.batch_width`; the msgsim side stays
-        // per-run (its cost is the message engine, not the scheduler), the
-        // replica side goes through the lockstep batch simulator. The
-        // journal still records one `Vec<FigPair>` per run, so resume and
-        // quarantine semantics are identical to the scalar runner's.
-        let per_run: Vec<Option<Vec<FigPair>>> = run_campaign_resilient_batched(
-            cfg.runs,
-            cell_seed(cfg.seed, pi as u64),
-            cfg.threads,
-            cfg.batch_width.max(1),
-            telemetry,
-            ctx,
-            &format!("n={} p={}", cfg.n, p),
-            FigScratch::default,
-            |items, scratch: &mut FigScratch| {
-                let b = items.len();
-                if scratch.tasks.len() < b {
-                    scratch.tasks.resize_with(b, || None);
-                    scratch.oracle.resize_with(b, || None);
-                }
-                for (lane, &(_, run_seed)) in items.iter().enumerate() {
-                    workload.generate_into(run_seed, &mut scratch.tasks[lane]);
-                    if cfg.oracle == OracleMode::IndependentSeeds {
-                        workload.generate_into(run_seed ^ ORACLE_SALT, &mut scratch.oracle[lane]);
-                    }
-                }
-                let mut pairs: Vec<Vec<FigPair>> =
-                    vec![vec![FigPair { msgsim: 0.0, replica: 0.0 }; techniques.len()]; b];
-                for (lane, lane_pairs) in pairs.iter_mut().enumerate() {
-                    let tasks = scratch.tasks[lane].as_ref().expect("generate_into fills slots");
-                    for (ti, (spec, _)) in prepared.iter().enumerate() {
-                        lane_pairs[ti].msgsim =
-                            simulate_with_tasks(spec, tasks, &Tracer::disabled(), telemetry)
-                                .expect("checked spec cannot fail")
-                                .average_wasted();
-                    }
-                }
-                // Arc-bump clones for the batch call; dropped before return.
-                let oracle_batch: Vec<TaskTimes> = (0..b)
-                    .map(|lane| match cfg.oracle {
-                        OracleMode::SharedRealizations => scratch.tasks[lane].clone(),
-                        OracleMode::IndependentSeeds => scratch.oracle[lane].clone(),
-                    })
-                    .map(|slot| slot.expect("generate_into fills slots"))
-                    .collect();
-                for ((ti, &technique), (_, setup)) in techniques.iter().enumerate().zip(&prepared) {
-                    let outcomes = sim
-                        .run_batch_metered(technique, setup, &oracle_batch, telemetry)
-                        .expect("validated setup cannot fail");
-                    for (lane, outcome) in outcomes.iter().enumerate() {
-                        pairs[lane][ti].replica = outcome.average_wasted(overhead);
-                    }
-                }
-                pairs
-            },
-        )?;
-        telemetry.counter_inc("figure.campaigns");
-
-        for (ti, &technique) in techniques.iter().enumerate() {
+        let per_run = run_cell(cfg, pi, telemetry, ctx)?;
+        for (ti, &technique) in cfg.techniques.iter().enumerate() {
             let mut msg_stats = SummaryStats::new();
             let mut rep_stats = SummaryStats::new();
             for pair in per_run.iter().flatten() {
@@ -289,6 +234,120 @@ pub fn run_figure_resilient(
         }
     }
     Ok(rows)
+}
+
+/// Figure 9's series: every run of `cfg`'s first cell (`cfg.pes[0]` PEs),
+/// the pair of its first technique, in run order. For
+/// [`HagerupConfig::fac_p2`] that is the figure's FAC, p = 2 cell, run for
+/// run as [`run_figure_resilient`] averages it.
+///
+/// The series is indexed by run (`repro fig9`'s CSV numbers its rows by
+/// position), so a quarantined run cannot simply be dropped: a panicking
+/// run fails the whole series with [`ReproError::RunPanicked`], naming the
+/// run and its seed.
+pub fn run_cell_series(cfg: &HagerupConfig) -> Result<Vec<FigPair>, ReproError> {
+    if cfg.pes.is_empty() || cfg.techniques.is_empty() {
+        return Err(ReproError::invalid_spec("a cell series needs a PE count and a technique"));
+    }
+    let ctx = ExecContext::transient();
+    let per_run = run_cell(cfg, 0, &Telemetry::disabled(), &ctx)?;
+    first_panic(ctx.quarantined())?;
+    Ok(per_run.into_iter().map(|pairs| pairs.expect("no run was quarantined")[0]).collect())
+}
+
+/// The lowest-indexed quarantined run, as the error that fails a per-run
+/// series; `Ok` when no run panicked.
+fn first_panic(quarantined: Vec<QuarantinedRun>) -> Result<(), ReproError> {
+    match quarantined.into_iter().min_by_key(|q| q.run) {
+        Some(q) => Err(ReproError::RunPanicked(q)),
+        None => Ok(()),
+    }
+}
+
+/// One cell of the figure campaign: every technique of `cfg` on
+/// `cfg.pes[pi]` PEs, under the cell seed of index `pi`. Returns one
+/// `Vec<FigPair>` (in `cfg.techniques` order) per run, in run order, and
+/// `None` for a quarantined run.
+fn run_cell(
+    cfg: &HagerupConfig,
+    pi: usize,
+    telemetry: &Telemetry,
+    ctx: &ExecContext,
+) -> Result<Vec<Option<Vec<FigPair>>>, ReproError> {
+    let (p, techniques) = (cfg.pes[pi], &cfg.techniques);
+    let overhead = OverheadModel::PostHocTotal { h: cfg.h };
+    let workload = figure_workload(cfg)?;
+    let sim = BatchDirectSimulator::new(p, overhead);
+    // Check every technique's spec once per cell: a bad configuration
+    // must surface as Err here, not as a panic inside a worker thread.
+    // The replica side reuses each spec's setup for the whole cell.
+    let mut prepared = Vec::with_capacity(techniques.len());
+    for &technique in techniques {
+        let spec = cell_spec(cfg, technique, p)?;
+        spec.check(None)?;
+        let setup = spec.loop_setup();
+        prepared.push((spec, setup));
+    }
+    // Each run generates a single realization and evaluates every
+    // technique on it, in both simulators. Runs are claimed in blocks of
+    // `cfg.batch_width`; the msgsim side stays per-run (its cost is the
+    // message engine, not the scheduler), the replica side goes through
+    // the lockstep batch simulator. The journal still records one
+    // `Vec<FigPair>` per run, so resume and quarantine semantics are
+    // identical to the scalar runner's.
+    let per_run = run_campaign_resilient_batched(
+        cfg.runs,
+        cell_seed(cfg.seed, pi as u64),
+        cfg.threads,
+        cfg.batch_width.max(1),
+        telemetry,
+        ctx,
+        &format!("n={} p={}", cfg.n, p),
+        FigScratch::default,
+        |items, scratch: &mut FigScratch| {
+            let b = items.len();
+            if scratch.tasks.len() < b {
+                scratch.tasks.resize_with(b, || None);
+                scratch.oracle.resize_with(b, || None);
+            }
+            for (lane, &(_, run_seed)) in items.iter().enumerate() {
+                workload.generate_into(run_seed, &mut scratch.tasks[lane]);
+                if cfg.oracle == OracleMode::IndependentSeeds {
+                    workload.generate_into(run_seed ^ ORACLE_SALT, &mut scratch.oracle[lane]);
+                }
+            }
+            let mut pairs: Vec<Vec<FigPair>> =
+                vec![vec![FigPair { msgsim: 0.0, replica: 0.0 }; techniques.len()]; b];
+            for (lane, lane_pairs) in pairs.iter_mut().enumerate() {
+                let tasks = scratch.tasks[lane].as_ref().expect("generate_into fills slots");
+                for (ti, (spec, _)) in prepared.iter().enumerate() {
+                    lane_pairs[ti].msgsim =
+                        simulate_with_tasks(spec, tasks, &Tracer::disabled(), telemetry)
+                            .expect("checked spec cannot fail")
+                            .average_wasted();
+                }
+            }
+            // Arc-bump clones for the batch call; dropped before return.
+            let oracle_batch: Vec<TaskTimes> = (0..b)
+                .map(|lane| match cfg.oracle {
+                    OracleMode::SharedRealizations => scratch.tasks[lane].clone(),
+                    OracleMode::IndependentSeeds => scratch.oracle[lane].clone(),
+                })
+                .map(|slot| slot.expect("generate_into fills slots"))
+                .collect();
+            for ((ti, &technique), (_, setup)) in techniques.iter().enumerate().zip(&prepared) {
+                let outcomes = sim
+                    .run_batch_metered(technique, setup, &oracle_batch, telemetry)
+                    .expect("validated setup cannot fail");
+                for (lane, outcome) in outcomes.iter().enumerate() {
+                    pairs[lane][ti].replica = outcome.average_wasted(overhead);
+                }
+            }
+            pairs
+        },
+    )?;
+    telemetry.counter_inc("figure.campaigns");
+    Ok(per_run)
 }
 
 /// Maximum absolute relative discrepancy over all rows, excluding the
@@ -430,6 +489,93 @@ mod tests {
         assert_eq!(c.mean, 1.0);
         assert_eq!(c.runs, 1000);
         assert_eq!(c.batch_width, 32, "paper cells default to the batched replica path");
+    }
+
+    #[test]
+    fn fac_p2_is_the_papers_first_cell() {
+        let c = HagerupConfig::fac_p2(524_288, 1000);
+        assert_eq!((c.pes.as_slice(), c.techniques.as_slice()), (&[2][..], &[Technique::Fac][..]));
+        let paper = HagerupConfig::paper(524_288, 1000);
+        assert_eq!((c.n, c.runs, c.h, c.mean, c.seed), (paper.n, 1000, 0.5, 1.0, paper.seed));
+        assert_eq!(paper.pes[0], 2, "p = 2 must stay the first cell for the seeds to match");
+        for empty in [
+            HagerupConfig { pes: vec![], ..HagerupConfig::fac_p2(64, 1) },
+            HagerupConfig { techniques: vec![], ..HagerupConfig::fac_p2(64, 1) },
+        ] {
+            assert!(matches!(run_cell_series(&empty), Err(ReproError::InvalidSpec(_))));
+        }
+    }
+
+    /// Figure 9 is the Figure 8 cell it explains: the series is, run for
+    /// run, the FAC p = 2 pairs of the full campaign with the same seed,
+    /// and its means are that row's means bit for bit.
+    #[test]
+    fn cell_series_is_the_full_campaigns_fac_p2_cell() {
+        let full = HagerupConfig { pes: vec![2, 8], threads: 2, ..HagerupConfig::paper(8_192, 40) };
+        let series =
+            run_cell_series(&HagerupConfig { threads: 2, ..HagerupConfig::fac_p2(8_192, 40) })
+                .unwrap();
+        let fac = full.techniques.iter().position(|&t| t == Technique::Fac).unwrap();
+        let cell = run_cell(&full, 0, &Telemetry::disabled(), &ExecContext::transient()).unwrap();
+        let expected: Vec<FigPair> = cell.into_iter().map(|pairs| pairs.unwrap()[fac]).collect();
+        assert_eq!(series.len(), 40);
+        assert_eq!(series, expected);
+
+        let row = figure(&full).unwrap().into_iter().find(|r| r.technique == "FAC" && r.p == 2);
+        let row = row.unwrap();
+        let mean = |f: fn(&FigPair) -> f64| {
+            SummaryStats::from_slice(&series.iter().map(f).collect::<Vec<_>>()).mean()
+        };
+        assert_eq!(mean(|s| s.msgsim).to_bits(), row.msgsim.to_bits());
+        assert_eq!(mean(|s| s.replica).to_bits(), row.replica.to_bits());
+    }
+
+    #[test]
+    fn cell_series_shows_fac_tail_mechanics() {
+        // n = 16,384 keeps a unit test fast while preserving the mechanism:
+        // FAC's first batch covers ~97 % of the tasks at p = 2.
+        let threshold = 100.0;
+        let series = run_cell_series(&HagerupConfig::fac_p2(16_384, 40)).unwrap();
+        let per_run: Vec<f64> = series.iter().map(|s| s.msgsim).collect();
+        assert_eq!(per_run.len(), 40);
+        let stats = SummaryStats::from_slice(&per_run);
+        let outliers = per_run.iter().filter(|&&w| w > threshold).count();
+        assert!(stats.mean() > 0.0);
+        // The trimmed mean never exceeds the raw mean.
+        if let Some(tm) = dls_metrics::mean_below_threshold(&per_run, threshold) {
+            assert!(tm <= stats.mean() + 1e-9);
+        }
+        // Most runs are cheap: the median is far below the max. The sort
+        // goes through the NaN-asserting helper, not a bare
+        // `partial_cmp().unwrap()`.
+        let mut sorted = per_run.clone();
+        dls_metrics::sort_ascending(&mut sorted);
+        let median = dls_metrics::percentile(&sorted, 50.0);
+        assert!(
+            stats.max() > 2.0 * median || outliers == 0,
+            "heavy tail expected: median {median}, max {}",
+            stats.max()
+        );
+        let again = run_cell_series(&HagerupConfig::fac_p2(16_384, 40)).unwrap();
+        assert_eq!(series, again, "the series is a pure function of the config");
+    }
+
+    #[test]
+    fn the_lowest_quarantined_run_fails_the_series_naming_run_and_seed() {
+        assert!(first_panic(Vec::new()).is_ok());
+        let run = |run, seed| QuarantinedRun {
+            cell: "n=524288 p=2".into(),
+            run,
+            seed,
+            panic_message: format!("poisoned run {run}"),
+        };
+        let err = first_panic(vec![run(7, 0xA7), run(5, 0xA5), run(9, 0xA9)]).unwrap_err();
+        let ReproError::RunPanicked(q) = &err else { panic!("untyped error: {err:?}") };
+        assert_eq!((q.run, q.seed, q.cell.as_str()), (5, 0xA5, "n=524288 p=2"));
+        assert!(q.panic_message.contains("poisoned run 5"), "{q}");
+        let msg = err.to_string();
+        assert!(msg.contains("run 5") && msg.contains(&format!("{:#018x}", q.seed)), "{msg}");
+        assert_eq!(err.exit_code(), crate::error::EXIT_REGRESSION);
     }
 
     /// The tentpole pin at the figure level: batch width is invisible in

@@ -7,7 +7,7 @@
 //! | Figure 2 (simulation information) | [`spec`] | — (JSON specs) |
 //! | Figures 3–4 (TSS speedups) | [`tss_exp`] | `repro fig3`, `repro fig4` |
 //! | Figures 5–8 (wasted time + discrepancy) | [`hagerup_exp`] | `repro fig5` … `repro fig8` |
-//! | Figure 9 (FAC outlier runs) | [`outlier`] | `repro fig9` |
+//! | Figure 9 (the runs of Figure 8's FAC, p = 2 cell) | [`hagerup_exp`] | `repro fig9` |
 //!
 //! The comparison oracle for Figures 5–8 is the [`dls_hagerup`] replica of
 //! Hagerup's simulator, fed the *same* per-run task-time realizations as the
@@ -27,7 +27,6 @@ pub mod error;
 pub mod faults;
 pub mod hagerup_exp;
 pub mod journal;
-pub mod outlier;
 pub mod plot;
 pub mod record;
 pub mod reference;

@@ -1,8 +1,8 @@
 //! Plain-text tables and CSV output for experiment results.
 
 use crate::hagerup_exp::WastedRow;
-use crate::outlier::OutlierAnalysis;
 use crate::tss_exp::SpeedupRow;
+use dls_metrics::{mean_below_threshold, SummaryStats};
 use std::fmt::Write as _;
 
 /// Renders an aligned plain-text table.
@@ -101,21 +101,24 @@ pub fn wasted_rows(rows: &[WastedRow]) -> (Vec<&'static str>, Vec<Vec<String>>) 
     (headers, body)
 }
 
-/// Formats the Figure 9 analysis summary.
-pub fn outlier_summary(a: &OutlierAnalysis) -> String {
+/// Formats the Figure 9 analysis of a per-run wasted-time series: its
+/// mean and max, the runs above `threshold`, and the mean without them.
+pub fn outlier_summary(per_run: &[f64], threshold: f64) -> String {
+    let stats = SummaryStats::from_slice(per_run);
+    let outliers = per_run.iter().filter(|&&w| w > threshold).count();
     let mut out = String::new();
-    let _ = writeln!(out, "runs:             {}", a.per_run.len());
-    let _ = writeln!(out, "mean wasted:      {:.2} s", a.mean);
-    let _ = writeln!(out, "max wasted:       {:.2} s", a.stats.max());
+    let _ = writeln!(out, "runs:             {}", per_run.len());
+    let _ = writeln!(out, "mean wasted:      {:.2} s", stats.mean());
+    let _ = writeln!(out, "max wasted:       {:.2} s", stats.max());
     let _ = writeln!(
         out,
         "> {:.0} s:          {} runs ({:.1} %)",
-        a.threshold,
-        a.outliers,
-        100.0 * a.outliers as f64 / a.per_run.len().max(1) as f64
+        threshold,
+        outliers,
+        100.0 * outliers as f64 / per_run.len().max(1) as f64
     );
-    if let Some(tm) = a.trimmed_mean {
-        let _ = writeln!(out, "mean (<= {:.0} s):  {:.2} s", a.threshold, tm);
+    if let Some(tm) = mean_below_threshold(per_run, threshold) {
+        let _ = writeln!(out, "mean (<= {:.0} s):  {:.2} s", threshold, tm);
     }
     out
 }

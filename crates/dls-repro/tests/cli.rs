@@ -153,3 +153,24 @@ fn the_journal_header_names_the_build_wherever_it_runs() {
     let outside = header_rev(&std::env::temp_dir(), "rev-outside");
     assert_eq!(in_repo, outside);
 }
+
+/// Figure 9 is Figure 8's FAC p=2 cell: at a given seed, the mean `fig9`
+/// prints is the `msgsim` column of that cell of `fig8`.
+#[test]
+fn fig9_prints_the_mean_of_fig8s_fac_p2_cell() {
+    let stdout = |args: &[&str]| {
+        let out = repro(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr_of(&out));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let seed = ["--runs", "8", "--seed", "4242", "--threads", "2"];
+    let fig9 = stdout(&[&["fig9"], &seed[..]].concat());
+    let fig8 = stdout(&[&["fig8", "--pes", "2", "--techniques", "FAC"], &seed[..]].concat());
+    let fig9_mean = fig9.lines().find_map(|l| l.strip_prefix("mean wasted:")).unwrap();
+    let fig8_cell = fig8
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .find(|cols| cols.starts_with(&["FAC", "2"]))
+        .unwrap();
+    assert_eq!(fig9_mean.trim(), format!("{} s", fig8_cell[2]), "fig9:\n{fig9}\nfig8:\n{fig8}");
+}

@@ -5,14 +5,16 @@
 //! the loop. When their sums diverge by more than the leftover work can
 //! absorb, the run's wasted time explodes — a rare event that dominates the
 //! mean. The paper excludes these runs (trimmed mean 25.82 s); this example
-//! reproduces the phenomenon and the trimming analysis.
+//! reproduces the phenomenon and the trimming analysis on the FAC, p = 2
+//! cell of the figure campaign at `n` tasks (Figure 7's cell by default,
+//! Figure 9 itself at n = 524,288).
 //!
 //! ```text
 //! cargo run --release --example fac_outlier [n] [runs]
 //! ```
 
-use dls_suite::dls_metrics::percentile;
-use dls_suite::dls_repro::outlier::{run_outlier, OutlierConfig};
+use dls_suite::dls_metrics::{mean_below_threshold, percentile, sort_ascending, SummaryStats};
+use dls_suite::dls_repro::hagerup_exp::{run_cell_series, HagerupConfig};
 use dls_suite::dls_repro::report;
 
 fn main() {
@@ -22,25 +24,27 @@ fn main() {
 
     // Threshold scaled from the paper's 400 s at n = 524,288.
     let threshold = 400.0 * n as f64 / 524_288.0;
-    let cfg = OutlierConfig::scaled(n, runs);
-    let analysis = run_outlier(&cfg, threshold).expect("valid configuration");
+    let series = run_cell_series(&HagerupConfig::fac_p2(n, runs)).expect("valid configuration");
+    let per_run: Vec<f64> = series.iter().map(|s| s.msgsim).collect();
 
     println!("FAC, p = 2, n = {n}, {runs} runs (paper Figure 9 at reduced scale)\n");
-    println!("{}", report::outlier_summary(&analysis));
+    println!("{}", report::outlier_summary(&per_run, threshold));
 
-    let mut sorted = analysis.per_run.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mut sorted = per_run.clone();
+    sort_ascending(&mut sorted);
     println!("percentiles of the per-run average wasted time:");
     for q in [50.0, 90.0, 99.0, 100.0] {
         println!("  p{q:<5} {:>10.2} s", percentile(&sorted, q));
     }
 
-    let tail_share = (analysis.mean - analysis.trimmed_mean.unwrap_or(analysis.mean))
-        / analysis.mean.max(f64::MIN_POSITIVE);
+    let mean = SummaryStats::from_slice(&per_run).mean();
+    let outliers = per_run.iter().filter(|&&w| w > threshold).count();
+    let tail_share = (mean - mean_below_threshold(&per_run, threshold).unwrap_or(mean))
+        / mean.max(f64::MIN_POSITIVE);
     println!(
         "\n{:.1} % of the mean comes from the {} outlier run(s) — the same\n\
          heavy-tail effect the paper isolates for FAC with 2 PEs.",
         100.0 * tail_share,
-        analysis.outliers
+        outliers
     );
 }

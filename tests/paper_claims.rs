@@ -95,21 +95,27 @@ fn hagerup_ordering_at_small_p() {
 
 /// §IV-B4 / Figure 9: FAC at p=2 has a heavy per-run tail; trimming the
 /// few outliers collapses the mean (paper: 1.5 % of runs, mean → 25.82 s).
+/// The series is Figure 7's FAC p=2 cell, run by run.
 #[test]
 fn fac_two_pe_tail_collapses_under_trimming() {
-    use dls_suite::dls_repro::outlier::{run_outlier, OutlierConfig};
+    use dls_suite::dls_metrics::mean_below_threshold;
+    use dls_suite::dls_repro::hagerup_exp::run_cell_series;
     // n = 65,536 scales the paper's threshold 400 s by n: 400/8 = 50 s.
-    let a = run_outlier(&OutlierConfig::scaled(65_536, 200), 50.0).unwrap();
-    let tail_fraction = a.outliers as f64 / a.per_run.len() as f64;
+    let series = run_cell_series(&HagerupConfig::fac_p2(65_536, 200)).unwrap();
+    let per_run: Vec<f64> = series.iter().map(|s| s.msgsim).collect();
+    let stats = SummaryStats::from_slice(&per_run);
+    let outliers = per_run.iter().filter(|&&w| w > 50.0).count();
+    let trimmed_mean = mean_below_threshold(&per_run, 50.0);
+    let tail_fraction = outliers as f64 / per_run.len() as f64;
     assert!(tail_fraction < 0.15, "outliers must be rare: {:.1} %", 100.0 * tail_fraction);
     // When outliers exist, trimming reduces the mean noticeably.
-    if a.outliers > 0 {
-        let tm = a.trimmed_mean.unwrap();
-        assert!(tm < a.mean, "trimmed {tm} vs mean {}", a.mean);
+    if outliers > 0 {
+        let tm = trimmed_mean.unwrap();
+        assert!(tm < stats.mean(), "trimmed {tm} vs mean {}", stats.mean());
     }
     // The trimmed mean is an order of magnitude below the max run.
-    if let Some(tm) = a.trimmed_mean {
-        assert!(a.stats.max() > 2.0 * tm);
+    if let Some(tm) = trimmed_mean {
+        assert!(stats.max() > 2.0 * tm);
     }
 }
 

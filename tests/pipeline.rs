@@ -1,12 +1,12 @@
 //! End-to-end reproducibility pipeline: spec files → campaigns → reports.
 
 use dls_suite::dls_core::Technique;
+use dls_suite::dls_metrics::{mean_below_threshold, SummaryStats};
 use dls_suite::dls_platform::{LinkSpec, Platform};
 use dls_suite::dls_repro::error::ReproError;
 use dls_suite::dls_repro::hagerup_exp::{
-    run_figure_resilient, HagerupConfig, OracleMode, WastedRow,
+    run_cell_series, run_figure_resilient, HagerupConfig, OracleMode, WastedRow,
 };
-use dls_suite::dls_repro::outlier::{run_outlier, OutlierConfig};
 use dls_suite::dls_repro::report;
 use dls_suite::dls_repro::runner::ExecContext;
 use dls_suite::dls_repro::spec::{ExperimentSpec, MeasuredValue, OverheadSpec};
@@ -99,20 +99,27 @@ fn tss_experiment_shape() {
     assert!(css8.simulated > 7.0);
 }
 
-/// Figure 9's campaign returns exactly one value per run and a coherent
-/// trimming analysis.
+/// Figure 9's series (here Figure 6's FAC p=2 cell) holds exactly one
+/// value per run and gives a coherent trimming analysis.
 #[test]
 fn outlier_analysis_is_coherent() {
-    let a = run_outlier(&OutlierConfig::scaled(8_192, 30), 10.0).unwrap();
-    assert_eq!(a.per_run.len(), 30);
-    assert_eq!(a.outliers, a.per_run.iter().filter(|&&w| w > 10.0).count());
-    assert!(a.stats.max() >= a.mean);
-    if let Some(tm) = a.trimmed_mean {
-        assert!(tm <= a.mean + 1e-9);
+    let series = run_cell_series(&HagerupConfig::fac_p2(8_192, 30)).unwrap();
+    let per_run: Vec<f64> = series.iter().map(|s| s.msgsim).collect();
+    let stats = SummaryStats::from_slice(&per_run);
+    let outliers = per_run.iter().filter(|&&w| w > 10.0).count();
+    assert_eq!(per_run.len(), 30);
+    let summary = report::outlier_summary(&per_run, 10.0);
+    assert!(summary.contains(&format!("> 10 s:          {outliers} runs")), "{summary}");
+    assert!(stats.max() >= stats.mean());
+    if let Some(tm) = mean_below_threshold(&per_run, 10.0) {
+        assert!(tm <= stats.mean() + 1e-9);
         assert!(tm <= 10.0);
     }
-    // The Figure 9 series is what the CSV export writes: finite positives.
-    assert!(a.per_run.iter().all(|w| w.is_finite() && *w >= 0.0));
+    // The Figure 9 series is what the CSV export writes: finite positives,
+    // on both sides.
+    assert!(series
+        .iter()
+        .all(|s| [s.msgsim, s.replica].iter().all(|w| w.is_finite() && *w >= 0.0)));
 }
 
 /// The registry indexes every reproducible artifact and the CLI ids are

@@ -6,11 +6,14 @@
 //! * simulated makespans are bounded below by the critical path and above
 //!   by the serial time (plus communication);
 //! * speedup never exceeds `p`; wasted time is never negative.
+//!
+//! The properties sample n < 50,000 and p < 64; one deterministic test
+//! checks conservation at the paper's own scale.
 
 use dls_suite::dls_core::{drain_round_robin, LoopSetup, Technique};
-use dls_suite::dls_hagerup::DirectSimulator;
+use dls_suite::dls_hagerup::{BatchDirectSimulator, DirectSimulator};
 use dls_suite::dls_metrics::OverheadModel;
-use dls_suite::dls_msgsim::{simulate, SimSpec};
+use dls_suite::dls_msgsim::{simulate, simulate_with_tasks, SimSpec};
 use dls_suite::dls_platform::{LinkSpec, Platform};
 use dls_suite::dls_rng::{SplitMix64, UniformSource};
 use dls_suite::dls_workload::{TimeModel, Workload};
@@ -195,5 +198,40 @@ proptest! {
         let t = w.unwrap().generate(0);
         prop_assert!((t.time(0) - a).abs() < 1e-9);
         prop_assert!((t.time((n - 1) as usize) - b).abs() < 1e-9);
+    }
+}
+
+/// Task conservation at the paper's largest scale (Figure 8: n = 524,288,
+/// p ∈ {2, 1024}) for every technique of the figures, through msgsim, the
+/// scalar replica and the batched replica: every task is assigned exactly
+/// once, and the three agree on the chunk count.
+#[test]
+fn paper_scale_runs_assign_every_task_once() {
+    let n = 524_288;
+    let workload = Workload::exponential(n, 1.0).unwrap();
+    let tasks = [workload.generate(1), workload.generate(2)];
+    let overhead = OverheadModel::PostHocTotal { h: 0.5 };
+    for p in [2, 1024] {
+        let platform = Platform::homogeneous_star("pe", p, 1.0, LinkSpec::negligible());
+        for technique in Technique::hagerup_set() {
+            let spec =
+                SimSpec::new(technique, workload.clone(), platform.clone()).with_overhead(overhead);
+            let setup = spec.loop_setup();
+            let msg =
+                simulate_with_tasks(&spec, &tasks[0], &Tracer::disabled(), &Telemetry::disabled())
+                    .unwrap();
+            let direct =
+                DirectSimulator::new(p, overhead).run(technique, &setup, &tasks[0]).unwrap();
+            let batched = BatchDirectSimulator::new(p, overhead)
+                .run_batch(technique, &setup, &tasks)
+                .unwrap();
+            assert_eq!(msg.faults.completed_tasks, n, "{technique} p={p}: msgsim");
+            assert_eq!(direct.tasks_per_pe.iter().sum::<u64>(), n, "{technique} p={p}: direct");
+            for lane in &batched {
+                assert_eq!(lane.tasks_per_pe.iter().sum::<u64>(), n, "{technique} p={p}: batch");
+            }
+            assert_eq!(msg.chunks, direct.chunks, "{technique} p={p}: msgsim vs direct chunks");
+            assert_eq!(batched[0].chunks, direct.chunks, "{technique} p={p}: batch vs direct");
+        }
     }
 }
