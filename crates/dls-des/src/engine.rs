@@ -93,19 +93,60 @@ pub trait Interceptor {
     fn intercept(&mut self, meta: &DeliveryMeta) -> Verdict;
 }
 
+/// One pending event. Actor ids are stored as `u32` ([`Engine::spawn`]
+/// refuses more actors) and a plain timer's id is [`PLAIN_TIMER`], so a
+/// slab slot holding `Option<EventKind<M>>` stays small: 40 bytes for
+/// msgsim's message type.
 enum EventKind<M> {
-    Deliver { from: ActorId, to: ActorId, msg: M },
-    Timer { actor: ActorId, key: u64, id: Option<TimerId> },
+    Deliver { from: u32, to: u32, msg: M },
+    Timer { actor: u32, key: u64, id: u64 },
 }
 
-/// Queue key of one pending event: `time_ns << 64 | seq`.
+/// The `id` of a timer set by [`Ctx::set_timer`], which cannot be
+/// cancelled. Cancellable ids count up from 0 and never reach it.
+const PLAIN_TIMER: u64 = u64::MAX;
+
+/// Low bits of a queue key's low word that hold the event's slab slot.
+const SLOT_BITS: u32 = 24;
+
+/// Most events one engine may hold pending at once (slots `0..MAX_PENDING`).
+const MAX_PENDING: usize = 1 << SLOT_BITS;
+
+/// Most events one run may schedule: `seq` fills the key's low word above
+/// the slot.
+const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
+
+/// Queue key of one pending event: `time_ns << 64 | seq << 24 | slot`.
 ///
-/// Ordering is by `(time, seq)` alone — never by the slab slot (the heap
-/// payload), which is reused and carries no temporal meaning. `seq` is
-/// unique, so no two pending events share a key.
+/// Ordering is by `(time, seq)` alone: `seq` is unique, so the slot bits
+/// (the slab index, which is reused and carries no temporal meaning) never
+/// decide a comparison. Carrying the slot in the key leaves the heap node
+/// at the key's 16 bytes.
+///
+/// # Panics
+///
+/// When `seq` does not fit above the slot bits (2^40 events in one run).
 #[inline(always)]
-fn event_key(time: SimTime, seq: u64) -> u128 {
-    (time.as_nanos() as u128) << 64 | seq as u128
+fn event_key(time: SimTime, seq: u64, slot: u32) -> u128 {
+    assert!(seq < MAX_SEQ, "more than 2^40 events scheduled in one run");
+    (time.as_nanos() as u128) << 64 | (seq << SLOT_BITS | u64::from(slot)) as u128
+}
+
+/// The slab slot packed into `key` by [`event_key`].
+#[inline(always)]
+fn key_slot(key: u128) -> u32 {
+    key as u32 & (MAX_PENDING as u32 - 1)
+}
+
+/// The slot a slab of `len` slots appends next.
+///
+/// # Panics
+///
+/// When the slot would not fit in [`SLOT_BITS`] (2^24 pending events).
+#[inline]
+fn next_slot(len: usize) -> u32 {
+    assert!(len < MAX_PENDING, "more than 2^24 events pending at once");
+    len as u32
 }
 
 /// Free-list slab holding the payloads of pending events.
@@ -122,7 +163,10 @@ impl<M> EventSlab<M> {
         EventSlab { slots: Vec::new(), free: Vec::new() }
     }
 
-    #[inline]
+    /// Stores `kind` and returns its slot. Inlined into every push, so the
+    /// caller's event is written straight into the slot rather than built
+    /// on the stack and copied.
+    #[inline(always)]
     fn insert(&mut self, kind: EventKind<M>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -131,7 +175,7 @@ impl<M> EventSlab<M> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
+                let slot = next_slot(self.slots.len());
                 self.slots.push(Some(kind));
                 slot
             }
@@ -149,6 +193,11 @@ impl<M> EventSlab<M> {
     fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
         self.free.reserve(additional);
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
     }
 }
 
@@ -178,6 +227,11 @@ impl CancelSet {
         }
     }
 
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.peak = 0;
+    }
+
     /// Removes `id` if present, reporting whether it was.
     fn remove(&mut self, id: u64) -> bool {
         match self.ids.binary_search(&id) {
@@ -194,9 +248,9 @@ impl CancelSet {
 /// [`Ctx`] borrows, so every `Ctx` call takes effect on the spot.
 struct Core<M> {
     dead: Vec<bool>,
-    /// Pending events keyed by [`event_key`]; the payload is the slab slot
-    /// of the event's [`EventKind`], so only 24-byte nodes move in sifts.
-    heap: QuadHeap<u32>,
+    /// Pending events keyed by [`event_key`], whose low bits name the slab
+    /// slot of the event's [`EventKind`]: only 16-byte keys move in sifts.
+    heap: QuadHeap<()>,
     slab: EventSlab<M>,
     now: SimTime,
     seq: u64,
@@ -214,24 +268,76 @@ struct Core<M> {
 }
 
 impl<M> Core<M> {
-    #[inline]
+    fn new(actors: usize) -> Self {
+        Core {
+            dead: Vec::with_capacity(actors),
+            heap: QuadHeap::new(),
+            slab: EventSlab::new(),
+            now: SimTime::ZERO,
+            seq: 0,
+            next_timer_id: 0,
+            cancelled: CancelSet::default(),
+            interceptor: None,
+            tracer: Tracer::disabled(),
+            stats: EngineStats::default(),
+            head_consumed: false,
+            stop: false,
+        }
+    }
+
+    /// Returns to the state of [`Core::new`], keeping every allocation.
+    /// The exhaustive pattern makes a new field a compile error here until
+    /// it is reset too.
+    fn reset(&mut self) {
+        let Core {
+            dead,
+            heap,
+            slab,
+            now,
+            seq,
+            next_timer_id,
+            cancelled,
+            interceptor,
+            tracer,
+            stats,
+            head_consumed,
+            stop,
+        } = self;
+        dead.clear();
+        heap.clear();
+        slab.clear();
+        *now = SimTime::ZERO;
+        *seq = 0;
+        *next_timer_id = 0;
+        cancelled.clear();
+        *interceptor = None;
+        *tracer = Tracer::disabled();
+        *stats = EngineStats::default();
+        *head_consumed = false;
+        *stop = false;
+    }
+
+    /// Queues `kind` at `time`. Inlined, with [`Core::send`] and
+    /// [`EventSlab::insert`], into each call site, so the event goes from
+    /// the caller's arguments straight into its slab slot.
+    #[inline(always)]
     fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.slab.insert(kind);
-        let key = event_key(time, seq);
+        let key = event_key(time, seq, slot);
         if self.head_consumed {
             // Equal to popping the consumed head and then pushing: keys are
             // unique, so the pop order and every later length are the same.
             self.head_consumed = false;
-            self.heap.replace_top(key, slot);
+            self.heap.replace_top(key, ());
         } else {
-            self.heap.push(key, slot);
+            self.heap.push(key, ());
         }
         self.stats.max_queue = self.stats.max_queue.max(self.heap.len());
     }
 
-    #[inline]
+    #[inline(always)]
     fn send(&mut self, from: ActorId, to: ActorId, delay: SimTime, msg: M) {
         let at = self.now.saturating_add(delay);
         let verdict = match self.interceptor.as_mut() {
@@ -255,7 +361,7 @@ impl<M> Core<M> {
                         seq: self.seq,
                     },
                 });
-                self.push_event(at, EventKind::Deliver { from, to, msg });
+                self.push_event(at, EventKind::Deliver { from: from as u32, to: to as u32, msg });
             }
             Verdict::Drop => {
                 self.tracer.emit(self.now.as_secs_f64(), TraceKind::MsgDropped { from, to });
@@ -267,7 +373,8 @@ impl<M> Core<M> {
                     TraceKind::MsgDelayed { from, to, extra: extra.as_secs_f64() },
                 );
                 self.stats.delayed_sends += 1;
-                self.push_event(at.saturating_add(extra), EventKind::Deliver { from, to, msg });
+                let kind = EventKind::Deliver { from: from as u32, to: to as u32, msg };
+                self.push_event(at.saturating_add(extra), kind);
             }
         }
     }
@@ -311,18 +418,19 @@ impl<M> Ctx<'_, M> {
     #[inline]
     pub fn set_timer(&mut self, delay: SimTime, key: u64) {
         let at = self.core.now.saturating_add(delay);
-        self.core.push_event(at, EventKind::Timer { actor: self.self_id, key, id: None });
+        let actor = self.self_id as u32;
+        self.core.push_event(at, EventKind::Timer { actor, key, id: PLAIN_TIMER });
     }
 
     /// Like [`Ctx::set_timer`], but returns a handle that can later be
     /// passed to [`Ctx::cancel_timer`]. Used for watchdogs that are armed
     /// per outstanding chunk and disarmed when the result arrives.
     pub fn set_cancellable_timer(&mut self, delay: SimTime, key: u64) -> TimerId {
-        let id = TimerId(self.core.next_timer_id);
+        let id = self.core.next_timer_id;
         self.core.next_timer_id += 1;
         let at = self.core.now.saturating_add(delay);
-        self.core.push_event(at, EventKind::Timer { actor: self.self_id, key, id: Some(id) });
-        id
+        self.core.push_event(at, EventKind::Timer { actor: self.self_id as u32, key, id });
+        TimerId(id)
     }
 
     /// Cancels a pending cancellable timer.
@@ -412,30 +520,20 @@ impl<M> Engine<M> {
 impl<M, A: Actor<M>> Engine<M, A> {
     /// Creates an empty engine at time zero with room for `actors` actors.
     pub fn with_capacity(actors: usize) -> Self {
-        Engine {
-            actors: Vec::with_capacity(actors),
-            core: Core {
-                dead: Vec::with_capacity(actors),
-                heap: QuadHeap::new(),
-                slab: EventSlab::new(),
-                now: SimTime::ZERO,
-                seq: 0,
-                next_timer_id: 0,
-                cancelled: CancelSet::default(),
-                interceptor: None,
-                tracer: Tracer::disabled(),
-                stats: EngineStats::default(),
-                head_consumed: false,
-                stop: false,
-            },
-        }
+        Engine { actors: Vec::with_capacity(actors), core: Core::new(actors) }
     }
 
     /// Registers an actor, returning its id (ids are dense, start at 0).
+    ///
+    /// # Panics
+    ///
+    /// Past 2^32 actors: queued events store actor ids as `u32`.
     pub fn spawn(&mut self, actor: A) -> ActorId {
+        let id = self.actors.len();
+        assert!(u32::try_from(id).is_ok(), "more than 2^32 actors");
         self.actors.push(actor);
         self.core.dead.push(false);
-        self.actors.len() - 1
+        id
     }
 
     /// Installs the delivery interceptor consulted for every send.
@@ -458,16 +556,42 @@ impl<M, A: Actor<M>> Engine<M, A> {
         self.core.tracer = tracer;
     }
 
+    /// Empties the engine for another run: drops the actors, the pending
+    /// events, the interceptor and the tracer, and rewinds the clock, the
+    /// sequence and timer counters and the statistics to zero. The actor,
+    /// queue and slab allocations are kept, so a simulator that runs many
+    /// short simulations on one engine stops allocating them per run.
+    ///
+    /// A reset engine behaves exactly as a new one: event order depends
+    /// only on `(time, seq)`, never on which slab slot an event occupies.
+    pub fn reset(&mut self) {
+        self.actors.clear();
+        self.core.reset();
+    }
+
+    /// Removes the actors, in id order, keeping the allocation. After
+    /// [`Engine::run_in_place`] they hold their end-of-run state.
+    pub fn drain_actors(&mut self) -> std::vec::Drain<'_, A> {
+        self.actors.drain(..)
+    }
+
     /// Runs the simulation to completion (empty queue or [`Ctx::stop`]).
     ///
     /// Returns the actors and the final statistics.
+    pub fn run(mut self) -> (Vec<A>, EngineStats) {
+        let stats = self.run_in_place();
+        (self.actors, stats)
+    }
+
+    /// [`Engine::run`], leaving the actors (see [`Engine::drain_actors`])
+    /// and the engine's storage in place for [`Engine::reset`].
     ///
     /// Each dispatched event costs one queue sift: the head is peeked, not
     /// popped, and the callback's first push replaces it in place. The
     /// queue therefore passes through the same contents, in the same
     /// order, as a pop-then-push loop.
-    pub fn run(self) -> (Vec<A>, EngineStats) {
-        let Engine { mut actors, mut core } = self;
+    pub fn run_in_place(&mut self) -> EngineStats {
+        let Engine { actors, core } = self;
         // Reserve for the common steady state (one in-flight event per actor
         // plus slack) so the first ramp-up does not reallocate repeatedly.
         let cap = 2 * actors.len() + 16;
@@ -475,32 +599,35 @@ impl<M, A: Actor<M>> Engine<M, A> {
         core.slab.reserve(cap);
         // Start phase: give every actor a chance to seed the queue.
         for (id, actor) in actors.iter_mut().enumerate() {
-            actor.on_start(&mut Ctx { core: &mut core, self_id: id });
+            actor.on_start(&mut Ctx { core, self_id: id });
             if core.stop {
                 core.stats.stopped = true;
                 core.stats.end_time = core.now;
-                return (actors, core.stats);
+                return core.stats;
             }
         }
 
-        while let Some((key, slot)) = core.heap.peek() {
+        while let Some((key, ())) = core.heap.peek() {
             let time = SimTime::from_nanos((key >> 64) as u64);
             debug_assert!(time >= core.now, "time must be monotone");
-            let kind = core.slab.take(slot);
+            let kind = core.slab.take(key_slot(key));
             // Cancelled timers and traffic to killed actors are popped
             // without advancing the clock or the event counter — a fault-free
             // plan leaves both sets empty, so that path is untouched. The
             // `is_empty` check keeps the common no-cancellation case free of
             // any per-timer lookup.
-            let dead_target = match &kind {
-                EventKind::Timer { id: Some(id), .. }
-                    if !core.cancelled.is_empty() && core.cancelled.remove(id.0) =>
+            let dead_target = match kind {
+                EventKind::Timer { id, .. }
+                    if id != PLAIN_TIMER
+                        && !core.cancelled.is_empty()
+                        && core.cancelled.remove(id) =>
                 {
                     core.heap.pop();
                     continue;
                 }
                 EventKind::Timer { actor: to, .. } | EventKind::Deliver { to, .. } => {
-                    core.dead[*to].then_some(*to)
+                    let to = to as usize;
+                    core.dead[to].then_some(to)
                 }
             };
             if let Some(to) = dead_target {
@@ -517,18 +644,20 @@ impl<M, A: Actor<M>> Engine<M, A> {
             core.head_consumed = true;
             match kind {
                 EventKind::Deliver { from, to, msg } => {
+                    let (from, to) = (from as usize, to as usize);
                     core.tracer.emit_with(|| dls_trace::TraceEvent {
                         at: time.as_secs_f64(),
                         kind: TraceKind::MsgDelivered { from, to },
                     });
-                    actors[to].on_message(from, msg, &mut Ctx { core: &mut core, self_id: to });
+                    actors[to].on_message(from, msg, &mut Ctx { core, self_id: to });
                 }
                 EventKind::Timer { actor, key, id: _ } => {
+                    let actor = actor as usize;
                     core.tracer.emit_with(|| dls_trace::TraceEvent {
                         at: time.as_secs_f64(),
                         kind: TraceKind::TimerFired { actor, key },
                     });
-                    actors[actor].on_timer(key, &mut Ctx { core: &mut core, self_id: actor });
+                    actors[actor].on_timer(key, &mut Ctx { core, self_id: actor });
                 }
             }
             if core.head_consumed {
@@ -542,7 +671,7 @@ impl<M, A: Actor<M>> Engine<M, A> {
             }
         }
         core.stats.end_time = core.now;
-        (actors, core.stats)
+        core.stats
     }
 }
 
@@ -902,39 +1031,157 @@ mod tests {
         assert_eq!(stats, run());
     }
 
+    /// A slab slot holds one `Option<EventKind<M>>`: at most 40 bytes for
+    /// a 32-byte message whose tag has spare values (msgsim's `Msg`, pinned
+    /// at 32 bytes in that crate, is one). The queue's `QuadHeap<()>` node
+    /// is pinned at 16 bytes in `heap.rs`.
+    #[test]
+    fn queue_entries_stay_compact() {
+        assert_eq!(std::mem::size_of::<Option<[u64; 3]>>(), 32);
+        assert!(std::mem::size_of::<Option<EventKind<Option<[u64; 3]>>>>() <= 40);
+        assert_eq!(std::mem::size_of::<Option<EventKind<u32>>>(), 24);
+    }
+
+    #[test]
+    fn packed_key_round_trips_at_its_bounds() {
+        let t = SimTime::from_nanos(u64::MAX);
+        let slot = (MAX_PENDING - 1) as u32;
+        let key = event_key(t, MAX_SEQ - 1, slot);
+        assert_eq!((key >> 64) as u64, u64::MAX);
+        assert_eq!(key_slot(key), slot);
+        assert_eq!(key as u64 >> SLOT_BITS, MAX_SEQ - 1);
+        // The sequence orders before the slot: a later seq in slot 0 is
+        // still the larger key.
+        assert!(event_key(t, 1, 0) > event_key(t, 0, slot));
+        assert_eq!(next_slot(MAX_PENDING - 1), slot);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^40 events scheduled in one run")]
+    fn sequence_past_the_key_bound_panics() {
+        event_key(SimTime::ZERO, MAX_SEQ, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^24 events pending at once")]
+    fn slot_past_the_key_bound_panics() {
+        next_slot(MAX_PENDING);
+    }
+
+    /// A reset engine runs exactly as a new one, whatever the previous run
+    /// left behind: queued events after a stop, an unreaped cancellation,
+    /// a kill, an interceptor, a tracer and advanced counters. The later
+    /// runs see the sequence numbers (in their trace, and through an
+    /// interceptor keyed on them) and arm a cancellable timer, whose id a
+    /// stale cancellation would match.
+    #[test]
+    fn reset_engine_runs_like_a_new_one() {
+        /// Cancels one timer, then stops at 25 ns with a cancelled timer,
+        /// a dead letter and a dead actor's timer still queued.
+        struct Leaver;
+        impl Actor<u32> for Leaver {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                let id = ctx.set_cancellable_timer(SimTime::from_nanos(30), 1);
+                ctx.cancel_timer(id);
+                ctx.set_timer(SimTime::from_nanos(25), 0);
+            }
+            fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+            fn on_timer(&mut self, _key: u64, ctx: &mut Ctx<'_, u32>) {
+                ctx.stop();
+            }
+        }
+        /// Arms one cancellable timer and lets it fire.
+        struct Ticker;
+        impl Actor<u32> for Ticker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                ctx.set_cancellable_timer(SimTime::from_nanos(5), 1);
+            }
+            fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+        }
+        /// Delays every send whose sequence number is a multiple of 5.
+        struct SeqDelay;
+        impl Interceptor for SeqDelay {
+            fn intercept(&mut self, meta: &DeliveryMeta) -> Verdict {
+                if meta.seq.is_multiple_of(5) {
+                    Verdict::Delay(SimTime::from_nanos(1))
+                } else {
+                    Verdict::Deliver
+                }
+            }
+        }
+        let later_run = |eng: &mut Engine<u32>, hook: bool| {
+            let (tracer, recorder) = Tracer::ring(256);
+            eng.add_actor(Box::new(Burst));
+            eng.add_actor(Box::new(Recorder { log: Log::default() }));
+            // Actor 2, the one the first run killed.
+            eng.add_actor(Box::new(Ticker));
+            if hook {
+                eng.set_interceptor(Box::new(SeqDelay));
+            }
+            eng.set_tracer(tracer);
+            let stats = eng.run_in_place();
+            let trace = recorder.borrow().to_vec();
+            (stats, trace)
+        };
+
+        let (tracer, recorder) = Tracer::ring(64);
+        let mut eng = Engine::new();
+        eng.add_actor(Box::new(Leaver));
+        eng.add_actor(Box::new(Assassin { victim: 2, log: Log::default() }));
+        eng.add_actor(Box::new(Victim { log: Log::default() }));
+        eng.set_interceptor(Box::new(PassThrough));
+        eng.set_tracer(tracer);
+        let first = eng.run_in_place();
+        assert!(first.stopped && first.max_cancelled == 1 && first.end_time.as_nanos() == 25);
+        let traced = recorder.borrow().to_vec().len();
+        for hook in [false, true, false] {
+            eng.reset();
+            let reused = later_run(&mut eng, hook);
+            assert_eq!(reused, later_run(&mut Engine::new(), hook));
+            // 16 sends (seq 0..16) and the timer; sends 0, 5, 10 and 15 delayed.
+            assert_eq!((reused.0.events, reused.0.delayed_sends), (17, if hook { 4 } else { 0 }));
+        }
+        assert_eq!(recorder.borrow().to_vec().len(), traced, "reset detaches the tracer");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// The engine's queue pops exactly what a reference `BinaryHeap`
         /// ordered by `(time, seq)` pops, over random push/pop
-        /// interleavings. Times come from a tiny range, so most pushes tie
-        /// on time and only `seq` separates them.
+        /// interleavings, and every popped key still names its slot. Times
+        /// come from a tiny range, so most pushes tie on time and only
+        /// `seq` separates them; slots are drawn independently of `seq`,
+        /// so they never decide the order.
         #[test]
         fn event_queue_matches_a_reference_binary_heap(
-            ops in proptest::collection::vec(0u64..12, 1..400),
+            ops in proptest::collection::vec(0u64..12 << SLOT_BITS, 1..400),
         ) {
             use std::cmp::Reverse;
             use std::collections::BinaryHeap;
             let mut heap = QuadHeap::new();
             let mut reference = BinaryHeap::new();
             let mut seq = 0u64;
-            for op in ops {
-                // 0..8 pushes at time `op % 4`; 8..12 pops.
+            let unpack = |key: u128| ((key >> 64) as u64, key_slot(key));
+            for draw in ops {
+                // The high bits pick the op: 0..8 pushes at time `op % 4`,
+                // 8..12 pops. The low bits are the slot.
+                let (op, slot) = (draw >> SLOT_BITS, draw as u32 & (MAX_PENDING as u32 - 1));
                 if op < 8 {
                     let time = SimTime::from_nanos(op % 4);
-                    heap.push(event_key(time, seq), seq as u32);
-                    reference.push(Reverse((time, seq)));
+                    heap.push(event_key(time, seq, slot), ());
+                    reference.push(Reverse((time, seq, slot)));
                     seq += 1;
                 } else {
-                    let got = heap.pop().map(|(key, slot)| ((key >> 64) as u64, slot as u64));
-                    let want = reference.pop().map(|Reverse((t, s))| (t.as_nanos(), s));
+                    let got = heap.pop().map(|(key, ())| unpack(key));
+                    let want = reference.pop().map(|Reverse((t, _, slot))| (t.as_nanos(), slot));
                     proptest::prop_assert_eq!(got, want);
                 }
                 proptest::prop_assert_eq!(heap.len(), reference.len());
             }
-            while let Some(Reverse((t, s))) = reference.pop() {
-                let got = heap.pop().map(|(key, slot)| ((key >> 64) as u64, slot as u64));
-                proptest::prop_assert_eq!(got, Some((t.as_nanos(), s)));
+            while let Some(Reverse((t, _, slot))) = reference.pop() {
+                let got = heap.pop().map(|(key, ())| unpack(key));
+                proptest::prop_assert_eq!(got, Some((t.as_nanos(), slot)));
             }
             proptest::prop_assert!(heap.pop().is_none());
         }

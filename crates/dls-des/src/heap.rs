@@ -1,9 +1,10 @@
 //! A 4-ary min-heap of small `Copy` nodes ordered by one packed `u128` key.
 //!
 //! Both simulators' priority queues are this structure: the engine's event
-//! queue (key `time_ns << 64 | seq`, payload a slab slot) and the direct
-//! replica's PE ready queue (key: an order-preserving image of the
-//! availability time `<< 64 | pe`, payload the time itself). Neither ever
+//! queue (key `time_ns << 64 | seq << 24 | slot`, no payload: the slab
+//! slot rides in the key's low bits) and the direct replica's PE ready
+//! queue (key: an order-preserving image of the availability time
+//! `<< 64 | pe`, payload the time itself). Neither ever
 //! queues two equal keys, so any exact min-heap pops the same sequence;
 //! this one is chosen for speed:
 //!
@@ -20,7 +21,8 @@
 
 /// One heap entry. The key is stored as two words rather than a `u128`
 /// field, whose 16-byte alignment would pad a node with a 4- or 8-byte
-/// payload from 24 to 32 bytes.
+/// payload from 24 to 32 bytes; with no payload (`T = ()`) a node is the
+/// key's 16 bytes alone.
 #[derive(Clone, Copy)]
 struct Node<T> {
     hi: u64,
@@ -79,6 +81,11 @@ impl<T: Copy> QuadHeap<T> {
     /// Reserves room for at least `additional` more entries.
     pub fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);
+    }
+
+    /// Removes every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
     }
 
     /// Queues `value` under `key`.
@@ -187,6 +194,7 @@ mod tests {
     fn nodes_stay_24_bytes_with_small_payloads() {
         assert_eq!(std::mem::size_of::<Node<u32>>(), 24);
         assert_eq!(std::mem::size_of::<Node<f64>>(), 24);
+        assert_eq!(std::mem::size_of::<Node<()>>(), 16);
     }
 
     #[test]

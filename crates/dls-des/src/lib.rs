@@ -17,14 +17,19 @@
 //!   increasing sequence number, so two runs of the same scenario produce
 //!   identical schedules, event orders and statistics.
 //! * **One packed key per event.** The queue is a 4-ary min-heap
-//!   ([`QuadHeap`]) over 24-byte `Copy` nodes ordered by a single `u128`,
-//!   `time_ns << 64 | seq`; event payloads live in a slab and the node
-//!   carries only the slot index. Sibling selection is branch-free.
+//!   ([`QuadHeap`]) over 16-byte keys, `time_ns << 64 | seq << 24 | slot`:
+//!   they order by `(time, seq)`, and the low bits name the slab slot that
+//!   holds the event's payload, so a node is the key alone. Sibling
+//!   selection is branch-free.
 //! * **One sift per event.** A callback's [`Ctx`] borrows the queue, so
 //!   every send and timer is queued the moment it is issued, and the
 //!   event being dispatched stays at the root until the callback's first
 //!   push overwrites it ([`QuadHeap::replace_top`]) — the same queue, in
 //!   the same order, as popping it first.
+//! * **Storage that outlives a run.** [`Engine::reset`] empties an engine
+//!   but keeps its actor, queue and slab allocations, and
+//!   [`Engine::run_in_place`] runs it without consuming it, so a simulator
+//!   running many short simulations allocates that storage once.
 //! * **Boxed or typed actors.** [`Engine<M>`] holds `Box<dyn Actor<M>>`;
 //!   `Engine<M, A>` holds one actor type `A` (say, an `enum` over a
 //!   simulator's roles) and dispatches without a vtable.

@@ -67,14 +67,17 @@ impl SimTime {
 ///
 /// Exact: below 2^53 both `i as f64` and the fraction `ns - i` are
 /// representable, so the tie test sees the true fraction; from 2^52 up
-/// every `f64` is already an integer and the fraction is zero.
+/// every `f64` is already an integer and the fraction is zero. Below 2^63
+/// (every simulated time in practice) the conversions are the signed ones,
+/// one instruction each; the unsigned ones need a range fix-up.
 #[inline]
 fn round_half_up(ns: f64) -> u64 {
-    let i = ns as u64;
-    if ns - i as f64 >= 0.5 {
-        i + 1
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if ns < TWO_POW_63 {
+        let i = ns as i64;
+        (if ns - i as f64 >= 0.5 { i + 1 } else { i }) as u64
     } else {
-        i
+        ns as u64
     }
 }
 

@@ -7,10 +7,8 @@ use crate::spec::{Recovery, SimSpec};
 use dls_core::ChunkScheduler;
 use dls_des::{Actor, ActorId, Ctx, SimTime, TimerId};
 use dls_trace::{TraceKind, Tracer};
-use dls_workload::{Availability, TaskTimes};
-use std::cell::RefCell;
+use dls_workload::{PerturbationModel, TaskTimes};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 /// Messages exchanged between master and workers.
 #[derive(Debug, Clone)]
@@ -48,38 +46,6 @@ pub struct Completion {
     pub elapsed: f64,
 }
 
-/// Statistics shared between actors and collected after the run.
-#[derive(Debug)]
-pub struct SharedStats {
-    /// Per-worker total computing time (task execution only), seconds.
-    pub compute: Vec<f64>,
-    /// Total chunks assigned (scheduling operations).
-    pub chunks: u64,
-    /// Per-worker chunk counts.
-    pub chunks_per_worker: Vec<u64>,
-    /// Total tasks assigned (must end at `n`).
-    pub assigned_tasks: u64,
-    /// Time the last chunk execution finished (the makespan), seconds.
-    pub last_finish: f64,
-    /// Fault and recovery counters (engine-level fields are filled in by
-    /// the driver after the run).
-    pub faults: FaultStats,
-}
-
-impl SharedStats {
-    /// Zeroed statistics for `p` workers.
-    pub fn new(p: usize) -> Self {
-        SharedStats {
-            compute: vec![0.0; p],
-            chunks: 0,
-            chunks_per_worker: vec![0; p],
-            assigned_tasks: 0,
-            last_finish: 0.0,
-            faults: FaultStats::default(),
-        }
-    }
-}
-
 const MASTER: ActorId = 0;
 
 /// Worker timer keys (the master uses assignment ids as keys instead).
@@ -112,6 +78,14 @@ struct Outstanding {
 /// plan is non-empty, so fault-free runs take the exact legacy code path.
 #[derive(Debug)]
 struct Ft {
+    /// Effective per-worker speed (host speed × availability weight), used
+    /// to estimate chunk execution times for watchdog timeouts.
+    eff_speed: Vec<f64>,
+    in_sim_h: f64,
+    /// `comm_time(work) + comm_time(request)`, seconds — the round-trip
+    /// term of the watchdog budget.
+    round_comm_secs: f64,
+    recovery: Recovery,
     next_id: u64,
     outstanding: BTreeMap<u64, Outstanding>,
     /// Per-worker outstanding assignment id (at most one chunk per worker).
@@ -126,44 +100,8 @@ struct Ft {
     requeue: VecDeque<ChunkJob>,
 }
 
-/// The master: owns the scheduler and the task-time realization.
-pub struct Master {
-    scheduler: Rc<RefCell<Box<dyn ChunkScheduler>>>,
-    tasks: TaskTimes,
-    /// Transfer time of one Work message. The link and message sizes are
-    /// fixed for the lifetime of a run, so the per-send computation is done
-    /// once here and every send reuses the identical value.
-    work_comm: SimTime,
-    /// Transfer time of one Finalize message (same hoisting).
-    finalize_comm: SimTime,
-    /// `comm_time(work) + comm_time(request)`, seconds — the round-trip
-    /// term of the watchdog budget.
-    round_comm_secs: f64,
-    /// Per-request service time (0 = instantaneous master).
-    service: SimTime,
-    /// Time until which the master's single scheduling "core" is busy.
-    busy_until: SimTime,
-    next_task: usize,
-    /// Effective per-worker speed (host speed × availability weight), used
-    /// to estimate chunk execution times for watchdog timeouts.
-    eff_speed: Vec<f64>,
-    in_sim_h: f64,
-    recovery: Recovery,
-    ft: Option<Ft>,
-    stats: Rc<RefCell<SharedStats>>,
-    tracer: Tracer,
-}
-
-impl Master {
-    /// Builds the master for one run. The scheduler handle is shared so a
-    /// time-stepping driver can keep adaptive state across runs.
-    pub fn new(
-        scheduler: Rc<RefCell<Box<dyn ChunkScheduler>>>,
-        tasks: TaskTimes,
-        spec: &SimSpec,
-        stats: Rc<RefCell<SharedStats>>,
-        tracer: Tracer,
-    ) -> Self {
+impl Ft {
+    fn new(spec: &SimSpec) -> Self {
         let p = spec.num_workers();
         let eff_speed = (0..p)
             .map(|w| {
@@ -171,30 +109,85 @@ impl Master {
                 (host.speed * host.availability.weight).max(f64::MIN_POSITIVE)
             })
             .collect();
-        let ft = (!spec.faults.is_none()).then(|| Ft {
+        let link = spec.platform.link();
+        Ft {
+            eff_speed,
+            in_sim_h: spec.overhead.in_sim_h(),
+            round_comm_secs: link.comm_time(spec.messages.work)
+                + link.comm_time(spec.messages.request),
+            recovery: spec.recovery,
             next_id: 0,
             outstanding: BTreeMap::new(),
             worker_chunk: vec![None; p],
             dead: vec![false; p],
             parked: VecDeque::new(),
             requeue: VecDeque::new(),
-        });
+        }
+    }
+
+    /// Watchdog budget for one chunk on one worker: the estimated round
+    /// trip (work message + execution + overhead + report) stretched by the
+    /// recovery grace factor, floored at the configured minimum.
+    fn base_timeout(&self, job: &ChunkJob, worker: usize) -> f64 {
+        let exec = job.work_secs / self.eff_speed[worker];
+        (self.recovery.grace * (exec + self.in_sim_h + self.round_comm_secs))
+            .max(self.recovery.min_timeout)
+    }
+}
+
+/// The master: owns the scheduler, the task-time realization and the
+/// run's assignment counters.
+pub struct Master {
+    /// The run's scheduler, lent by its owner for the run and handed back
+    /// when the run ends.
+    pub scheduler: Box<dyn ChunkScheduler>,
+    tasks: TaskTimes,
+    /// Transfer time of one Work message. The link and message sizes are
+    /// fixed for the lifetime of a run, so the per-send computation is done
+    /// once here and every send reuses the identical value.
+    work_comm: SimTime,
+    /// Transfer time of one Finalize message (same hoisting).
+    finalize_comm: SimTime,
+    /// Per-request service time (0 = instantaneous master).
+    service: SimTime,
+    /// Time until which the master's single scheduling "core" is busy.
+    busy_until: SimTime,
+    next_task: usize,
+    ft: Option<Ft>,
+    /// Total chunks assigned (scheduling operations).
+    pub chunks: u64,
+    /// Per-worker chunk counts.
+    pub chunks_per_worker: Vec<u64>,
+    /// Total tasks assigned (must end at `n`).
+    pub assigned_tasks: u64,
+    /// Fault and recovery counters; the engine-level fields and the
+    /// workers' retransmits are filled in by the driver after the run.
+    pub faults: FaultStats,
+    tracer: Tracer,
+}
+
+impl Master {
+    /// Builds the master for one run around the scheduler it drives.
+    pub fn new(
+        scheduler: Box<dyn ChunkScheduler>,
+        tasks: TaskTimes,
+        spec: &SimSpec,
+        tracer: Tracer,
+    ) -> Self {
         let link = spec.platform.link();
         Master {
             scheduler,
             tasks,
             work_comm: SimTime::from_secs_f64(link.comm_time(spec.messages.work)),
             finalize_comm: SimTime::from_secs_f64(link.comm_time(spec.messages.finalize)),
-            round_comm_secs: link.comm_time(spec.messages.work)
-                + link.comm_time(spec.messages.request),
             service: SimTime::from_secs_f64(spec.master_service),
             busy_until: SimTime::ZERO,
             next_task: 0,
-            eff_speed,
-            in_sim_h: spec.overhead.in_sim_h(),
-            recovery: spec.recovery,
-            ft,
-            stats,
+            ft: (!spec.faults.is_none()).then(|| Ft::new(spec)),
+            chunks: 0,
+            chunks_per_worker: vec![0; spec.num_workers()],
+            assigned_tasks: 0,
+            faults: FaultStats::default(),
             tracer,
         }
     }
@@ -211,15 +204,6 @@ impl Master {
         done - now
     }
 
-    /// Watchdog budget for one chunk on one worker: the estimated round
-    /// trip (work message + execution + overhead + report) stretched by the
-    /// recovery grace factor, floored at the configured minimum.
-    fn base_timeout(&self, job: &ChunkJob, worker: usize) -> f64 {
-        let exec = job.work_secs / self.eff_speed[worker];
-        (self.recovery.grace * (exec + self.in_sim_h + self.round_comm_secs))
-            .max(self.recovery.min_timeout)
-    }
-
     /// Dispatches `job` to `worker` under a fresh assignment id and arms
     /// its watchdog. Fault-tolerant mode only.
     fn dispatch(
@@ -229,9 +213,9 @@ impl Master {
         queueing: SimTime,
         ctx: &mut Ctx<'_, Msg>,
     ) {
-        let base_timeout = self.base_timeout(&job, worker);
         let comm = self.work_comm;
         let ft = self.ft.as_mut().expect("dispatch is fault-tolerant-only");
+        let base_timeout = ft.base_timeout(&job, worker);
         let id = ft.next_id;
         ft.next_id += 1;
         self.tracer.emit(
@@ -258,7 +242,7 @@ impl Master {
     /// Pulls the next fresh chunk from the scheduler, if any, updating the
     /// assignment statistics exactly as the legacy path does.
     fn fresh_chunk(&mut self, worker: usize) -> Option<ChunkJob> {
-        let count = self.scheduler.borrow_mut().next_chunk(worker);
+        let count = self.scheduler.next_chunk(worker);
         if count == 0 {
             return None;
         }
@@ -266,23 +250,21 @@ impl Master {
         let end = self.next_task + count as usize;
         let work_secs = self.tasks.chunk_sum(self.next_task, end);
         self.next_task = end;
-        let mut s = self.stats.borrow_mut();
-        s.chunks += 1;
-        s.chunks_per_worker[worker] += 1;
-        s.assigned_tasks += count;
+        self.chunks += 1;
+        self.chunks_per_worker[worker] += 1;
+        self.assigned_tasks += count;
         Some(ChunkJob { start, count, work_secs })
     }
 
     /// Counts a reassignment and traces it (the same task range appears a
     /// second time, under the surviving worker).
-    fn note_reassignment(&self, worker: usize, job: &ChunkJob, now: SimTime) {
+    fn note_reassignment(&mut self, worker: usize, job: &ChunkJob, now: SimTime) {
         self.tracer.emit(
             now.as_secs_f64(),
             TraceKind::ChunkReassigned { worker, start: job.start, count: job.count },
         );
-        let mut s = self.stats.borrow_mut();
-        s.faults.reassigned_chunks += 1;
-        s.faults.reassigned_tasks += job.count;
+        self.faults.reassigned_chunks += 1;
+        self.faults.reassigned_tasks += job.count;
     }
 
     /// Sends Finalize to `worker` (actor `worker + 1`).
@@ -299,27 +281,21 @@ impl Master {
         ctx: &mut Ctx<'_, Msg>,
     ) {
         let queueing = self.serve(ctx.now());
-        let mut scheduler = self.scheduler.borrow_mut();
         if let Some(c) = prev {
-            scheduler.record_completion(worker, c.chunk, c.elapsed);
-            self.stats.borrow_mut().faults.completed_tasks += c.chunk;
+            self.scheduler.record_completion(worker, c.chunk, c.elapsed);
+            self.faults.completed_tasks += c.chunk;
         }
-        let count = scheduler.next_chunk(worker);
+        let count = self.scheduler.next_chunk(worker);
         if count == 0 {
-            drop(scheduler);
             self.finalize_worker(worker, queueing, ctx);
             return;
         }
         let end = self.next_task + count as usize;
         let work_secs = self.tasks.chunk_sum(self.next_task, end);
         self.next_task = end;
-        drop(scheduler);
-        {
-            let mut s = self.stats.borrow_mut();
-            s.chunks += 1;
-            s.chunks_per_worker[worker] += 1;
-            s.assigned_tasks += count;
-        }
+        self.chunks += 1;
+        self.chunks_per_worker[worker] += 1;
+        self.assigned_tasks += count;
         self.tracer.emit(
             ctx.now().as_secs_f64(),
             TraceKind::ChunkAssigned {
@@ -348,10 +324,10 @@ impl Master {
                 let o = ft.outstanding.remove(&c.id).expect("tracked chunk");
                 ctx.cancel_timer(o.timer);
                 ft.worker_chunk[worker] = None;
-                self.scheduler.borrow_mut().record_completion(worker, c.chunk, c.elapsed);
-                self.stats.borrow_mut().faults.completed_tasks += o.job.count;
+                self.scheduler.record_completion(worker, c.chunk, c.elapsed);
+                self.faults.completed_tasks += o.job.count;
             } else {
-                self.stats.borrow_mut().faults.duplicate_completions += 1;
+                self.faults.duplicate_completions += 1;
             }
         }
 
@@ -426,9 +402,8 @@ impl Actor<Msg> for Master {
         let now = ctx.now();
         let queueing = self.serve(now);
         let comm = self.work_comm;
-        let backoff = self.recovery.backoff;
-        let max_attempts = self.recovery.max_attempts;
         let ft = self.ft.as_mut().expect("master timers exist only in ft mode");
+        let (backoff, max_attempts) = (ft.recovery.backoff, ft.recovery.max_attempts);
         let Some(o) = ft.outstanding.get_mut(&key) else {
             // Completion raced the expiry inside one instant; nothing to do.
             return;
@@ -446,7 +421,7 @@ impl Actor<Msg> for Master {
             let stretched = o.base_timeout * backoff.powi(o.attempts as i32);
             let delay = queueing.saturating_add(SimTime::from_secs_f64(stretched));
             o.timer = ctx.set_cancellable_timer(delay, key);
-            self.stats.borrow_mut().faults.master_retries += 1;
+            self.faults.master_retries += 1;
             return;
         }
         // Out of patience: declare the worker dead, recover the chunk and
@@ -456,7 +431,7 @@ impl Actor<Msg> for Master {
         ft.worker_chunk[o.worker] = None;
         ft.requeue.push_back(o.job);
         self.tracer.emit(now.as_secs_f64(), TraceKind::WorkerDeclaredDead { worker: o.worker });
-        self.stats.borrow_mut().faults.detected_failures.push((o.worker, now.as_secs_f64()));
+        self.faults.detected_failures.push((o.worker, now.as_secs_f64()));
         let survivor = loop {
             match ft.parked.pop_front() {
                 Some(w) if ft.dead[w] => continue,
@@ -472,71 +447,89 @@ impl Actor<Msg> for Master {
     }
 }
 
-/// A worker: request → execute → request, until finalized.
+/// A worker: request → execute → request, until finalized. It keeps its
+/// own compute and finish-time totals, read by the driver after the run.
 pub struct Worker {
     index: usize,
-    speed: f64,
-    availability: Availability,
+    /// Host speed × availability weight: the unit-speed work a nominal
+    /// second of execution covers.
+    rate: f64,
+    perturbation: PerturbationModel,
     /// Transfer time of one Request message, precomputed once (the link and
     /// message sizes never change within a run).
     request_comm: SimTime,
-    /// `comm_time(request) + comm_time(work)`, seconds — the round-trip
-    /// estimate behind the retransmit watchdog.
-    round_comm_secs: f64,
     in_sim_h: f64,
     /// The chunk currently executing (set between Work and the timer).
     executing: Option<Completion>,
-    /// Fault-tolerant mode: retransmit unanswered requests.
-    ft: bool,
+    /// Total computing time (task execution only), seconds.
+    pub compute: f64,
+    /// Time this worker's last chunk execution finished, seconds.
+    pub last_finish: f64,
+    /// Fault-tolerant mode only: retransmit unanswered requests.
+    ft: Option<Box<WorkerFt>>,
+    tracer: Tracer,
+}
+
+/// A worker's request-retransmit state, present only in fault-tolerant
+/// mode, so a fault-free worker stays small.
+struct WorkerFt {
     recovery: Recovery,
+    /// `comm_time(request) + comm_time(work)`, seconds — the round-trip
+    /// estimate behind the retransmit watchdog.
+    round_comm_secs: f64,
     /// The request awaiting a master reply (payload kept for retransmits).
     outbox: Option<Option<Completion>>,
     retry_timer: Option<TimerId>,
     /// Current retransmit budget in seconds (grows by the backoff factor).
     retry_delay: f64,
-    stats: Rc<RefCell<SharedStats>>,
-    tracer: Tracer,
+    /// Requests retransmitted after the watchdog expired.
+    retries: u64,
 }
 
 impl Worker {
     /// Builds worker `index` (platform host `index`, actor id `index + 1`).
-    pub fn new(
-        index: usize,
-        spec: &SimSpec,
-        stats: Rc<RefCell<SharedStats>>,
-        tracer: Tracer,
-    ) -> Self {
+    pub fn new(index: usize, spec: &SimSpec, tracer: Tracer) -> Self {
         let host = spec.platform.host(index);
         let link = spec.platform.link();
+        let ft = (!spec.faults.is_none()).then(|| {
+            Box::new(WorkerFt {
+                recovery: spec.recovery,
+                round_comm_secs: link.comm_time(spec.messages.request)
+                    + link.comm_time(spec.messages.work),
+                outbox: None,
+                retry_timer: None,
+                retry_delay: 0.0,
+                retries: 0,
+            })
+        });
         Worker {
             index,
-            speed: host.speed,
-            availability: host.availability.clone(),
+            rate: host.speed * host.availability.weight,
+            perturbation: host.availability.perturbation.clone(),
             request_comm: SimTime::from_secs_f64(link.comm_time(spec.messages.request)),
-            round_comm_secs: link.comm_time(spec.messages.request)
-                + link.comm_time(spec.messages.work),
             in_sim_h: spec.overhead.in_sim_h(),
             executing: None,
-            ft: !spec.faults.is_none(),
-            recovery: spec.recovery,
-            outbox: None,
-            retry_timer: None,
-            retry_delay: 0.0,
-            stats,
+            compute: 0.0,
+            last_finish: 0.0,
+            ft,
             tracer,
         }
     }
 
+    /// Requests this worker retransmitted (0 outside fault-tolerant mode).
+    pub fn retries(&self) -> u64 {
+        self.ft.as_ref().map_or(0, |ft| ft.retries)
+    }
+
     fn send_request(&mut self, prev: Option<Completion>, ctx: &mut Ctx<'_, Msg>) {
         ctx.send(MASTER, self.request_comm, Msg::Request { prev });
-        if self.ft {
+        if let Some(ft) = self.ft.as_mut() {
             // Arm the request-retransmit watchdog: a lost request (or lost
             // reply) would otherwise idle this worker forever.
-            self.retry_delay =
-                (self.recovery.grace * self.round_comm_secs).max(self.recovery.min_timeout);
-            self.outbox = Some(prev);
-            self.retry_timer = Some(ctx.set_cancellable_timer(
-                SimTime::from_secs_f64(self.retry_delay),
+            ft.retry_delay = (ft.recovery.grace * ft.round_comm_secs).max(ft.recovery.min_timeout);
+            ft.outbox = Some(prev);
+            ft.retry_timer = Some(ctx.set_cancellable_timer(
+                SimTime::from_secs_f64(ft.retry_delay),
                 TIMER_REQUEST_RETRY,
             ));
         }
@@ -544,10 +537,12 @@ impl Worker {
 
     /// Disarms the retransmit watchdog once the master has replied.
     fn reply_received(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if let Some(t) = self.retry_timer.take() {
-            ctx.cancel_timer(t);
+        if let Some(ft) = self.ft.as_mut() {
+            if let Some(t) = ft.retry_timer.take() {
+                ctx.cancel_timer(t);
+            }
+            ft.outbox = None;
         }
-        self.outbox = None;
     }
 }
 
@@ -568,10 +563,17 @@ impl Actor<Msg> for Worker {
                 let now = ctx.now().as_secs_f64();
                 // Nominal execution at the host's rated speed, corrected by
                 // the availability model averaged over the execution window.
-                let nominal = work_secs / (self.speed * self.availability.weight);
-                let factor = self.availability.perturbation.average_factor(now, now + nominal);
-                let exec = nominal / factor.max(f64::MIN_POSITIVE);
-                self.stats.borrow_mut().compute[self.index] += exec;
+                // Unperturbed, that factor is exactly 1 and `x / 1.0 == x`,
+                // so the division is skipped.
+                let nominal = work_secs / self.rate;
+                let exec = match &self.perturbation {
+                    PerturbationModel::None => nominal,
+                    model => {
+                        let factor = model.average_factor(now, now + nominal);
+                        nominal / factor.max(f64::MIN_POSITIVE)
+                    }
+                };
+                self.compute += exec;
                 self.executing = Some(Completion { id, chunk: count, elapsed: exec });
                 self.tracer.emit(
                     now,
@@ -599,30 +601,27 @@ impl Actor<Msg> for Worker {
     fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, Msg>) {
         if key == TIMER_REQUEST_RETRY {
             // Still waiting for the master: retransmit with backoff.
-            let Some(prev) = self.outbox else { return };
+            let ft = self.ft.as_mut().expect("retransmit timers exist only in ft mode");
+            let Some(prev) = ft.outbox else { return };
             self.tracer
                 .emit(ctx.now().as_secs_f64(), TraceKind::WorkerRetry { worker: self.index });
-            self.stats.borrow_mut().faults.worker_retries += 1;
+            ft.retries += 1;
             ctx.send(MASTER, self.request_comm, Msg::Request { prev });
-            self.retry_delay *= self.recovery.backoff;
-            self.retry_timer = Some(ctx.set_cancellable_timer(
-                SimTime::from_secs_f64(self.retry_delay),
+            ft.retry_delay *= ft.recovery.backoff;
+            ft.retry_timer = Some(ctx.set_cancellable_timer(
+                SimTime::from_secs_f64(ft.retry_delay),
                 TIMER_REQUEST_RETRY,
             ));
             return;
         }
         let done = self.executing.take().expect("timer fires only while executing");
+        let now = ctx.now().as_secs_f64();
         self.tracer.emit(
-            ctx.now().as_secs_f64(),
+            now,
             TraceKind::ChunkCompleted { worker: self.index, id: done.id, count: done.chunk },
         );
-        {
-            let mut s = self.stats.borrow_mut();
-            let now = ctx.now().as_secs_f64();
-            if now > s.last_finish {
-                s.last_finish = now;
-            }
-        }
+        // Virtual time never runs backwards, so this is the latest finish.
+        self.last_finish = now;
         self.send_request(Some(done), ctx);
     }
 }
@@ -700,5 +699,18 @@ impl Actor<Msg> for SimActor {
             SimActor::Worker(a) => a.on_timer(key, ctx),
             SimActor::Injector(a) => a.on_timer(key, ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The engine's actor `Vec` holds one `SimActor` per worker and its
+    /// slab one message per pending event: both stay small.
+    #[test]
+    fn actors_and_messages_stay_compact() {
+        assert!(std::mem::size_of::<SimActor>() <= 128, "{}", std::mem::size_of::<SimActor>());
+        assert_eq!(std::mem::size_of::<Msg>(), 32);
     }
 }

@@ -52,7 +52,7 @@ mod spec;
 pub use outcome::{FaultStats, SimOutcome};
 pub use spec::{MessageSizes, Recovery, SimSpec};
 
-use actors::{FaultInjector, Master, Msg, SharedStats, SimActor, Worker};
+use actors::{FaultInjector, Master, Msg, SimActor, Worker};
 use dls_core::{ChunkScheduler, SetupError};
 use dls_des::Engine;
 use dls_telemetry::Telemetry;
@@ -112,9 +112,43 @@ pub fn simulate_with_scheduler_metered(
     simulate_core(spec, tasks, Some(scheduler), tracer, telemetry)
 }
 
+thread_local! {
+    /// This thread's engine. Every run resets it and runs in it, so the
+    /// actor, queue and slab storage is allocated once per thread rather
+    /// than once per run; a reset engine runs exactly as a new one.
+    static ENGINE: RefCell<Engine<Msg, SimActor>> = RefCell::new(Engine::with_capacity(0));
+}
+
+/// Holds a caller's scheduler slot while a run has the scheduler. A
+/// scheduler lost to a panicking run fails loudly on its next use instead
+/// of silently starting over.
+struct Lent;
+
+impl ChunkScheduler for Lent {
+    fn name(&self) -> &'static str {
+        "lent"
+    }
+
+    fn remaining(&self) -> u64 {
+        unreachable!("the scheduler was lent to a simulation run that panicked")
+    }
+
+    fn next_chunk(&mut self, _pe: usize) -> u64 {
+        unreachable!("the scheduler was lent to a simulation run that panicked")
+    }
+
+    fn start_time_step(&mut self) {
+        unreachable!("the scheduler was lent to a simulation run that panicked")
+    }
+}
+
 /// The one simulation core: checks the spec ([`SimSpec::check`], which
 /// builds the scheduler unless the caller `held` one) and the realization,
-/// then runs the master–worker engine.
+/// then runs the master–worker engine in this thread's [`ENGINE`].
+///
+/// The scheduler is borrowed once for the whole run and moved into the
+/// master, which owns its counters as each worker owns its compute and
+/// finish time; they are gathered from the actors when the run ends.
 fn simulate_core(
     spec: &SimSpec,
     tasks: &TaskTimes,
@@ -123,34 +157,61 @@ fn simulate_core(
     telemetry: &Telemetry,
 ) -> Result<SimOutcome, SetupError> {
     let _wall = telemetry.span("msgsim.simulate_wall_s");
-    let scheduler = spec.check(held)?;
+    let shared = spec.check(held)?;
     let n = spec.workload.n();
     if tasks.len() as u64 != n {
         return Err(SetupError::BadParam("task realization length must equal workload n"));
     }
     let p = spec.platform.num_hosts();
     let plan = &spec.faults;
-
-    let stats = Rc::new(RefCell::new(SharedStats::new(p)));
-    let mut engine = Engine::<Msg, SimActor>::with_capacity(p + 2);
-    engine.set_tracer(tracer.clone());
+    let mut scheduler = shared.borrow_mut();
+    let lent = std::mem::replace(&mut *scheduler, Box::new(Lent));
     // Actor 0 is the master; workers are 1..=p on platform hosts 0..p.
-    let master = Master::new(scheduler, tasks.clone(), spec, Rc::clone(&stats), tracer.clone());
-    engine.spawn(SimActor::Master(Box::new(master)));
-    for w in 0..p {
-        engine.spawn(SimActor::Worker(Worker::new(w, spec, Rc::clone(&stats), tracer.clone())));
-    }
-    // Fault machinery is attached only for the features the plan actually
-    // uses, so a FaultPlan::none() run is byte-identical to the legacy path.
-    if !plan.partitions.is_empty() || plan.loss_probability > 0.0 || !plan.latency_spikes.is_empty()
-    {
-        engine.set_interceptor(Box::new(plan.link_faults(|w| w + 1)));
-    }
-    if !plan.fail_stops.is_empty() {
-        let injector = FaultInjector::new(plan.fail_stop_schedule(), tracer.clone());
-        engine.spawn(SimActor::Injector(injector));
-    }
-    let (_actors, engine_stats) = engine.run();
+    let master = Master::new(lent, tasks.clone(), spec, tracer.clone());
+
+    let (engine_stats, master, compute, makespan, worker_retries) = ENGINE.with(|engine| {
+        let mut engine = engine.borrow_mut();
+        engine.reset();
+        engine.set_tracer(tracer.clone());
+        engine.spawn(SimActor::Master(Box::new(master)));
+        for w in 0..p {
+            engine.spawn(SimActor::Worker(Worker::new(w, spec, tracer.clone())));
+        }
+        // Fault machinery is attached only for the features the plan
+        // actually uses, so a FaultPlan::none() run is byte-identical to the
+        // legacy path.
+        if !plan.partitions.is_empty()
+            || plan.loss_probability > 0.0
+            || !plan.latency_spikes.is_empty()
+        {
+            engine.set_interceptor(Box::new(plan.link_faults(|w| w + 1)));
+        }
+        if !plan.fail_stops.is_empty() {
+            let injector = FaultInjector::new(plan.fail_stop_schedule(), tracer.clone());
+            engine.spawn(SimActor::Injector(injector));
+        }
+        let engine_stats = engine.run_in_place();
+
+        let (mut master, mut compute) = (None, Vec::with_capacity(p));
+        let (mut makespan, mut worker_retries) = (0.0, 0);
+        for actor in engine.drain_actors() {
+            match actor {
+                SimActor::Master(m) => master = Some(m),
+                SimActor::Worker(w) => {
+                    compute.push(w.compute);
+                    if w.last_finish > makespan {
+                        makespan = w.last_finish;
+                    }
+                    worker_retries += w.retries();
+                }
+                SimActor::Injector(_) => {}
+            }
+        }
+        // Drop the interceptor and the tracer now: no handle outlives the run.
+        engine.reset();
+        let master = master.expect("actor 0 is the master");
+        (engine_stats, master, compute, makespan, worker_retries)
+    });
 
     // Telemetry reads only host-side data, only after the engine has
     // returned — it cannot perturb the virtual-time outcome.
@@ -161,22 +222,25 @@ fn simulate_core(
     telemetry.counter_add("msgsim.delayed_sends", engine_stats.delayed_sends);
     telemetry.observe_secs("msgsim.max_queue", engine_stats.max_queue as f64);
 
-    let mut s = stats.borrow_mut();
-    debug_assert_eq!(s.assigned_tasks, n, "all tasks must be assigned exactly once");
+    let Master {
+        scheduler: returned, chunks, chunks_per_worker, assigned_tasks, mut faults, ..
+    } = *master;
+    *scheduler = returned;
+    debug_assert_eq!(assigned_tasks, n, "all tasks must be assigned exactly once");
     if plan.is_none() {
-        debug_assert_eq!(s.faults.completed_tasks, n, "fault-free runs complete every task");
+        debug_assert_eq!(faults.completed_tasks, n, "fault-free runs complete every task");
     }
-    telemetry.counter_add("msgsim.chunks", s.chunks);
-    let mut faults = std::mem::take(&mut s.faults);
+    telemetry.counter_add("msgsim.chunks", chunks);
+    faults.worker_retries = worker_retries;
     faults.lost_messages = engine_stats.dropped_sends;
     faults.delayed_messages = engine_stats.delayed_sends;
     faults.dead_letters = engine_stats.dead_letters;
     Ok(SimOutcome {
-        makespan: s.last_finish,
+        makespan,
         sim_end: engine_stats.end_time.as_secs_f64(),
-        compute: std::mem::take(&mut s.compute),
-        chunks: s.chunks,
-        chunks_per_worker: std::mem::take(&mut s.chunks_per_worker),
+        compute,
+        chunks,
+        chunks_per_worker,
         serial_time: tasks.total(),
         events: engine_stats.events,
         overhead: spec.overhead,
@@ -539,6 +603,71 @@ mod tests {
         assert_eq!(snap.counter("msgsim.events"), Some(plain.events));
         assert_eq!(snap.counter("msgsim.chunks"), Some(plain.chunks));
         assert_eq!(snap.histogram("msgsim.simulate_wall_s").unwrap().count, 1);
+    }
+
+    /// Runs on one thread share its engine's storage. A wide run, a narrow
+    /// one, a fault run (fail-stop plus loss), a run that panics mid-way and
+    /// the wide run again each equal the same run on a fresh thread, so no
+    /// state leaks from one run into the next.
+    #[test]
+    fn reused_engine_runs_like_a_fresh_thread() {
+        use dls_faults::FaultPlan;
+        let exp = |n: u64, p: usize| {
+            let mut sp = spec(Technique::Fac2, n, p);
+            sp.workload = Workload::exponential(n, 1e-3).unwrap();
+            sp
+        };
+        let faulty = exp(2_000, 4)
+            .with_faults(FaultPlan::none().with_fail_stop(1, 0.2).with_loss(0.05).with_seed(3));
+        let on_fresh_thread = |sp: &SimSpec| {
+            let sp = sp.clone();
+            std::thread::spawn(move || simulate(&sp, 7).unwrap()).join().unwrap()
+        };
+
+        /// Panics on its fifth chunk request, mid-run.
+        struct Bomb(u32);
+        impl ChunkScheduler for Bomb {
+            fn name(&self) -> &'static str {
+                "bomb"
+            }
+            fn remaining(&self) -> u64 {
+                1
+            }
+            fn next_chunk(&mut self, _pe: usize) -> u64 {
+                self.0 += 1;
+                assert!(self.0 < 5, "scheduler failure");
+                1
+            }
+            fn start_time_step(&mut self) {}
+        }
+        let bomb = || {
+            let sp = exp(100, 8);
+            let held: Rc<RefCell<Box<dyn ChunkScheduler>>> =
+                Rc::new(RefCell::new(Box::new(Bomb(0))));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (off, tel) = (Tracer::disabled(), Telemetry::disabled());
+                simulate_with_scheduler_metered(
+                    &sp,
+                    &sp.workload.generate(1),
+                    held.clone(),
+                    &off,
+                    &tel,
+                )
+            }));
+            assert!(run.is_err(), "the scheduler panics mid-run");
+            held
+        };
+
+        let wide = exp(8_192, 1_024);
+        for sp in [&wide, &exp(4_000, 2), &faulty] {
+            assert_eq!(simulate(sp, 7).unwrap(), on_fresh_thread(sp));
+        }
+        let lost = bomb();
+        let after = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lost.borrow_mut().next_chunk(0)
+        }));
+        assert!(after.is_err(), "a scheduler lost to a panicking run fails loudly");
+        assert_eq!(simulate(&wide, 7).unwrap(), on_fresh_thread(&wide));
     }
 
     #[test]

@@ -83,6 +83,56 @@ pub fn exact_percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
+/// [`exact_percentile`] at each of `qs` over an unsorted, NaN-free sample,
+/// without sorting it: each percentile reads only its two closest ranks, so
+/// only those ranks are put in place, by recursive selection around the
+/// middle wanted rank (O(n log k) for k ranks, against a sort's
+/// O(n log n)). Reorders `samples`; 0 for each `q` when it is empty.
+///
+/// The result equals `exact_percentile` over the sorted sample bit for bit:
+/// a rank holds the same value either way, and the one place where two
+/// equal values differ, the sign of a zero, cannot reach the interpolated
+/// result for two or more samples.
+///
+/// # Panics
+/// On a `q` outside `[0, 100]`.
+pub(crate) fn select_percentiles<const K: usize>(samples: &mut [f64], qs: [f64; K]) -> [f64; K] {
+    assert!(qs.iter().all(|q| (0.0..=100.0).contains(q)), "q must be in [0, 100]");
+    let n = samples.len();
+    if n <= 1 {
+        return qs.map(|_| samples.first().copied().unwrap_or(0.0));
+    }
+    let rank = |q: f64| {
+        let h = (q / 100.0) * (n as f64 - 1.0);
+        (h.floor() as usize, h.ceil() as usize, h - h.floor())
+    };
+    let mut ranks: Vec<usize> = qs
+        .iter()
+        .flat_map(|&q| {
+            let (lo, hi, _) = rank(q);
+            [lo, hi]
+        })
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    select_ranks(samples, 0, &ranks);
+    qs.map(|q| {
+        let (lo, hi, frac) = rank(q);
+        samples[lo] + (samples[hi] - samples[lo]) * frac
+    })
+}
+
+/// Puts each of the sorted `ranks` (indices into the slice `v` starts at
+/// `offset` of) in its sorted position, and nothing else.
+fn select_ranks(v: &mut [f64], offset: usize, ranks: &[usize]) {
+    let Some(&pivot) = ranks.get(ranks.len() / 2) else { return };
+    let (below, _, above) = v.select_nth_unstable_by(pivot - offset, |a, b| {
+        a.partial_cmp(b).expect("samples are NaN-free")
+    });
+    select_ranks(below, offset, &ranks[..ranks.len() / 2]);
+    select_ranks(above, pivot + 1, &ranks[ranks.len() / 2 + 1..]);
+}
+
 /// One histogram's shard-local state.
 #[derive(Debug, Clone)]
 pub(crate) struct HistData {

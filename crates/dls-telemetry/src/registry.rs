@@ -173,7 +173,7 @@ impl Registry {
                 .collect(),
             histograms: merged
                 .histograms
-                .iter()
+                .iter_mut()
                 .map(|(name, h)| crate::snapshot::summarize(name, h))
                 .collect(),
         }

@@ -1,6 +1,6 @@
 //! Point-in-time aggregated view of a registry, serializable to JSON.
 
-use crate::hist::{bucket_le, exact_percentile, HistData};
+use crate::hist::{bucket_le, select_percentiles, HistData};
 use serde::{Deserialize, Serialize};
 
 /// One counter's merged value.
@@ -127,11 +127,11 @@ impl Snapshot {
     }
 }
 
-/// Builds the exported summary for one merged histogram.
-pub(crate) fn summarize(name: &'static str, h: &HistData) -> HistogramSnapshot {
-    let mut sorted = h.samples.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are NaN-free"));
-    let pct = |q: f64| if sorted.is_empty() { 0.0 } else { exact_percentile(&sorted, q) };
+/// Builds the exported summary for one merged histogram. The percentiles
+/// are selected in place in `h.samples`, which the merge copied for this
+/// snapshot alone, so nothing is cloned or fully sorted.
+pub(crate) fn summarize(name: &'static str, h: &mut HistData) -> HistogramSnapshot {
+    let [p10, p50, p90, p99] = select_percentiles(&mut h.samples, [10.0, 50.0, 90.0, 99.0]);
     HistogramSnapshot {
         name: name.into(),
         count: h.count,
@@ -141,10 +141,10 @@ pub(crate) fn summarize(name: &'static str, h: &HistData) -> HistogramSnapshot {
         min: if h.count == 0 { 0.0 } else { h.min },
         max: if h.count == 0 { 0.0 } else { h.max },
         mean: if h.count == 0 { 0.0 } else { h.sum / h.count as f64 },
-        p10: pct(10.0),
-        p50: pct(50.0),
-        p90: pct(90.0),
-        p99: pct(99.0),
+        p10,
+        p50,
+        p90,
+        p99,
         buckets: h
             .buckets
             .iter()
@@ -158,10 +158,73 @@ pub(crate) fn summarize(name: &'static str, h: &HistData) -> HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::exact_percentile;
+
+    /// The summary as it was computed before selection: clone the samples,
+    /// sort them, interpolate.
+    fn sorted_reference(name: &'static str, h: &HistData) -> HistogramSnapshot {
+        let mut sorted = h.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are NaN-free"));
+        let pct = |q: f64| if sorted.is_empty() { 0.0 } else { exact_percentile(&sorted, q) };
+        let mut scratch = h.clone();
+        HistogramSnapshot {
+            p10: pct(10.0),
+            p50: pct(50.0),
+            p90: pct(90.0),
+            p99: pct(99.0),
+            ..summarize(name, &mut scratch)
+        }
+    }
+
+    /// Every field's bits, floats included, so `-0.0` and `0.0` differ.
+    fn bits(s: &HistogramSnapshot) -> Vec<u64> {
+        let mut out = vec![s.count, s.nan_count, s.dropped_samples];
+        out.extend([s.sum, s.min, s.max, s.mean, s.p10, s.p50, s.p90, s.p99].map(f64::to_bits));
+        out.extend(s.buckets.iter().flat_map(|b| [b.le.to_bits(), b.count]));
+        out
+    }
+
+    /// A sample value from raw bits: mostly a few tied values and both
+    /// zeros, otherwise any finite or infinite double (NaN is recorded
+    /// apart from the samples, so it maps to a tie).
+    fn sample(raw: u64) -> f64 {
+        const TIES: [f64; 6] = [-0.0, 0.0, 1e-3, 1e-3, 2.5e-3, -1.0];
+        match raw % 4 {
+            0 | 1 => TIES[(raw >> 2) as usize % TIES.len()],
+            _ => {
+                let x = f64::from_bits(raw);
+                if x.is_nan() {
+                    TIES[0]
+                } else {
+                    x
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        /// Selection reproduces the sort-based summary in every field, bit
+        /// for bit, on random samples full of ties and signed zeros.
+        #[test]
+        fn selected_percentiles_match_the_sorted_reference(
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
+        ) {
+            let mut h = HistData::default();
+            for &r in &raw {
+                h.record(sample(r));
+            }
+            let want = sorted_reference("h", &h);
+            let got = summarize("h", &mut h.clone());
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert_eq!(got.name, want.name);
+        }
+    }
 
     #[test]
     fn empty_histogram_summarizes_to_zeros() {
-        let s = summarize("empty", &HistData::default());
+        let s = summarize("empty", &mut HistData::default());
         assert_eq!(s.count, 0);
         assert_eq!(s.min, 0.0);
         assert_eq!(s.max, 0.0);
@@ -190,7 +253,7 @@ mod tests {
     fn overflow_bucket_round_trips_through_json() {
         let mut h = HistData::default();
         h.record(1e9); // beyond the last finite bound
-        let s = summarize("big", &h);
+        let s = summarize("big", &mut h);
         assert_eq!(s.buckets.len(), 1);
         // Infinity is not representable in JSON, so the overflow bound is
         // exported as f64::MAX and must survive a round trip.
