@@ -584,7 +584,8 @@ impl<M, A: Actor<M>> Engine<M, A> {
     }
 
     /// [`Engine::run`], leaving the actors (see [`Engine::drain_actors`])
-    /// and the engine's storage in place for [`Engine::reset`].
+    /// and the engine's storage in place for [`Engine::reset`]. Reset and
+    /// spawn again before running another simulation.
     ///
     /// Each dispatched event costs one queue sift: the head is peeked, not
     /// popped, and the callback's first push replaces it in place. The
